@@ -2337,8 +2337,8 @@ mod overload {
 
     /// Bounded queue depth for the overload server: deep enough that an
     /// unshedded spike would buffer-bloat far past any plausible
-    /// deadline, so the deadline/CoDel machinery — not the queue bound
-    /// alone — has to do the shedding.
+    /// deadline, so deadline shedding — not the queue bound — has to do
+    /// the shedding.
     pub const QUEUE: usize = 1024;
     /// Closed-loop capacity probe duration.
     pub const PROBE_MS: u64 = 1500;
@@ -2656,11 +2656,9 @@ fn overload_main(opts: Options) {
         );
 
     // Client deadline: pinned to a small multiple of the *saturated*
-    // p50 the probe just measured. That places it inside the regime
-    // the admission controller actually defends — the sojourn ceiling
-    // the controller clamps to is a few saturated service times, so a
-    // deadline far above it would be absorbed by queueing alone and
-    // the audit would prove nothing about deadline shedding. An
+    // p50 the probe just measured, far below the queueing delay a 3×
+    // spike builds in the deep queue. A deadline that queueing alone
+    // could absorb would prove nothing about deadline shedding. An
     // explicit --deadline-ms still caps it from above.
     let deadline_ms = probe_deadline_ms
         .min(probe_p50_ms.saturating_mul(2))
@@ -2783,7 +2781,6 @@ fn overload_main(opts: Options) {
     };
     let shed_expired = metric("shed_expired").unwrap_or(0);
     let shed_mem_budget = metric("shed_mem_budget").unwrap_or(0);
-    let codel_activations = metric("codel_activations").unwrap_or(0);
 
     let mut gate_failures = Vec::new();
     if spike_goodput < overload::SPIKE_GOODPUT_FLOOR * capacity {
@@ -2897,7 +2894,6 @@ fn overload_main(opts: Options) {
         ),
         ("shed_expired", Json::from(shed_expired)),
         ("shed_mem_budget", Json::from(shed_mem_budget)),
-        ("codel_activations", Json::from(codel_activations)),
         ("daemon_alive_after_run", Json::from(alive)),
         (
             "gate_failures",

@@ -1,4 +1,6 @@
-//! Deterministic 64-bit content fingerprints (FNV-1a).
+//! Deterministic 64-bit content fingerprints (FNV-1a) and the
+//! SplitMix64 stream that seeds every other deterministic draw in the
+//! workspace.
 //!
 //! The scheduling service keys its content-addressed schedule cache on
 //! *configuration identity*: the same basic block scheduled under a
@@ -14,6 +16,11 @@
 //! dependencies, and is plenty strong for content addressing when the
 //! caller also mixes in structural facts (lengths, counts) that make
 //! accidental collisions vanishingly unlikely.
+//!
+//! The same FNV-1a also checksums wire frames and store records. Seeded
+//! streams (fault plans, retry jitter, fuzz seeds, ring points, random
+//! machine states) use [`splitmix64`], or its counter mode
+//! [`splitmix64_at`] where a draw must be seekable by sequence number.
 
 /// 64-bit FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -93,6 +100,37 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// SplitMix64 increment (the 64-bit golden ratio).
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 output finalizer.
+fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One SplitMix64 step: advance `state` and return the next output.
+///
+/// ```
+/// let mut state = 0;
+/// assert_eq!(dagsched_isa::splitmix64(&mut state), 0xe220_a839_7b1d_cdaf);
+/// ```
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    splitmix64_mix(*state)
+}
+
+/// Counter-mode SplitMix64: output number `seq` (0-based) of the stream
+/// that [`splitmix64`] walks from state `seed`, computed directly — a
+/// stateless, seekable draw keyed on `(seed, seq)`.
+pub fn splitmix64_at(seed: u64, seq: u64) -> u64 {
+    splitmix64_mix(
+        seed.wrapping_add(seq.wrapping_mul(SPLITMIX_GAMMA))
+            .wrapping_add(SPLITMIX_GAMMA),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +141,25 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn splitmix64_matches_reference_outputs() {
+        let mut state = 0;
+        assert_eq!(splitmix64(&mut state), 0xe220a8397b1dcdaf);
+        assert_eq!(splitmix64(&mut state), 0x6e789e6aa1b965f4);
+        assert_eq!(splitmix64_at(0, 0), 0xe220a8397b1dcdaf);
+        assert_eq!(splitmix64_at(0, 1), 0x6e789e6aa1b965f4);
+    }
+
+    #[test]
+    fn counter_mode_seeks_the_stepped_stream() {
+        for seed in [0, 1, 1991, u64::MAX] {
+            let mut state = seed;
+            for seq in 0..64 {
+                assert_eq!(splitmix64(&mut state), splitmix64_at(seed, seq));
+            }
+        }
     }
 
     #[test]

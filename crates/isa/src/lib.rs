@@ -46,7 +46,7 @@ mod opcode;
 mod reg;
 
 pub use block::{BasicBlock, Program};
-pub use fingerprint::{fnv64, Fnv64};
+pub use fingerprint::{fnv64, splitmix64, splitmix64_at, Fnv64};
 pub use insn::{Instruction, MemRef};
 pub use machine::{DepKind, FuncUnit, MachineModel, UnitDesc};
 pub use memexpr::{MemExprId, MemExprPool};

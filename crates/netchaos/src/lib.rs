@@ -38,22 +38,14 @@
 mod plan;
 mod proxy;
 
+use dagsched_isa::splitmix64_at;
+
 pub use plan::{ChaosConfig, ConnFault, Direction};
 pub use proxy::{serve_proxy, ProxyHandle, ProxyMetrics, ProxySnapshot, Toxics};
 
-/// SplitMix64 finalizer over a counter: a stateless, seekable stream
-/// (the same discipline `faultinject.rs` uses for request faults).
-pub(crate) fn mix(seed: u64, seq: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A draw keyed on `(seed, conn, byte_offset)`: two finalizer rounds so
-/// the connection and offset counters cannot alias.
+/// A draw keyed on `(seed, conn, byte_offset)`: two counter-mode
+/// SplitMix64 rounds so the connection and offset counters cannot
+/// alias.
 pub(crate) fn mix3(seed: u64, conn: u64, offset: u64) -> u64 {
-    mix(mix(seed, conn), offset)
+    splitmix64_at(splitmix64_at(seed, conn), offset)
 }

@@ -1,7 +1,8 @@
 //! The seeded fault plan: which fault a connection suffers and every
 //! parameter of it, all pure functions of `(seed, conn, byte_offset)`.
 
-use crate::{mix, mix3};
+use crate::mix3;
+use dagsched_isa::splitmix64_at;
 
 /// Pump direction through the proxy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +142,7 @@ impl ChaosConfig {
 
     /// The deterministic fault for connection number `conn`.
     pub fn decide(&self, conn: u64) -> ConnFault {
-        let draw = mix(self.seed, conn) % 1000;
+        let draw = splitmix64_at(self.seed, conn) % 1000;
         // Parameter draws live on their own `(seed, conn, salt)`
         // streams so the class draw and the parameters cannot alias.
         let dir = if mix3(self.seed, conn, 1).is_multiple_of(2) {

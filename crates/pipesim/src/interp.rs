@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use dagsched_isa::{Instruction, MemExprId, Opcode, Reg};
+use dagsched_isa::{splitmix64, Instruction, MemExprId, Opcode, Reg};
 
 /// Concrete machine state.
 ///
@@ -81,13 +81,7 @@ impl MachineState {
     /// memory cells populated from `seed` (splitmix64).
     pub fn random(seed: u64, mem_cells: impl IntoIterator<Item = MemExprId>) -> MachineState {
         let mut x = seed;
-        let mut next = move || {
-            x = x.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
+        let mut next = move || splitmix64(&mut x);
         let mut st = MachineState::zeroed();
         for r in st.int_regs.iter_mut().skip(1) {
             *r = next() as i64;

@@ -221,12 +221,7 @@ pub fn write_frame(w: &mut dyn Write, kind: FrameKind, payload: &[u8]) -> io::Re
 /// corruption (a flipped bit on a faulty link), where any single-byte
 /// change is guaranteed to alter the hash.
 pub fn frame_checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    dagsched_isa::fnv64(payload)
 }
 
 /// Read one frame, validating the header before allocating the payload

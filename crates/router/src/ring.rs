@@ -14,35 +14,25 @@
 
 use std::collections::BTreeMap;
 
+/// FNV-1a, the stable hash the rest of the workspace uses for content
+/// identity; ring points and routing keys are built on it.
+pub use dagsched_isa::fnv64;
+use dagsched_isa::splitmix64_at;
+
 /// Virtual nodes per shard. 512 points keeps the per-shard load share
 /// within a few percent of uniform (σ ≈ 1/√V ≈ 4.4%) at every cluster
 /// size the property tests cover; the ring stays tiny (≤ 8K points at
 /// 16 shards) so membership ops remain microseconds.
 pub const VNODES_PER_SHARD: u32 = 512;
 
-/// FNV-1a over `bytes` (the same stable hash the rest of the workspace
-/// uses for content identity).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: spreads FNV's low-entropy tail bits across
-/// the whole word so ring points land uniformly.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The ring point for virtual node `vnode` of `endpoint`.
+/// The ring point for virtual node `vnode` of `endpoint`. The SplitMix64
+/// finalizer spreads FNV's low-entropy tail bits across the whole word
+/// so ring points land uniformly.
 fn point(endpoint: &str, vnode: u32) -> u64 {
-    mix(fnv64(endpoint.as_bytes()) ^ ((u64::from(vnode) << 32) | u64::from(vnode)))
+    splitmix64_at(
+        fnv64(endpoint.as_bytes()) ^ ((u64::from(vnode) << 32) | u64::from(vnode)),
+        0,
+    )
 }
 
 /// A consistent-hash ring over shard endpoint strings.
@@ -186,10 +176,10 @@ mod tests {
     fn replica_sets_are_distinct_and_primary_first() {
         let ring = Ring::with_members(["a", "b", "c"]);
         for key in 0..1000u64 {
-            let reps = ring.replicas(mix(key), 2);
+            let reps = ring.replicas(splitmix64_at(key, 0), 2);
             assert_eq!(reps.len(), 2);
             assert_ne!(reps[0], reps[1]);
-            assert_eq!(ring.primary(mix(key)), Some(reps[0]));
+            assert_eq!(ring.primary(splitmix64_at(key, 0)), Some(reps[0]));
         }
         // Asking for more replicas than members yields all members.
         assert_eq!(ring.replicas(7, 5).len(), 3);
@@ -201,8 +191,8 @@ mod tests {
         let backward = Ring::with_members(["d", "c", "b", "a"]);
         for key in 0..2000u64 {
             assert_eq!(
-                forward.primary(mix(key)),
-                backward.primary(mix(key)),
+                forward.primary(splitmix64_at(key, 0)),
+                backward.primary(splitmix64_at(key, 0)),
                 "key {key}"
             );
         }
@@ -212,7 +202,7 @@ mod tests {
     fn add_remove_round_trips() {
         let mut ring = Ring::with_members(["a", "b", "c"]);
         let before: Vec<Option<String>> = (0..500u64)
-            .map(|k| ring.primary(mix(k)).map(str::to_string))
+            .map(|k| ring.primary(splitmix64_at(k, 0)).map(str::to_string))
             .collect();
         assert!(ring.remove("b"));
         assert!(!ring.remove("b"), "double remove is a no-op");
@@ -220,7 +210,7 @@ mod tests {
         assert!(ring.add("b"));
         assert!(!ring.add("b"), "double add is a no-op");
         let after: Vec<Option<String>> = (0..500u64)
-            .map(|k| ring.primary(mix(k)).map(str::to_string))
+            .map(|k| ring.primary(splitmix64_at(k, 0)).map(str::to_string))
             .collect();
         assert_eq!(before, after, "remove+add restores every placement");
     }
@@ -231,7 +221,7 @@ mod tests {
         ring.remove("c");
         assert_eq!(ring.len(), 3);
         for key in 0..2000u64 {
-            for rep in ring.replicas(mix(key), 3) {
+            for rep in ring.replicas(splitmix64_at(key, 0), 3) {
                 assert_ne!(rep, "c");
             }
         }

@@ -113,7 +113,7 @@ use dagsched_proto::{
     ScheduleRequest, ScheduleResponse, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
 };
 use dagsched_service::client::{CancelHandle, Client, ClientError, RetryBudget, RetryPolicy};
-use dagsched_service::pipeline::{PushError, StageQueue};
+use dagsched_service::pipeline::{PushError, StageQueue, BUSY_RETRY_MS};
 use dagsched_service::reactor::{
     install_sigterm_handler, lock_recover, Completion, Completions, ConnId, Ctx, Handler, Listener,
     Reactor, ReactorConfig,
@@ -125,10 +125,6 @@ use crate::shard::{RouterMetrics, ShardConns, ShardState, Transition};
 
 /// Retry hint attached to `busy` rejections when no shard is live.
 const NO_SHARD_RETRY_MS: u64 = 200;
-
-/// Retry hint attached to `busy` rejections when the forwarding queue
-/// is full.
-const BUSY_RETRY_MS: u64 = 50;
 
 /// Retry hint attached to `draining` rejections.
 const DRAIN_RETRY_MS: u64 = 500;

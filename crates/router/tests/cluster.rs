@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dagsched_proto::{hex_decode, AdminCommand};
-use dagsched_router::{serve_router, RouterConfig, RouterHandle};
+use dagsched_router::{routing_key, serve_router, Ring, RouterConfig, RouterHandle};
 use dagsched_service::client::{Client, RetryPolicy};
 use dagsched_service::server::{serve, Listen, ServerConfig};
 use dagsched_service::{ScheduleRequest, ServerHandle};
@@ -129,13 +129,11 @@ fn a_shard_death_and_restart_is_invisible_to_clients() {
         .collect();
     let mut shards: Vec<Option<ServerHandle>> =
         shard_socks.iter().map(|s| Some(spawn_shard(s))).collect();
-    let router = spawn_router(
-        &dir.join("router.sock"),
-        shard_socks
-            .iter()
-            .map(|p| format!("unix:{}", p.display()))
-            .collect(),
-    );
+    let endpoints: Vec<String> = shard_socks
+        .iter()
+        .map(|p| format!("unix:{}", p.display()))
+        .collect();
+    let router = spawn_router(&dir.join("router.sock"), endpoints.clone());
 
     let policy = fast_retry();
     let mut client = Client::connect(&router.endpoint()).expect("connect router");
@@ -148,9 +146,21 @@ fn a_shard_death_and_restart_is_invisible_to_clients() {
         reference.push(resp.insns);
     }
 
-    // Kill shard 0 the hard way mid-load: drop its handle without a
+    // The victim is the primary of the first request's key. Ring
+    // points hash the socket paths, which carry the process id, so a
+    // fixed shard index would own none of the mix's keys in some runs.
+    let ring = Ring::with_members(endpoints.iter().map(String::as_str));
+    let victim_ep = ring
+        .primary(routing_key(&mix[0]).1)
+        .expect("ring has members");
+    let v = endpoints
+        .iter()
+        .position(|ep| ep == victim_ep)
+        .expect("primary is a member");
+
+    // Kill the victim the hard way mid-load: drop its handle without a
     // drain, so its socket answers connection-refused from here on.
-    let victim = shards[0].take().expect("shard 0 alive");
+    let victim = shards[v].take().expect("victim alive");
     victim.begin_drain();
     victim.join();
 
@@ -167,7 +177,7 @@ fn a_shard_death_and_restart_is_invisible_to_clients() {
 
     // Restart the shard on the same socket; the prober re-admits it
     // and traffic keeps flowing.
-    shards[0] = Some(spawn_shard(&shard_socks[0]));
+    shards[v] = Some(spawn_shard(&shard_socks[v]));
     std::thread::sleep(Duration::from_millis(400));
     for (i, req) in mix.iter().enumerate() {
         let (resp, _) = client

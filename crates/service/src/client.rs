@@ -41,6 +41,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use dagsched_isa::splitmix64;
+
 use crate::json::Json;
 use crate::proto::{
     read_frame, write_frame, AdminCommand, ErrorReply, FrameKind, FrameReadError, ScheduleRequest,
@@ -145,15 +147,6 @@ impl Default for RetryPolicy {
             jitter_seed: 0x5EED_1991,
         }
     }
-}
-
-/// SplitMix64: tiny, seedable, good enough for jitter.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

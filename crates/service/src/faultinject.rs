@@ -27,6 +27,8 @@
 //! `[0, 1000)` cumulatively; a draw beyond the configured total means
 //! "no fault".
 
+use dagsched_isa::splitmix64_at;
+
 /// Per-mille injection rates plus the stream seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultConfig {
@@ -63,16 +65,6 @@ pub enum Fault {
     ResetConnection,
 }
 
-/// SplitMix64 finalizer over a counter: a stateless, seekable stream.
-fn mix(seed: u64, seq: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultConfig {
     /// Sum of all configured rates (may exceed 1000; excess rates are
     /// effectively clipped by the cumulative layout).
@@ -86,7 +78,7 @@ impl FaultConfig {
 
     /// The deterministic fault for request number `seq`.
     pub fn decide(&self, seq: u64) -> Fault {
-        let draw = mix(self.seed, seq) % 1000;
+        let draw = splitmix64_at(self.seed, seq) % 1000;
         let mut bound = u64::from(self.panic_per_mille);
         if draw < bound {
             return Fault::Panic;

@@ -28,8 +28,6 @@
 //!   end shared by the daemon and the cluster router.
 //! * [`pipeline`] — bounded stage queues with adaptive batching, plus
 //!   single-flight compile coalescing.
-//! * [`pool`] — the bounded worker pool (kept for embedders; the
-//!   daemon itself now runs on the reactor + stage queues).
 //! * [`server`] — the daemon: reactor handler, decode/compile stages,
 //!   drain.
 //! * [`client`] — a small blocking client.
@@ -60,7 +58,6 @@ pub mod engine;
 pub mod metrics;
 pub mod persist;
 pub mod pipeline;
-pub mod pool;
 pub mod reactor;
 pub mod server;
 
@@ -76,7 +73,6 @@ pub use cache::{CacheConfig, CacheStats, ScheduleCache, MIN_ENTRY_COST};
 pub use client::{Client, ClientError, RetryBudget, RetryPolicy, RetryStats};
 pub use engine::{execute, EngineLimits};
 pub use persist::{store_fingerprint, Persistence};
-pub use pool::PoolHealth;
 pub use proto::{
     ErrorCode, ErrorReply, FrameKind, ScheduleRequest, ScheduleResponse, DEFAULT_MAX_FRAME,
 };

@@ -63,9 +63,6 @@ pub struct Metrics {
     /// Requests shed with `busy` by the byte-accounted admission gate
     /// (in-flight payloads + cache bytes would exceed `--mem-budget`).
     pub shed_mem_budget: AtomicU64,
-    /// Times the CoDel sojourn controller cut a stage queue's
-    /// effective admission capacity (mirrors the pipeline's counter).
-    pub codel_activations: AtomicU64,
 }
 
 /// NaN-safe ratio: `0.0` when the denominator is zero.
@@ -124,7 +121,6 @@ impl Metrics {
             ("batched_requests", g(&self.batched_requests)),
             ("shed_expired", g(&self.shed_expired)),
             ("shed_mem_budget", g(&self.shed_mem_budget)),
-            ("codel_activations", g(&self.codel_activations)),
             ("store", store_json),
             (
                 "panic_rate",
@@ -268,7 +264,6 @@ mod tests {
             "batched_requests",
             "shed_expired",
             "shed_mem_budget",
-            "codel_activations",
         ] {
             assert_eq!(snap.get(key).unwrap().as_u64(), Some(0), "{key}");
         }

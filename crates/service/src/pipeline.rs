@@ -14,56 +14,21 @@
 //!
 //! Backpressure: `try_push` never blocks. A full queue is an explicit,
 //! typed `busy` signal at request granularity — the replacement for
-//! the old core's connection-level pool rejection.
-//!
-//! Overload control (DESIGN.md §16): every enqueued item is stamped
-//! with its arrival instant, so consumers can measure **sojourn time**
-//! (queue delay) exactly. A CoDel-style controller watches the
-//! *minimum* sojourn per interval — the min, not the mean, so a
-//! standing queue is distinguished from a transient burst — and when
-//! it stays above the target, halves the queue's effective admission
-//! capacity (repeatedly, down to a floor), re-expanding one step per
-//! good interval once the queue drains. Rejected producers get a
-//! retry hint derived from current depth ÷ recent drain rate instead
-//! of a constant, so backoff stretches with congestion.
+//! the old core's connection-level pool rejection — carrying the fixed
+//! [`BUSY_RETRY_MS`] hint. The queue keeps no clock: deadline shedding
+//! is the compile stage's job (DESIGN.md §16).
 //!
 //! All depth and batch arithmetic is checked or saturating: a hostile
 //! configuration cannot turn a queue-depth computation into a panic.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Largest batch one worker pops per wakeup, regardless of depth.
 pub const MAX_BATCH: usize = 16;
 
-/// CoDel sojourn target: the minimum queue delay an interval may show
-/// before the controller treats the queue as standing, in microseconds.
-pub const CODEL_TARGET_US: u64 = 20_000;
-
-/// CoDel evaluation interval.
-pub const CODEL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Window over which the drain rate (items/sec) is measured.
-const RATE_WINDOW: Duration = Duration::from_millis(250);
-
-/// Deepest admission cut the controller may make: `cap >> MAX_SHRINKS`.
-/// Three halvings (1/8 of the configured cap) rather than four: the
-/// deepest cut must still admit roughly a deadline's worth of work
-/// (drain rate × typical deadline), or sojourns can never reach the
-/// deadline and the pop-time expiry path goes dead — every overload
-/// response collapses into `busy` at admission, which starves the
-/// deadline-aware shedding the compile stage is built around.
-const MAX_SHRINKS: u32 = 3;
-
-/// Bounds for congestion-derived retry hints, in milliseconds.
-pub const RETRY_HINT_MIN_MS: u64 = 10;
-pub const RETRY_HINT_MAX_MS: u64 = 2_000;
-
-/// Drain rate assumed before the first rate window completes
-/// (items/sec). Deliberately modest: an unmeasured queue should hint
-/// conservatively rather than invite an immediate retry storm.
-const FALLBACK_DRAIN_RATE: u64 = 200;
+/// Retry hint attached to `busy` rejections from a full stage queue.
+pub const BUSY_RETRY_MS: u64 = 50;
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -74,89 +39,9 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-/// CoDel/drain-rate controller state, updated under the queue lock.
-struct Congestion {
-    /// Current admission cap (≤ configured cap; shrunk under standing
-    /// queue delay).
-    effective_cap: usize,
-    /// How many halvings are currently applied to the cap.
-    shrinks: u32,
-    /// Minimum sojourn observed in the current CoDel interval (µs);
-    /// `u64::MAX` until the first pop of the interval.
-    min_sojourn_us: u64,
-    /// Start of the current CoDel interval.
-    interval_start: Instant,
-    /// Times the controller cut admission (monotone; exported as the
-    /// `codel_activations` counter).
-    activations: u64,
-    /// Items drained since `rate_window_start`.
-    drained_in_window: u64,
-    /// Start of the current drain-rate window.
-    rate_window_start: Instant,
-    /// Most recently measured drain rate (items/sec); 0 until the
-    /// first window completes.
-    drain_rate_per_sec: u64,
-}
-
-impl Congestion {
-    fn new(cap: usize, now: Instant) -> Congestion {
-        Congestion {
-            effective_cap: cap,
-            shrinks: 0,
-            min_sojourn_us: u64::MAX,
-            interval_start: now,
-            activations: 0,
-            drained_in_window: 0,
-            rate_window_start: now,
-            drain_rate_per_sec: 0,
-        }
-    }
-
-    /// Fold one drained item's sojourn time into the interval, then
-    /// re-evaluate the admission cap at interval boundaries.
-    fn on_drain(
-        &mut self,
-        sojourn_us: u64,
-        now: Instant,
-        cap: usize,
-        floor: usize,
-        target_us: u64,
-        interval: Duration,
-    ) {
-        self.min_sojourn_us = self.min_sojourn_us.min(sojourn_us);
-        self.drained_in_window = self.drained_in_window.saturating_add(1);
-        if now.duration_since(self.interval_start) >= interval {
-            if self.min_sojourn_us != u64::MAX && self.min_sojourn_us > target_us {
-                // Even the luckiest item waited too long: a standing
-                // queue. Cut admission.
-                if self.shrinks < MAX_SHRINKS {
-                    self.shrinks += 1;
-                }
-                self.activations = self.activations.saturating_add(1);
-            } else if self.shrinks > 0 {
-                // One good interval re-opens one halving step — gradual
-                // re-expansion avoids oscillating straight back into
-                // the standing queue.
-                self.shrinks -= 1;
-            }
-            self.effective_cap = (cap >> self.shrinks).max(floor);
-            self.min_sojourn_us = u64::MAX;
-            self.interval_start = now;
-        }
-        let win = now.duration_since(self.rate_window_start);
-        if win >= RATE_WINDOW {
-            let ms = u64::try_from(win.as_millis()).unwrap_or(u64::MAX).max(1);
-            self.drain_rate_per_sec = self.drained_in_window.saturating_mul(1000) / ms;
-            self.drained_in_window = 0;
-            self.rate_window_start = now;
-        }
-    }
-}
-
 struct Inner<T> {
-    items: VecDeque<(T, Instant)>,
+    items: VecDeque<T>,
     closed: bool,
-    ctl: Congestion,
 }
 
 /// A bounded multi-producer multi-consumer stage queue.
@@ -165,8 +50,6 @@ pub struct StageQueue<T> {
     ready: Condvar,
     cap: usize,
     workers: usize,
-    codel_target_us: u64,
-    codel_interval: Duration,
 }
 
 /// Poison-recovering lock: a panic in one worker must cost its request,
@@ -180,61 +63,27 @@ impl<T> StageQueue<T> {
     /// consumers (used to scale batch sizes). Zero values are clamped
     /// to 1 so the arithmetic below can never divide by zero.
     pub fn new(cap: usize, workers: usize) -> StageQueue<T> {
-        StageQueue::with_codel(cap, workers, CODEL_TARGET_US, CODEL_INTERVAL)
-    }
-
-    /// Like [`StageQueue::new`] with explicit CoDel parameters —
-    /// exposed for tuning and for tests that need fast intervals.
-    pub fn with_codel(
-        cap: usize,
-        workers: usize,
-        target_us: u64,
-        interval: Duration,
-    ) -> StageQueue<T> {
-        let cap = cap.max(1);
         StageQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
-                ctl: Congestion::new(cap, Instant::now()),
             }),
             ready: Condvar::new(),
-            cap,
+            cap: cap.max(1),
             workers: workers.max(1),
-            codel_target_us: target_us,
-            codel_interval: interval,
         }
     }
 
-    /// Current depth (racy by nature; used for metrics and batching).
-    pub fn len(&self) -> usize {
-        lock_inner(&self.inner).items.len()
-    }
-
-    /// Whether the queue is empty right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Smallest cap the controller may shrink to: enough for every
-    /// worker to keep one item in hand.
-    fn cap_floor(&self) -> usize {
-        self.workers.max(1)
-    }
-
-    /// Enqueue without blocking. Admission respects the controller's
-    /// effective cap, which may sit below the configured cap while
-    /// queue delay is above the CoDel target.
+    /// Enqueue without blocking.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut inner = lock_inner(&self.inner);
         if inner.closed {
             return Err(PushError::Closed(item));
         }
-        let admit = self.cap.min(inner.ctl.effective_cap.max(self.cap_floor()));
-        if inner.items.len() >= admit {
+        if inner.items.len() >= self.cap {
             return Err(PushError::Full(item));
         }
-        inner.items.push_back((item, Instant::now()));
+        inner.items.push_back(item);
         drop(inner);
         self.ready.notify_one();
         Ok(())
@@ -244,26 +93,7 @@ impl<T> StageQueue<T> {
     /// into `out` (cleared first). Returns `false` when the queue is
     /// closed *and* empty — the consumer should exit.
     pub fn pop_batch(&self, out: &mut Vec<T>) -> bool {
-        let mut none = Vec::new();
-        self.pop_batch_expiring(out, &mut none, |_| false)
-    }
-
-    /// Like [`StageQueue::pop_batch`], but items for which
-    /// `is_expired` returns true are diverted into `expired` (cleared
-    /// first) instead of `out` — the consumer sheds them with a typed
-    /// `deadline-expired` reply rather than compiling dead work.
-    ///
-    /// Sojourn times of *all* popped items (live and expired) feed the
-    /// CoDel controller: an expired item is the strongest possible
-    /// evidence of a standing queue.
-    pub fn pop_batch_expiring(
-        &self,
-        out: &mut Vec<T>,
-        expired: &mut Vec<T>,
-        is_expired: impl Fn(&T) -> bool,
-    ) -> bool {
         out.clear();
-        expired.clear();
         let mut inner = lock_inner(&self.inner);
         while inner.items.is_empty() {
             if inner.closed {
@@ -274,27 +104,9 @@ impl<T> StageQueue<T> {
                 .wait(inner)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        let take = adaptive_batch(inner.items.len(), self.workers, MAX_BATCH);
-        let now = Instant::now();
-        let (floor, target, interval) =
-            (self.cap_floor(), self.codel_target_us, self.codel_interval);
-        for _ in 0..take {
-            match inner.items.pop_front() {
-                Some((item, arrived)) => {
-                    let sojourn_us =
-                        u64::try_from(now.duration_since(arrived).as_micros()).unwrap_or(u64::MAX);
-                    inner
-                        .ctl
-                        .on_drain(sojourn_us, now, self.cap, floor, target, interval);
-                    if is_expired(&item) {
-                        expired.push(item);
-                    } else {
-                        out.push(item);
-                    }
-                }
-                None => break,
-            }
-        }
+        let depth = inner.items.len();
+        let take = adaptive_batch(depth, self.workers, MAX_BATCH).min(depth);
+        out.extend(inner.items.drain(..take));
         let more = !inner.items.is_empty();
         drop(inner);
         if more {
@@ -302,25 +114,6 @@ impl<T> StageQueue<T> {
             self.ready.notify_one();
         }
         true
-    }
-
-    /// Congestion-derived `retry_after_ms` for a producer that was just
-    /// refused: how long the *current* backlog takes to drain at the
-    /// recent service rate. Monotone in depth for a fixed rate.
-    pub fn retry_hint_ms(&self) -> u64 {
-        let inner = lock_inner(&self.inner);
-        congestion_retry_hint_ms(inner.items.len(), inner.ctl.drain_rate_per_sec)
-    }
-
-    /// Times the CoDel controller cut admission since construction.
-    pub fn codel_activations(&self) -> u64 {
-        lock_inner(&self.inner).ctl.activations
-    }
-
-    /// The controller's current admission cap (≤ configured cap).
-    pub fn effective_cap(&self) -> usize {
-        let inner = lock_inner(&self.inner);
-        self.cap.min(inner.ctl.effective_cap.max(self.cap_floor()))
     }
 
     /// Close the queue: producers get `Closed`, consumers drain what
@@ -339,26 +132,6 @@ pub fn adaptive_batch(depth: usize, workers: usize, max: usize) -> usize {
         .checked_div(workers.max(1))
         .unwrap_or(1)
         .clamp(1, max.max(1))
-}
-
-/// Retry hint for a queue currently `depth` deep draining at
-/// `drain_rate_per_sec`: the expected wait for the backlog to clear,
-/// clamped to [`RETRY_HINT_MIN_MS`, `RETRY_HINT_MAX_MS`]. With no
-/// measured rate yet, a conservative fallback rate applies. Pure so
-/// the monotonicity property (`hint(d₁) ≤ hint(d₂)` for `d₁ ≤ d₂` at
-/// equal rates) is directly testable.
-pub fn congestion_retry_hint_ms(depth: usize, drain_rate_per_sec: u64) -> u64 {
-    let rate = if drain_rate_per_sec == 0 {
-        FALLBACK_DRAIN_RATE
-    } else {
-        drain_rate_per_sec
-    };
-    let depth = u64::try_from(depth).unwrap_or(u64::MAX);
-    depth
-        .saturating_mul(1000)
-        .checked_div(rate)
-        .unwrap_or(RETRY_HINT_MAX_MS)
-        .clamp(RETRY_HINT_MIN_MS, RETRY_HINT_MAX_MS)
 }
 
 // ---------------------------------------------------------------------
@@ -530,85 +303,6 @@ mod tests {
         assert!(q.pop_batch(&mut out));
         assert!(out.len() <= MAX_BATCH, "batch of {}", out.len());
         assert_eq!(out, (0..out.len() as u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn expired_items_are_diverted_not_delivered() {
-        let q: StageQueue<u32> = StageQueue::new(16, 1);
-        for i in 0..6 {
-            q.try_push(i).unwrap();
-        }
-        let mut live = Vec::new();
-        let mut dead = Vec::new();
-        // Odd values "expired" while queued.
-        assert!(q.pop_batch_expiring(&mut live, &mut dead, |v| v % 2 == 1));
-        assert_eq!(live, vec![0, 2, 4]);
-        assert_eq!(dead, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn retry_hints_are_monotone_in_depth() {
-        // Property: for any drain rate (measured or not), a deeper
-        // queue never hints a *shorter* wait — satellite #2.
-        for rate in [0u64, 1, 7, 50, 200, 1_000, 25_000, u64::MAX] {
-            let mut prev = 0;
-            for depth in 0..512usize {
-                let hint = congestion_retry_hint_ms(depth, rate);
-                assert!(
-                    hint >= prev,
-                    "hint({depth}, {rate}) = {hint} < hint({}, {rate}) = {prev}",
-                    depth - 1
-                );
-                assert!((RETRY_HINT_MIN_MS..=RETRY_HINT_MAX_MS).contains(&hint));
-                prev = hint;
-            }
-        }
-        // Extreme depths stay clamped, never overflow.
-        assert_eq!(congestion_retry_hint_ms(usize::MAX, 1), RETRY_HINT_MAX_MS);
-        assert_eq!(congestion_retry_hint_ms(0, 0), RETRY_HINT_MIN_MS);
-    }
-
-    #[test]
-    fn codel_cuts_admission_under_standing_delay_and_reexpands() {
-        // Tiny target (1µs) and interval (1ms) so the test observes
-        // controller behaviour in milliseconds, not seconds.
-        let q: StageQueue<u32> = StageQueue::with_codel(64, 1, 1, Duration::from_millis(1));
-        let mut out = Vec::new();
-        // Standing queue: items sit for ≥2ms before every pop, so each
-        // interval's *minimum* sojourn is far above target.
-        for round in 0..8 {
-            for i in 0..8 {
-                let _ = q.try_push(round * 8 + i);
-            }
-            std::thread::sleep(Duration::from_millis(3));
-            assert!(q.pop_batch(&mut out));
-        }
-        assert!(
-            q.codel_activations() > 0,
-            "standing delay must trip the controller"
-        );
-        assert!(
-            q.effective_cap() < 64,
-            "admission must shrink, got {}",
-            q.effective_cap()
-        );
-        // Drained queue: fresh items popped immediately show ~0 sojourn,
-        // so each elapsed interval re-opens one halving step.
-        for i in 0..64 {
-            std::thread::sleep(Duration::from_millis(2));
-            while q.try_push(i).is_err() {
-                assert!(q.pop_batch(&mut out));
-            }
-            assert!(q.pop_batch(&mut out));
-            if q.effective_cap() == 64 {
-                break;
-            }
-        }
-        assert_eq!(
-            q.effective_cap(),
-            64,
-            "admission must re-expand once the queue drains"
-        );
     }
 
     #[test]

@@ -63,6 +63,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dagsched_core::Scratch;
+use dagsched_isa::fnv64;
 
 #[cfg(feature = "fault-injection")]
 use crate::faultinject::{Fault, FaultConfig};
@@ -75,7 +76,7 @@ use crate::persist::{
     decode_quarantine, encode_quarantine, store_fingerprint, Persistence, DEFAULT_FSYNC_EVERY,
     DEFAULT_WAL_SNAPSHOT_THRESHOLD, KIND_CACHE_ENTRY, KIND_QUARANTINE,
 };
-use crate::pipeline::{FlightOutcome, PushError, SingleFlight, StageQueue};
+use crate::pipeline::{FlightOutcome, PushError, SingleFlight, StageQueue, BUSY_RETRY_MS};
 use crate::proto::{
     hex_encode, write_frame, AdminCommand, ErrorCode, ErrorReply, FrameKind, ScheduleRequest,
     ScheduleResponse, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
@@ -93,20 +94,8 @@ pub const QUARANTINE_THRESHOLD: u32 = 2;
 const QUARANTINE_CAPACITY: usize = 64;
 
 /// Retry hint attached to `draining` rejections (a replacement server
-/// is typically seconds away in a rolling restart). `busy` rejections
-/// carry no constant: their hint is derived from the rejecting queue's
-/// depth and drain rate ([`StageQueue::retry_hint_ms`]).
+/// is typically seconds away in a rolling restart).
 const DRAIN_RETRY_MS: u64 = 500;
-
-/// FNV-1a over a request payload: the quarantine's identity key.
-fn payload_hash(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Crash bookkeeping for poison-payload detection. Bounded: a hostile
 /// client cannot grow it without also crashing workers, and even then
@@ -463,7 +452,7 @@ fn decode_one(pipe: &Pipeline, job: DecodeJob) {
         }
     };
     let key = canonical_key(&request);
-    let key_hash = payload_hash(key.as_bytes());
+    let key_hash = fnv64(key.as_bytes());
     if shared.quarantine.strikes(key_hash) >= QUARANTINE_THRESHOLD {
         Metrics::bump(&shared.metrics.requests_quarantined);
         shared.release_bytes(job.charge);
@@ -514,7 +503,7 @@ fn decode_one(pipe: &Pipeline, job: DecodeJob) {
                     ErrorCode::Busy,
                     "all workers busy and the queue is full; retry later",
                 )
-                .with_retry_after_ms(pipe.compile_q.retry_hint_ms()),
+                .with_retry_after_ms(BUSY_RETRY_MS),
             );
         }
         FlightOutcome::Refused(PushError::Closed(_)) => {
@@ -536,42 +525,28 @@ fn decode_one(pipe: &Pipeline, job: DecodeJob) {
 fn compile_loop(pipe: Pipeline) {
     let mut scratch = Scratch::new();
     let mut batch: Vec<CompileJob> = Vec::new();
-    let mut expired: Vec<CompileJob> = Vec::new();
     let default_deadline = pipe.shared.limits.default_deadline_ms;
     // EWMA (α = 1/8) of this worker's recent compile times, in µs. A
     // job whose remaining budget cannot absorb an expected compile is
-    // shed at the stage boundary instead of started: a compile that
-    // expires midway burns worker time and still returns an error, so
-    // under overload starting it is strictly worse than shedding it.
-    // Starts at zero (a cold worker never predictively sheds) and one
-    // outlier decays away within a few compiles.
+    // shed instead of started: a compile that expires midway burns
+    // worker time and still returns an error, so under overload
+    // starting it is strictly worse than shedding it. Starts at zero
+    // (a cold worker never predictively sheds) and one outlier decays
+    // away within a few compiles.
     let mut svc_ewma_us: u64 = 0;
-    // Deadline-aware pop: work whose deadline lapsed while it queued is
-    // diverted and shed instead of compiled — under overload the stage
-    // spends cycles only on replies a client can still use.
-    let is_expired = |job: &CompileJob| match job.request.deadline_ms.or(default_deadline) {
-        Some(ms) => job.arrival.elapsed() >= Duration::from_millis(ms),
-        None => false,
-    };
-    while pipe
-        .compile_q
-        .pop_batch_expiring(&mut batch, &mut expired, is_expired)
-    {
+    while pipe.compile_q.pop_batch(&mut batch) {
         Metrics::bump(&pipe.shared.metrics.batches_dispatched);
         pipe.shared.metrics.batched_requests.fetch_add(
-            u64::try_from(batch.len().saturating_add(expired.len())).unwrap_or(u64::MAX),
+            u64::try_from(batch.len()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        for job in expired.drain(..) {
-            shed_expired_job(&pipe, job);
-        }
         for job in batch.drain(..) {
-            // Re-check at the stage boundary: a full batch takes tens
-            // of milliseconds to work through, so a job popped alive
-            // can blow its deadline waiting behind the jobs ahead of
-            // it. The check is predictive — elapsed plus one expected
-            // compile against the budget — so work certain to expire
-            // midway is shed before it wastes the worker.
+            // The one queue-side deadline check, made per job rather
+            // than per batch because a full batch takes tens of
+            // milliseconds to work through. It is predictive — elapsed
+            // plus one expected compile against the budget — so it
+            // sheds work that already expired in the queue and work
+            // certain to expire midway alike.
             let doomed = match job.request.deadline_ms.or(default_deadline) {
                 Some(ms) => {
                     let elapsed_us =
@@ -589,14 +564,6 @@ fn compile_loop(pipe: Pipeline) {
                 svc_ewma_us = svc_ewma_us.saturating_sub(svc_ewma_us / 8) + spent_us / 8;
             }
         }
-        // Mirror the stage queues' controller counter into the metrics
-        // snapshot (`codel_activations` = decode + compile cuts).
-        pipe.shared.metrics.codel_activations.store(
-            pipe.decode_q
-                .codel_activations()
-                .saturating_add(pipe.compile_q.codel_activations()),
-            Ordering::Relaxed,
-        );
         // Replies are already queued; folding the WAL into a snapshot
         // here never adds request latency.
         pipe.shared.maybe_compact();
@@ -770,7 +737,7 @@ fn run_request(
 ) -> Result<ScheduleResponse, ErrorReply> {
     let request = parse_request(shared, payload)?;
     let key = canonical_key(&request);
-    let key_hash = payload_hash(key.as_bytes());
+    let key_hash = fnv64(key.as_bytes());
     if shared.quarantine.strikes(key_hash) >= QUARANTINE_THRESHOLD {
         Metrics::bump(&shared.metrics.requests_quarantined);
         return Err(quarantined_reply());
@@ -869,7 +836,7 @@ impl ServeHandler {
                 ctx.send_error(
                     conn,
                     &ErrorReply::new(ErrorCode::Busy, "memory budget exhausted; retry later")
-                        .with_retry_after_ms(self.pipe.compile_q.retry_hint_ms()),
+                        .with_retry_after_ms(BUSY_RETRY_MS),
                 );
                 return;
             }
@@ -901,7 +868,7 @@ impl ServeHandler {
                         ErrorCode::Busy,
                         "all workers busy and the queue is full; retry later",
                     )
-                    .with_retry_after_ms(self.pipe.decode_q.retry_hint_ms()),
+                    .with_retry_after_ms(BUSY_RETRY_MS),
                 );
             }
             Err(PushError::Closed(_)) => {
@@ -1382,9 +1349,9 @@ mod tests {
 
     #[test]
     fn payload_hash_is_stable_and_spreads() {
-        let a = payload_hash(b"{\"asm\":\"nop\"}");
-        assert_eq!(a, payload_hash(b"{\"asm\":\"nop\"}"));
-        assert_ne!(a, payload_hash(b"{\"asm\":\"sub %o0, %o1, %o2\"}"));
+        let a = fnv64(b"{\"asm\":\"nop\"}");
+        assert_eq!(a, fnv64(b"{\"asm\":\"nop\"}"));
+        assert_ne!(a, fnv64(b"{\"asm\":\"sub %o0, %o1, %o2\"}"));
     }
 
     #[test]
@@ -1440,18 +1407,13 @@ mod tests {
 
     #[test]
     fn shedding_replies_carry_retry_hints() {
-        // The drain hint stays a constant (a replacement server is
-        // seconds away); it must be nonzero or clients would busy-spin.
+        // Both hints are nonzero, or clients would busy-spin.
         const {
             assert!(DRAIN_RETRY_MS > 0);
+            assert!(BUSY_RETRY_MS > 0);
         }
-        // Busy hints derive from queue congestion; even an idle queue
-        // hints a nonzero wait, so clients cannot busy-spin either.
-        let q: StageQueue<u32> = StageQueue::new(4, 1);
-        let hint = q.retry_hint_ms();
-        assert!(hint > 0);
-        let reply = ErrorReply::new(ErrorCode::Busy, "x").with_retry_after_ms(hint);
-        assert_eq!(reply.retry_after_ms, Some(hint));
+        let reply = ErrorReply::new(ErrorCode::Busy, "x").with_retry_after_ms(BUSY_RETRY_MS);
+        assert_eq!(reply.retry_after_ms, Some(BUSY_RETRY_MS));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Overload behavior over the real wire: deadline-aware shedding of
-//! queued work, and retry-budget containment of retry storms.
+//! queued work, retry-budget containment of retry storms, and no
+//! shedding at all for a backlog the queue can hold.
 //!
-//! These pin the two control-layer invariants the `--overload` audit
-//! gates on: (a) work whose deadline lapses while it queues is shed
-//! with a typed `deadline-expired` reply instead of compiled, and (b)
-//! a shared token-bucket retry budget keeps wire amplification from a
-//! crowd of aggressive retrying clients below the metastable threshold.
+//! These pin the control-layer invariants the `--overload` audit and
+//! the high-connection soak gate on: (a) work whose deadline lapses
+//! while it queues is shed with a typed `deadline-expired` reply
+//! instead of compiled, (b) a shared token-bucket retry budget keeps
+//! wire amplification from a crowd of aggressive retrying clients
+//! below the metastable threshold, and (c) closed-loop clients without
+//! deadlines whose backlog fits the queue are all served, never `busy`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,8 +41,8 @@ fn wedge_request(linger_ms: u64) -> ScheduleRequest {
 }
 
 /// Property: a request whose deadline lapses while it sits in the
-/// compile queue is shed at pop with a typed `deadline-expired` reply
-/// — the compile never runs, and the server counts the shed.
+/// compile queue is shed with a typed `deadline-expired` reply — the
+/// compile never runs, and the server counts the shed.
 #[test]
 fn queued_past_deadline_is_shed_without_compiling() {
     let handle = tcp_server(ServerConfig {
@@ -88,7 +91,7 @@ fn queued_past_deadline_is_shed_without_compiling() {
     assert_eq!(
         metric(&handle, "shed_expired"),
         QUEUED,
-        "each expired waiter is shed at pop, before any compile"
+        "each expired waiter is shed before any compile"
     );
 
     handle.begin_drain();
@@ -176,6 +179,48 @@ fn aggressive_retries_stay_within_wire_budget() {
         "retry budget failed to contain the storm: {server_wire} wire \
          requests for {logical} logical ({amplification:.2}x)"
     );
+
+    handle.begin_drain();
+    handle.join();
+}
+
+/// Property: closed-loop clients with no deadline never see `busy`
+/// while their combined backlog fits the queue. 16 clients keep at
+/// most 16 requests in flight against the default 64-deep queue, so
+/// however long the single worker makes them wait, every request is
+/// admitted and served.
+#[test]
+fn closed_loop_backlog_within_the_queue_is_never_refused() {
+    let handle = tcp_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let endpoint = handle.endpoint();
+
+    const CLIENTS: u64 = 16;
+    const PER_CLIENT: u64 = 8;
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let endpoint = endpoint.clone();
+            thread::spawn(move || {
+                let mut client = Client::connect(&endpoint).expect("connect client");
+                for k in 0..PER_CLIENT {
+                    // Distinct seeds: nothing coalesces or hits the
+                    // cache, so every request is a queued compile.
+                    let seed = PAPER_SEED + 2_000 + c * PER_CLIENT + k;
+                    if let Err(e) = client.request(&ScheduleRequest::profile("grep", seed)) {
+                        panic!("client {c} request {k} failed: {e:?}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    assert_eq!(metric(&handle, "busy_rejections"), 0);
+    assert_eq!(metric(&handle, "responses"), CLIENTS * PER_CLIENT);
 
     handle.begin_drain();
     handle.join();

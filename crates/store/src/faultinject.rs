@@ -11,6 +11,8 @@ use std::fs::OpenOptions;
 use std::io;
 use std::path::Path;
 
+use dagsched_isa::{splitmix64, splitmix64_at};
+
 use crate::snapshot;
 use crate::store::WAL_FILE;
 use crate::wal::WAL_HEADER;
@@ -42,24 +44,10 @@ impl std::fmt::Display for StorageFault {
     }
 }
 
-/// splitmix64: the same generator the service-level injector uses, so
-/// one seed drives both layers deterministically.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-}
-
-fn mix(state: u64) -> u64 {
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic stream of faults for `(seed, cycle)`.
 pub fn fault_for(seed: u64, cycle: u64) -> StorageFault {
     let mut s = seed ^ cycle.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    splitmix64(&mut s);
-    match mix(s) % 4 {
+    match splitmix64(&mut s) % 4 {
         0 => StorageFault::TornFinalRecord,
         1 => StorageFault::WalBitFlip,
         2 => StorageFault::TruncatedSnapshot,
@@ -86,8 +74,7 @@ pub fn inject(dir: &Path, seed: u64, cycle: u64) -> io::Result<Option<InjectedFa
     let fault = fault_for(seed, cycle);
     let mut s =
         seed.wrapping_mul(0xA076_1D64_78BD_642F) ^ cycle.wrapping_add(0x1657_67B5_92A4_C7B1);
-    splitmix64(&mut s);
-    let roll = mix(s);
+    let roll = splitmix64(&mut s);
     match fault {
         StorageFault::TornFinalRecord => {
             let path = dir.join(WAL_FILE);
@@ -120,7 +107,9 @@ pub fn inject(dir: &Path, seed: u64, cycle: u64) -> io::Result<Option<InjectedFa
             }
             let span = bytes.len() - WAL_HEADER;
             let target = WAL_HEADER + (roll as usize % span);
-            bytes[target] ^= 1 << (mix(roll) % 8);
+            // Counter `u64::MAX` cancels the counter-mode increment,
+            // leaving the bare finalizer of `roll`.
+            bytes[target] ^= 1 << (splitmix64_at(roll, u64::MAX) % 8);
             std::fs::write(&path, &bytes)?;
             Ok(Some(InjectedFault {
                 fault,

@@ -29,10 +29,9 @@
 
 use std::fmt;
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a over `bytes`: the checksum every record, header and shipment
+/// carries.
+pub use dagsched_isa::fnv64 as checksum;
 
 /// Bytes before the payload: length (4) + sequence (8) + kind (1).
 pub const RECORD_HEADER: usize = 13;
@@ -43,16 +42,6 @@ pub const RECORD_TRAILER: usize = 8;
 /// flipped bit in the length field must not make recovery try to read
 /// (or allocate) gigabytes.
 pub const MAX_RECORD_PAYLOAD: usize = 64 << 20;
-
-/// FNV-1a over `bytes`.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One decoded record.
 #[derive(Debug, Clone, PartialEq, Eq)]

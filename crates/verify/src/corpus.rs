@@ -19,6 +19,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use dagsched_isa::fnv64;
+
 use crate::matrix::{check_text, CheckKind, Disagreement, MatrixConfig};
 
 /// A replayed corpus file that failed the matrix.
@@ -30,16 +32,6 @@ pub struct ReplayFailure {
     pub text: String,
     /// The disagreement the matrix found.
     pub disagreement: Disagreement,
-}
-
-/// FNV-1a over the reproducer text, for stable file names.
-fn text_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Write a shrunk reproducer into `dir`, named
@@ -54,7 +46,9 @@ pub fn write_reproducer(
     text: &str,
 ) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}-{:08x}.s", kind.name(), text_hash(text) as u32));
+    // FNV-1a of the text keeps reproducer file names stable.
+    let hash = fnv64(text.as_bytes()) as u32;
+    let path = dir.join(format!("{}-{hash:08x}.s", kind.name()));
     let mut out = String::new();
     out.push_str("! dagsched-verify reproducer (shrunk)\n");
     out.push_str(&format!("! check: {}\n", kind.name()));

@@ -45,10 +45,4 @@ pub use validity::{check_reordering, check_reordering_text};
 
 /// SplitMix64: the stream splitter used to derive per-iteration seeds
 /// from the master fuzz seed (same finalizer as `SeedableRng::seed_from_u64`).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+pub(crate) use dagsched_isa::splitmix64;

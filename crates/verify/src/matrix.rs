@@ -233,11 +233,6 @@ pub fn optimal_envelope(kind: SchedulerKind) -> u64 {
     }
 }
 
-/// SplitMix64 over a local state (deterministic sub-seed stream).
-fn mix(state: &mut u64) -> u64 {
-    crate::splitmix64(state)
-}
-
 /// Distinct memory cells a block touches, in first-use order.
 fn block_cells(insns: &[Instruction]) -> Vec<MemExprId> {
     let mut cells = Vec::new();
@@ -474,7 +469,7 @@ fn check_block(
             .wrapping_add(insns.len() as u64)
             .wrapping_mul(0x9E37_79B9);
         for _ in 0..cfg.interp_states.max(1) {
-            let init = MachineState::random(mix(&mut seed), cells.iter().copied());
+            let init = MachineState::random(crate::splitmix64(&mut seed), cells.iter().copied());
             let want = run(insns, &init);
             let got = run(&emitted, &init);
             if want != got {

@@ -36,15 +36,6 @@ fn block_cells(insns: &[Instruction]) -> Vec<MemExprId> {
     cells
 }
 
-/// SplitMix64 step for deriving per-state seeds.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Check that `scheduled` is a valid per-block reordering of
 /// `original`: same blocks, same instructions per block, identical
 /// interpreter semantics on `states` random machine states per block.
@@ -117,7 +108,7 @@ pub fn check_reordering(
         let cells = block_cells(ci);
         let mut s = seed ^ (i as u64).wrapping_mul(0x9E37_79B9);
         for k in 0..states.max(1) {
-            let init = MachineState::random(mix(&mut s), cells.iter().copied());
+            let init = MachineState::random(crate::splitmix64(&mut s), cells.iter().copied());
             let want = run(ci, &init);
             let got = run(cs, &init);
             if want != got {

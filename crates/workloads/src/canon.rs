@@ -34,7 +34,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dagsched_isa::{Instruction, MemRef, Opcode, Program, Reg};
+use dagsched_isa::{fnv64, Instruction, MemRef, Opcode, Program, Reg};
 
 use crate::gen::Benchmark;
 
@@ -89,22 +89,13 @@ pub fn is_canon_profile(name: &str) -> bool {
     parse_name(name).is_some()
 }
 
-/// FNV-1a, the same name-mixing `crate::generate` uses, so equal seeds
-/// across different canon profiles still draw distinct streams.
-fn hash_name(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Generate the benchmark for a `canon-<shape>-<n>` profile name, or
 /// `None` if the name does not parse as one.
 pub fn generate_canon(name: &str, seed: u64) -> Option<Benchmark> {
     let (shape, n) = parse_name(name)?;
-    let mut rng = SmallRng::seed_from_u64(seed ^ hash_name(name));
+    // The same name-mixing `crate::generate` uses, so equal seeds across
+    // different canon profiles still draw distinct streams.
+    let mut rng = SmallRng::seed_from_u64(seed ^ fnv64(name.as_bytes()));
     let mut program = Program::new();
     // The headline block plus two smaller echoes of the same shape:
     // multi-block requests keep the daemon's batching machinery honest

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dagsched_isa::{BasicBlock, Instruction, MemExprId, MemRef, Opcode, Program, Reg};
+use dagsched_isa::{fnv64, BasicBlock, Instruction, MemExprId, MemRef, Opcode, Program, Reg};
 
 use crate::profile::{BenchmarkProfile, HubSpec, OpMix, Placement};
 use crate::window::clamp_blocks;
@@ -44,7 +44,8 @@ pub fn generate(profile: &BenchmarkProfile, seed: u64) -> Benchmark {
         bench.blocks = clamp_blocks(&bench.blocks, window);
         return bench;
     }
-    let mut rng = SmallRng::seed_from_u64(seed ^ hash_name(profile.name));
+    // FNV-1a of the name: stable across runs, unlike `DefaultHasher`.
+    let mut rng = SmallRng::seed_from_u64(seed ^ fnv64(profile.name.as_bytes()));
     let sizes = block_sizes(profile, &mut rng);
     debug_assert_eq!(sizes.iter().sum::<usize>(), profile.insts);
     debug_assert_eq!(sizes.len(), profile.blocks);
@@ -108,16 +109,6 @@ pub fn generate(profile: &BenchmarkProfile, seed: u64) -> Benchmark {
         program,
         blocks,
     }
-}
-
-fn hash_name(name: &str) -> u64 {
-    // FNV-1a: stable across runs, unlike `DefaultHasher`.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Exponent of the power law `unique(s) ∝ s^gamma` fitted through the
