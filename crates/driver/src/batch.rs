@@ -20,7 +20,10 @@
 //!   skipped entirely (the `PhaseStats` work counters for that block stay
 //!   zero and `cache_hits` increments); on a miss the block is compiled by
 //!   the ordinary [`compile_block`] path and offered back to the cache.
-//!   [`NoCache`] is the no-op implementation used by the CLI driver.
+//!   Each lookup carries a [`CacheScope`]: the configuration half of the
+//!   key, hashed once per batch and rung rather than once per block.
+//!   [`NoCache`] is the no-op implementation used by the CLI driver; a
+//!   batch against it builds no scope.
 //!
 //! Blocks scheduled under latency inheritance (forward schedulers with
 //! `inherit_latencies`) bypass the cache: their output depends on the
@@ -31,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use dagsched_core::{default_jobs, map_blocks_with_scratch, PhaseStats, Scratch};
 use dagsched_core::{ConstructError, ConstructionAlgorithm};
-use dagsched_isa::{Instruction, MachineModel, Program};
+use dagsched_isa::{Fnv64, Instruction, MachineModel, Program};
 use dagsched_sched::{CarryOut, Scheduler};
 
 use crate::driver::{
@@ -226,39 +229,82 @@ impl std::fmt::Display for LimitError {
 
 impl std::error::Error for LimitError {}
 
+/// Seed of the second key stream (an arbitrary odd constant).
+const KEY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The configuration half of a block's cache key.
+///
+/// A cached schedule is only valid under the model and configuration it
+/// was compiled for, so a cache key covers both, and they are the same
+/// for every block of a batch. The batch loop therefore hashes them once
+/// per batch and degradation rung: the configuration's `Debug` rendering
+/// and the model's [`MachineModel::fingerprint`] go into two FNV-1a
+/// streams, the second seeded apart from the first. A [`BlockCache`]
+/// continues both [`CacheScope::streams`] over one block's bytes to key
+/// that block.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheScope<'a> {
+    /// The machine model the block is compiled for.
+    pub model: &'a MachineModel,
+    /// The configuration the block is compiled under.
+    pub config: &'a DriverConfig,
+    streams: [Fnv64; 2],
+}
+
+impl<'a> CacheScope<'a> {
+    /// Hash (`model`, `config`) into the two key streams.
+    pub fn new(model: &'a MachineModel, config: &'a DriverConfig) -> CacheScope<'a> {
+        let rendering = format!(
+            "{:?}|inherit={}|fill={}|heur={:?}",
+            config.scheduler, config.inherit_latencies, config.fill_delay_slots, config.heuristics
+        );
+        let fingerprint = model.fingerprint();
+        let mut streams = [Fnv64::new(), Fnv64::with_seed(KEY_SEED)];
+        for stream in &mut streams {
+            stream.write_str(&rendering);
+            stream.write_u64(fingerprint);
+        }
+        CacheScope {
+            model,
+            config,
+            streams,
+        }
+    }
+
+    /// The two key streams, already holding the configuration.
+    pub fn streams(&self) -> [Fnv64; 2] {
+        self.streams
+    }
+}
+
 /// A per-block schedule cache consulted by [`schedule_program_batch`].
 ///
 /// Implementations key on *content*: the block's canonical instruction
-/// bytes plus the machine / algorithm / heuristic configuration. A
-/// `lookup` hit must return a [`BlockOutcome`] bit-identical to what
-/// [`compile_block`] would produce for `insns` under (`model`, `config`)
-/// — the service's cache guarantees this by reconstructing the emitted
-/// stream from the *requesting* block's instructions, so even interned
+/// bytes plus the machine / algorithm / heuristic configuration, which
+/// the [`CacheScope`] carries already hashed. A `lookup` hit must return
+/// a [`BlockOutcome`] bit-identical to what [`compile_block`] would
+/// produce for `insns` under the scope's model and configuration — the
+/// service's cache guarantees this by reconstructing the emitted stream
+/// from the *requesting* block's instructions, so even interned
 /// memory-expression identities match a fresh compile.
 pub trait BlockCache: Sync {
-    /// Whether this cache is real. The batch loop skips lookups and
-    /// hit/miss accounting entirely when `false` (see [`NoCache`]).
+    /// Whether this cache is real. The batch loop builds no scope and
+    /// skips lookups and hit/miss accounting entirely when `false` (see
+    /// [`NoCache`]).
     fn enabled(&self) -> bool {
         true
     }
 
-    /// Look up block `block` (`insns`) under (`model`, `config`).
+    /// Look up block `block` (`insns`) under `scope`.
     fn lookup(
         &self,
         block: usize,
         insns: &[Instruction],
-        model: &MachineModel,
-        config: &DriverConfig,
+        scope: &CacheScope<'_>,
     ) -> Option<BlockOutcome>;
 
     /// Offer a freshly compiled outcome for caching.
-    fn store(
-        &self,
-        insns: &[Instruction],
-        model: &MachineModel,
-        config: &DriverConfig,
-        outcome: &BlockOutcome,
-    );
+    fn store(&self, insns: &[Instruction], scope: &CacheScope<'_>, outcome: &BlockOutcome);
 }
 
 /// The no-op cache: every lookup misses, nothing is stored, and the
@@ -274,30 +320,16 @@ impl BlockCache for NoCache {
         &self,
         _block: usize,
         _insns: &[Instruction],
-        _model: &MachineModel,
-        _config: &DriverConfig,
+        _scope: &CacheScope<'_>,
     ) -> Option<BlockOutcome> {
         None
     }
 
-    fn store(
-        &self,
-        _insns: &[Instruction],
-        _model: &MachineModel,
-        _config: &DriverConfig,
-        _outcome: &BlockOutcome,
-    ) {
-    }
+    fn store(&self, _insns: &[Instruction], _scope: &CacheScope<'_>, _outcome: &BlockOutcome) {}
 }
 
 /// The derived configurations of the cost ladder, precomputed once per
 /// batch so the per-block hot path only selects a reference.
-///
-/// Degraded configurations are ordinary [`DriverConfig`]s, so the
-/// content-addressed cache automatically keys them separately from
-/// full-fidelity compiles (the scheduler and heuristic mode are part of
-/// every cache key): a schedule produced on a cheap rung can never be
-/// replayed for a full-fidelity request, and vice versa.
 struct Ladder {
     /// Rung 1: cheap construction. `None` when the requested
     /// construction is already a table builder — there is nothing
@@ -323,14 +355,73 @@ impl Ladder {
         };
         Ladder { cheap, floor }
     }
+}
 
-    /// The configuration for `level`, or `None` when the rung changes
-    /// nothing (compile at full fidelity; not degraded).
-    fn config_at(&self, level: DegradeLevel) -> Option<&DriverConfig> {
-        match level {
-            DegradeLevel::None => None,
-            DegradeLevel::CheapConstruction => self.cheap.as_ref(),
-            DegradeLevel::CriticalPathOnly => Some(&self.floor),
+/// One configuration a batch compiles blocks on, with its cache scope.
+struct Rung<'a> {
+    config: &'a DriverConfig,
+    /// `None` when the batch does not consult the cache: the cache is
+    /// disabled, or latency inheritance bypasses it.
+    scope: Option<CacheScope<'a>>,
+}
+
+impl<'a> Rung<'a> {
+    fn new(model: &'a MachineModel, config: &'a DriverConfig, cached: bool) -> Rung<'a> {
+        Rung {
+            config,
+            scope: cached.then(|| CacheScope::new(model, config)),
+        }
+    }
+}
+
+/// Every rung a batch may compile on, each with its scope built once.
+///
+/// Degraded rungs have scopes of their own, so the content-addressed
+/// cache keys them apart from full-fidelity compiles: a schedule
+/// produced on a cheap rung can never be replayed for a full-fidelity
+/// request, and vice versa.
+struct Rungs<'a> {
+    full: Rung<'a>,
+    /// The cheap rung (when it changes anything) and the floor; `None`
+    /// when the batch never degrades.
+    degraded: Option<(Option<Rung<'a>>, Rung<'a>)>,
+}
+
+impl<'a> Rungs<'a> {
+    fn new(
+        model: &'a MachineModel,
+        config: &'a DriverConfig,
+        ladder: Option<&'a Ladder>,
+        cached: bool,
+    ) -> Rungs<'a> {
+        Rungs {
+            full: Rung::new(model, config, cached),
+            degraded: ladder.map(|l| {
+                (
+                    l.cheap.as_ref().map(|c| Rung::new(model, c, cached)),
+                    Rung::new(model, &l.floor, cached),
+                )
+            }),
+        }
+    }
+
+    /// The rung the next block compiles on, given the wall clock; a
+    /// degraded pick is counted in `stats`.
+    fn pick(&self, limits: &Limits, stats: &mut PhaseStats) -> &Rung<'a> {
+        let degraded =
+            self.degraded
+                .as_ref()
+                .and_then(|(cheap, floor)| match limits.degrade_level() {
+                    DegradeLevel::None => None,
+                    DegradeLevel::CheapConstruction => cheap.as_ref(),
+                    DegradeLevel::CriticalPathOnly => Some(floor),
+                });
+        match degraded {
+            Some(rung) => {
+                stats.degraded_blocks += 1;
+                rung
+            }
+            None => &self.full,
         }
     }
 }
@@ -354,23 +445,22 @@ fn compile_one(
     bi: usize,
     insns: &[Instruction],
     model: &MachineModel,
-    config: &DriverConfig,
+    rung: &Rung<'_>,
     carry_in: Option<&CarryOut>,
     scratch: &mut Scratch,
     cache: &dyn BlockCache,
 ) -> Result<BlockOutcome, LimitError> {
-    let use_cache = cache.enabled() && carry_in.is_none();
-    if use_cache {
-        if let Some(outcome) = cache.lookup(bi, insns, model, config) {
+    if let Some(scope) = &rung.scope {
+        if let Some(outcome) = cache.lookup(bi, insns, scope) {
             scratch.stats.cache_hits += 1;
             return Ok(outcome);
         }
     }
-    let outcome = compile_block(bi, insns, model, config, carry_in, scratch)
+    let outcome = compile_block(bi, insns, model, rung.config, carry_in, scratch)
         .map_err(|error| LimitError::Construct { block: bi, error })?;
-    if use_cache {
+    if let Some(scope) = &rung.scope {
         scratch.stats.cache_misses += 1;
-        cache.store(insns, model, config, &outcome);
+        cache.store(insns, scope, &outcome);
     }
     Ok(outcome)
 }
@@ -389,28 +479,26 @@ fn serial_batch(
     let sequential = needs_sequential_carry(config);
     // Latency inheritance cannot degrade: block i+1's entry constraints
     // depend on block i's exact schedule, so switching rungs mid-stream
-    // would change semantics, not just quality.
+    // would change semantics, not just quality. It bypasses the cache
+    // for the same reason.
     let ladder = match limits.degrade {
         Some(_) if !sequential => Some(Ladder::derive(config)),
         _ => None,
     };
+    let rungs = Rungs::new(
+        model,
+        config,
+        ladder.as_ref(),
+        cache.enabled() && !sequential,
+    );
     let mut out: Vec<Instruction> = Vec::with_capacity(total_len);
     let mut reports = Vec::with_capacity(items.len());
     let mut carry = CarryOut::default();
     for &(bi, insns) in items {
         limits.check_deadline()?;
         let carry_in = if sequential { Some(&carry) } else { None };
-        let effective = match ladder
-            .as_ref()
-            .and_then(|l| l.config_at(limits.degrade_level()))
-        {
-            Some(degraded) => {
-                scratch.stats.degraded_blocks += 1;
-                degraded
-            }
-            None => config,
-        };
-        let outcome = compile_one(bi, insns, model, effective, carry_in, scratch, cache)?;
+        let rung = rungs.pick(limits, &mut scratch.stats);
+        let outcome = compile_one(bi, insns, model, rung, carry_in, scratch, cache)?;
         carry = outcome.carry;
         out.extend(outcome.emitted);
         reports.push(outcome.report);
@@ -508,19 +596,11 @@ pub fn schedule_program_batch(
     }
 
     let ladder = limits.degrade.map(|_| Ladder::derive(config));
+    let rungs = Rungs::new(model, config, ladder.as_ref(), cache.enabled());
     let (results, stats) = map_blocks_with_scratch(&items, jobs, |_, &(bi, insns), scratch| {
         limits.check_deadline().and_then(|()| {
-            let effective = match ladder
-                .as_ref()
-                .and_then(|l| l.config_at(limits.degrade_level()))
-            {
-                Some(degraded) => {
-                    scratch.stats.degraded_blocks += 1;
-                    degraded
-                }
-                None => config,
-            };
-            compile_one(bi, insns, model, effective, None, scratch, cache)
+            let rung = rungs.pick(limits, &mut scratch.stats);
+            compile_one(bi, insns, model, rung, None, scratch, cache)
         })
     });
     let mut out: Vec<Instruction> = Vec::with_capacity(program.len());
@@ -566,8 +646,7 @@ mod tests {
             &self,
             block: usize,
             insns: &[Instruction],
-            _model: &MachineModel,
-            _config: &DriverConfig,
+            _scope: &CacheScope<'_>,
         ) -> Option<BlockOutcome> {
             self.map.lock().unwrap().get(&text_key(insns)).map(|o| {
                 let mut o = o.clone();
@@ -576,13 +655,7 @@ mod tests {
             })
         }
 
-        fn store(
-            &self,
-            insns: &[Instruction],
-            _model: &MachineModel,
-            _config: &DriverConfig,
-            outcome: &BlockOutcome,
-        ) {
+        fn store(&self, insns: &[Instruction], _scope: &CacheScope<'_>, outcome: &BlockOutcome) {
             self.map
                 .lock()
                 .unwrap()

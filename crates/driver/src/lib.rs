@@ -27,7 +27,7 @@ pub mod driver;
 pub mod parallel;
 
 pub use batch::{
-    schedule_program_batch, schedule_program_batch_scratch, BlockCache, DegradeLevel,
+    schedule_program_batch, schedule_program_batch_scratch, BlockCache, CacheScope, DegradeLevel,
     DegradePolicy, LimitError, Limits, NoCache,
 };
 pub use driver::{

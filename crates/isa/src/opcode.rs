@@ -375,22 +375,47 @@ impl Opcode {
     /// branch spellings (`fbe`, `fbne`, …) to [`Opcode::Fbcc`], and `ret`
     /// to [`Opcode::Jmpl`].
     pub fn from_mnemonic(s: &str) -> Option<Opcode> {
-        let lower = s.to_ascii_lowercase();
-        for op in Opcode::ALL {
-            if op.mnemonic() == lower {
-                return Some(*op);
-            }
-        }
-        match lower.as_str() {
-            "be" | "bne" | "bg" | "bge" | "bl" | "ble" | "bgu" | "bleu" | "bcs" | "bcc"
-            | "bneg" | "bpos" | "bvs" | "bvc" | "b" => Some(Opcode::Bicc),
-            "fbe" | "fbne" | "fbg" | "fbge" | "fbl" | "fble" | "fbu" | "fbo" => Some(Opcode::Fbcc),
-            "ret" | "retl" => Some(Opcode::Jmpl),
-            "cmp" => Some(Opcode::SubCc),
-            "fcmped" => Some(Opcode::FCmpD),
-            "fcmpes" => Some(Opcode::FCmpS),
-            _ => None,
-        }
+        use Opcode::{Bicc, FCmpD, FCmpS, Fbcc, Jmpl, SubCc};
+        const ALIASES: &[(&str, Opcode)] = &[
+            ("be", Bicc),
+            ("bne", Bicc),
+            ("bg", Bicc),
+            ("bge", Bicc),
+            ("bl", Bicc),
+            ("ble", Bicc),
+            ("bgu", Bicc),
+            ("bleu", Bicc),
+            ("bcs", Bicc),
+            ("bcc", Bicc),
+            ("bneg", Bicc),
+            ("bpos", Bicc),
+            ("bvs", Bicc),
+            ("bvc", Bicc),
+            ("b", Bicc),
+            ("fbe", Fbcc),
+            ("fbne", Fbcc),
+            ("fbg", Fbcc),
+            ("fbge", Fbcc),
+            ("fbl", Fbcc),
+            ("fble", Fbcc),
+            ("fbu", Fbcc),
+            ("fbo", Fbcc),
+            ("ret", Jmpl),
+            ("retl", Jmpl),
+            ("cmp", SubCc),
+            ("fcmped", FCmpD),
+            ("fcmpes", FCmpS),
+        ];
+        Opcode::ALL
+            .iter()
+            .copied()
+            .find(|op| op.mnemonic().eq_ignore_ascii_case(s))
+            .or_else(|| {
+                ALIASES
+                    .iter()
+                    .find(|(alias, _)| alias.eq_ignore_ascii_case(s))
+                    .map(|&(_, op)| op)
+            })
     }
 }
 

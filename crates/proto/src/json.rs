@@ -40,6 +40,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -178,6 +179,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -292,6 +294,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of characters that need no decoding in one
+            // go. It ends at an ASCII byte, so both ends are character
+            // boundaries of the (already valid UTF-8) input.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -324,25 +334,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("invalid escape")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid utf-8")),
-                    };
-                    if start + len > self.bytes.len() {
-                        return Err(self.err("truncated utf-8"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -390,19 +382,31 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Write `s` as a JSON string literal, each run of characters that
+/// needs no escaping with one `write_str`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Every escaped character is ASCII, so `i` and `i + 1` are
+        // character boundaries.
+        f.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -482,6 +486,53 @@ mod tests {
             "\u{1}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// The per-`char` escaper the run-based writer replaced, kept as
+    /// the reference it must match byte for byte.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded strings over every class the writer and parser treat
+    /// apart: the short escapes, the other C0 controls, DEL, two- and
+    /// four-byte UTF-8, and plain ASCII.
+    #[test]
+    fn strings_encode_like_the_reference_and_round_trip() {
+        let mut state = 0x15_0A_50_17;
+        for _ in 0..20_000 {
+            let len = dagsched_isa::splitmix64(&mut state) % 24;
+            let s: String = (0..len)
+                .map(|_| {
+                    let r = dagsched_isa::splitmix64(&mut state);
+                    let pick = (r >> 8) as usize;
+                    match r % 8 {
+                        0 => ['"', '\\', '\n', '\r', '\t'][pick % 5],
+                        1 => char::from((pick % 0x20) as u8),
+                        2 => '\u{7f}',
+                        3 => 'é',
+                        4 => '😀',
+                        _ => char::from(b' ' + (pick % 95) as u8),
+                    }
+                })
+                .collect();
+            let written = Json::Str(s.clone()).to_string();
+            assert_eq!(written, reference_escape(&s), "{s:?}");
+            assert_eq!(Json::parse(&written), Ok(Json::Str(s)), "{written}");
         }
     }
 

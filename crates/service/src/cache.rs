@@ -11,22 +11,38 @@
 //!
 //! # Keying
 //!
-//! The canonical bytes of a block are, per instruction, its rendered
-//! text (which deliberately excludes the program-absolute `orig_index`
-//! and the program-interned [`MemExprId`]) followed by the
-//! *first-occurrence ordinal* of the instruction's memory-expression id
-//! within the block. The ordinal encoding captures exactly the
-//! information the symbolic memory-disambiguation policy consumes —
-//! which memory references within the block share an address expression
-//! — while remaining invariant under the program-wide renumbering that
-//! makes raw `MemExprId`s unusable as keys. The configuration
-//! fingerprint appends the scheduler's full `Debug` rendering (construction
-//! algorithm, memory policy, heuristic list, direction, postpass flag),
-//! the driver flags and [`MachineModel::fingerprint`]. Everything is
-//! hashed with two independent FNV-1a streams into a 128-bit key, so
-//! accidental collisions are out of reach for any realistic cache
-//! population.
+//! A key has a configuration half and a block half, hashed with two
+//! independent FNV-1a streams into 128 bits, so accidental collisions
+//! are out of reach for any realistic cache population.
 //!
+//! The configuration half is the scheduler's full `Debug` rendering
+//! (construction algorithm, memory policy, heuristic list, direction,
+//! postpass flag), the driver flags and [`MachineModel::fingerprint`].
+//! It is the same for every block of a batch, so the driver hashes it
+//! once per batch and degradation rung into a [`CacheScope`], and both
+//! streams start from the scope's hashes. A lookup or store hashes only
+//! the block.
+//!
+//! The block half is, per instruction, its rendered text (which
+//! deliberately excludes the program-absolute `orig_index` and the
+//! program-interned [`MemExprId`](dagsched_isa::MemExprId)), a delimiter
+//! byte, and the *first-occurrence ordinal* of the instruction's
+//! memory-expression id within the block. The text is written into both
+//! streams as `Display` produces it, without building a `String`. The
+//! ordinal encoding captures exactly the information the symbolic
+//! memory-disambiguation policy consumes — which memory references
+//! within the block share an address expression — while remaining
+//! invariant under the program-wide renumbering that makes raw
+//! `MemExprId`s unusable as keys.
+//!
+//! Keys hash instruction text, not opcode and register numbers, because
+//! the text is stable across builds and persisted entries outlive a
+//! build. An enum discriminant is not: reordering the opcode list would
+//! make a recovered entry keyed on discriminants replay one block's
+//! order onto a different block.
+//!
+//! [`block_key`] computes the same key in one call, scope included.
+
 //! # Why values store indices, not instructions
 //!
 //! A cached entry must replay *bit-identically* — including the interned
@@ -45,15 +61,17 @@
 //! counted for the metrics endpoint.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
 use dagsched_core::NodeId;
-use dagsched_driver::{BlockCache, BlockOutcome, BlockReport, DriverConfig};
+use dagsched_driver::{BlockCache, BlockOutcome, BlockReport, CacheScope, DriverConfig};
 use dagsched_isa::{Fnv64, Instruction, MachineModel};
 use dagsched_sched::{CarryOut, SlotFill};
 
-/// Seed of the second hash stream (an arbitrary odd constant).
-const KEY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Ends each instruction's text in the key: no UTF-8 text contains this
+/// byte, so the text and the ordinal after it cannot run together.
+const TEXT_END: u8 = 0xFF;
 
 /// Sentinel slab index for "no node".
 const NONE: usize = usize::MAX;
@@ -115,16 +133,19 @@ impl Key {
     }
 }
 
-/// Compute the cache key for (`insns`, `model`, `config`).
+/// Compute the cache key for (`insns`, `model`, `config`): the key
+/// [`ScheduleCache`] stores the block under in a batch with that model
+/// and configuration.
 pub fn block_key(insns: &[Instruction], model: &MachineModel, config: &DriverConfig) -> Key {
-    let mut a = Fnv64::new();
-    let mut b = Fnv64::with_seed(KEY_SEED);
+    scoped_key(insns, &CacheScope::new(model, config))
+}
+
+/// The key of `insns` under `scope`: the scope's two streams, continued
+/// over the block's canonical bytes.
+fn scoped_key(insns: &[Instruction], scope: &CacheScope<'_>) -> Key {
+    let mut sink = KeySink(scope.streams());
     let mut ordinals: HashMap<u32, u32> = HashMap::new();
-    let mut text = String::new();
     for insn in insns {
-        use std::fmt::Write as _;
-        text.clear();
-        let _ = write!(text, "{insn}");
         let ord = match &insn.mem {
             Some(m) => {
                 let next = ordinals.len() as u32;
@@ -132,23 +153,29 @@ pub fn block_key(insns: &[Instruction], model: &MachineModel, config: &DriverCon
             }
             None => u32::MAX,
         };
-        a.write_str(&text);
-        a.write_u32(ord);
-        b.write_str(&text);
-        b.write_u32(ord);
+        let _ = write!(sink, "{insn}");
+        for stream in &mut sink.0 {
+            stream.write(&[TEXT_END]);
+            stream.write_u32(ord);
+        }
     }
-    let cfg = format!(
-        "{:?}|inherit={}|fill={}|heur={:?}",
-        config.scheduler, config.inherit_latencies, config.fill_delay_slots, config.heuristics
-    );
-    a.write_str(&cfg);
-    b.write_str(&cfg);
-    let mfp = model.fingerprint();
-    a.write_u64(mfp);
-    b.write_u64(mfp);
+    let [a, b] = sink.0;
     Key {
         a: a.finish(),
         b: b.finish(),
+    }
+}
+
+/// Both key streams behind one [`fmt::Write`], so an instruction's
+/// `Display` text is hashed as it is rendered.
+struct KeySink([Fnv64; 2]);
+
+impl fmt::Write for KeySink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for stream in &mut self.0 {
+            stream.write(s.as_bytes());
+        }
+        Ok(())
     }
 }
 
@@ -620,10 +647,9 @@ impl BlockCache for ScheduleCache {
         &self,
         block: usize,
         insns: &[Instruction],
-        model: &MachineModel,
-        config: &DriverConfig,
+        scope: &CacheScope<'_>,
     ) -> Option<BlockOutcome> {
-        let key = block_key(insns, model, config);
+        let key = scoped_key(insns, scope);
         let mut inner = self.lock_inner();
         match inner.map.get(&key).copied() {
             Some(ix) => {
@@ -643,14 +669,8 @@ impl BlockCache for ScheduleCache {
         }
     }
 
-    fn store(
-        &self,
-        insns: &[Instruction],
-        model: &MachineModel,
-        config: &DriverConfig,
-        outcome: &BlockOutcome,
-    ) {
-        let key = block_key(insns, model, config);
+    fn store(&self, insns: &[Instruction], scope: &CacheScope<'_>, outcome: &BlockOutcome) {
+        let key = scoped_key(insns, scope);
         let value = CachedBlock::capture(insns, outcome);
         // Encode before inserting (insert moves the value), but only
         // touch the sink when the entry was actually admitted — and do
@@ -669,9 +689,16 @@ impl BlockCache for ScheduleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::time::{Duration, Instant};
+
+    use dagsched_core::PhaseStats;
     use dagsched_core::Scratch;
-    use dagsched_driver::compile_block;
-    use dagsched_workloads::parse_asm;
+    use dagsched_driver::{
+        compile_block, schedule_program_batch_scratch, DegradePolicy, Limits, NoCache,
+        ScheduledProgram,
+    };
+    use dagsched_workloads::{generate, parse_asm, BenchmarkProfile, PAPER_SEED};
 
     fn block(text: &str) -> Vec<Instruction> {
         parse_asm(text).unwrap().insns
@@ -704,8 +731,10 @@ mod tests {
         let model = MachineModel::sparc2();
         let config = DriverConfig::default();
         let outcome = compile(&insns, &model, &config);
-        cache.store(&insns, &model, &config, &outcome);
-        let hit = cache.lookup(0, &insns, &model, &config).unwrap();
+        cache.store(&insns, &CacheScope::new(&model, &config), &outcome);
+        let hit = cache
+            .lookup(0, &insns, &CacheScope::new(&model, &config))
+            .unwrap();
         assert_eq!(hit.emitted, outcome.emitted);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().hits, 1);
@@ -719,8 +748,10 @@ mod tests {
         let config = DriverConfig::default();
         let cache = ScheduleCache::default();
         let outcome = compile(&insns, &model, &config);
-        cache.store(&insns, &model, &config, &outcome);
-        let hit = cache.lookup(3, &insns, &model, &config).unwrap();
+        cache.store(&insns, &CacheScope::new(&model, &config), &outcome);
+        let hit = cache
+            .lookup(3, &insns, &CacheScope::new(&model, &config))
+            .unwrap();
         assert_eq!(hit.emitted, outcome.emitted);
         assert_eq!(hit.report.block, 3, "block index is the requester's");
         assert_eq!(
@@ -797,19 +828,33 @@ mod tests {
         let b3 = block("xor %o0, %o1, %o2");
         for b in [&b1, &b2] {
             let o = compile(b, &model, &config);
-            cache.store(b, &model, &config, &o);
+            cache.store(b, &CacheScope::new(&model, &config), &o);
         }
         // Touch b1 so b2 becomes the LRU victim.
-        assert!(cache.lookup(0, &b1, &model, &config).is_some());
+        assert!(cache
+            .lookup(0, &b1, &CacheScope::new(&model, &config))
+            .is_some());
         let o3 = compile(&b3, &model, &config);
-        cache.store(&b3, &model, &config, &o3);
+        cache.store(&b3, &CacheScope::new(&model, &config), &o3);
         assert_eq!(cache.len(), 2);
         assert!(
-            cache.lookup(0, &b2, &model, &config).is_none(),
+            cache
+                .lookup(0, &b2, &CacheScope::new(&model, &config))
+                .is_none(),
             "b2 evicted"
         );
-        assert!(cache.lookup(0, &b1, &model, &config).is_some(), "b1 kept");
-        assert!(cache.lookup(0, &b3, &model, &config).is_some(), "b3 kept");
+        assert!(
+            cache
+                .lookup(0, &b1, &CacheScope::new(&model, &config))
+                .is_some(),
+            "b1 kept"
+        );
+        assert!(
+            cache
+                .lookup(0, &b3, &CacheScope::new(&model, &config))
+                .is_some(),
+            "b3 kept"
+        );
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(
             cache.keys_by_recency().len(),
@@ -838,7 +883,7 @@ mod tests {
         ];
         for b in &blocks {
             let o = compile(b, &model, &config);
-            cache.store(b, &model, &config, &o);
+            cache.store(b, &CacheScope::new(&model, &config), &o);
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2, "{stats:?}");
@@ -851,7 +896,7 @@ mod tests {
             max_entries: usize::MAX,
             max_bytes: entry_cost.saturating_sub(1),
         });
-        tiny.store(&one, &model, &config, &o);
+        tiny.store(&one, &CacheScope::new(&model, &config), &o);
         assert!(tiny.is_empty());
         assert_eq!(tiny.stats().evictions, 0);
     }
@@ -864,9 +909,85 @@ mod tests {
         let config = DriverConfig::default();
         let cache = ScheduleCache::default();
         let outcome = compile(&insns, &model, &config);
-        cache.store(&insns, &model, &config, &outcome);
-        let hit = cache.lookup(0, &insns, &model, &config).unwrap();
+        cache.store(&insns, &CacheScope::new(&model, &config), &outcome);
+        let hit = cache
+            .lookup(0, &insns, &CacheScope::new(&model, &config))
+            .unwrap();
         assert_eq!(hit.emitted.len(), insns.len());
         assert_eq!(hit.emitted, outcome.emitted);
+    }
+
+    fn grep() -> dagsched_isa::Program {
+        generate(BenchmarkProfile::by_name("grep").unwrap(), PAPER_SEED).program
+    }
+
+    fn batch(
+        program: &dagsched_isa::Program,
+        limits: &Limits,
+        cache: &dyn BlockCache,
+    ) -> (ScheduledProgram, PhaseStats) {
+        let model = MachineModel::sparc2();
+        let config = DriverConfig::default();
+        schedule_program_batch_scratch(program, &model, &config, limits, cache, &mut Scratch::new())
+            .expect("grep compiles")
+    }
+
+    /// A batch stores each block under exactly [`block_key`], the key
+    /// callers outside the batch loop compute (the benchmark counts a
+    /// request set's distinct blocks with it).
+    #[test]
+    fn a_batch_stores_every_block_under_its_block_key() {
+        let program = grep();
+        let cache = ScheduleCache::default();
+        batch(&program, &Limits::none(), &cache);
+        let model = MachineModel::sparc2();
+        let config = DriverConfig::default();
+        let expected: HashSet<Key> = program
+            .basic_blocks()
+            .iter()
+            .map(|b| program.block_insns(b))
+            .filter(|insns| !insns.is_empty())
+            .map(|insns| block_key(insns, &model, &config))
+            .collect();
+        let stored = cache.keys_by_recency();
+        assert_eq!(stored.len(), expected.len());
+        assert_eq!(stored.into_iter().collect::<HashSet<_>>(), expected);
+    }
+
+    /// Limits that pin every block of a batch to one degradation rung:
+    /// the deadline is an hour away, and `soft` / `hard` sit either side
+    /// of it.
+    fn pinned(soft_secs: u64, hard_secs: u64) -> Limits {
+        Limits {
+            deadline: Some(Instant::now() + Duration::from_secs(3600)),
+            degrade: Some(DegradePolicy {
+                soft: Duration::from_secs(soft_secs),
+                hard: Duration::from_secs(hard_secs),
+            }),
+            ..Limits::none()
+        }
+    }
+
+    /// Each degradation rung keys its blocks apart from full fidelity
+    /// and from the other rung, in the real cache: a pinned run shares
+    /// no entry with the runs before it, replays nothing but its own
+    /// rung's schedules, and leaves the full-fidelity entries intact.
+    #[test]
+    fn degradation_rungs_never_share_entries_in_the_real_cache() {
+        let program = grep();
+        let cache = ScheduleCache::default();
+        let (full, cold) = batch(&program, &Limits::none(), &cache);
+        assert_eq!(cold.cache_misses, 365);
+        for (rung, limits) in [("cheap", pinned(7200, 0)), ("floor", pinned(7200, 7200))] {
+            let (out, stats) = batch(&program, &limits, &cache);
+            assert_eq!(stats.cache_misses, cold.cache_misses, "{rung}");
+            let blocks = stats.cache_hits + stats.cache_misses;
+            assert_eq!(stats.degraded_blocks, blocks, "{rung}");
+            let (reference, _) = batch(&program, &limits, &NoCache);
+            assert_eq!(out.insns, reference.insns, "{rung}");
+        }
+        let (again, warm) = batch(&program, &Limits::none(), &cache);
+        assert_eq!(warm.cache_misses, 0);
+        assert_eq!(again.insns, full.insns);
     }
 }

@@ -68,13 +68,22 @@ const READ_CHUNK: usize = 16 * 1024;
 /// still read, parsed, and served rather than dropped.
 const DRAIN_GRACE_CYCLES: u32 = 2;
 
-/// Consecutive *quiet* cycles (no reads, no frames, no completions)
-/// required before a drain may finish. A client that just received its
-/// reply gets a real window to send a follow-up request and hear a
-/// typed `draining` back — the old blocking core kept its per-
-/// connection read loop alive through the drain, and this preserves
-/// that contract without threads. Adds ~`DRAIN_QUIET_CYCLES x
-/// POLL_TICK` (~200 ms) to every drain.
+/// The drain's follow-up window, in poll ticks: a drain may finish only
+/// after `DRAIN_QUIET_CYCLES x POLL_TICK` (~200 ms) without drain
+/// activity — a completion landing, or a read that leaves a frame
+/// incomplete. A client that just received its reply gets a real window
+/// to send a follow-up request and hear a typed `draining` back — the
+/// old blocking core kept its per-connection read loop alive through
+/// the drain, and this preserves that contract without threads. Adds
+/// ~200 ms to every drain.
+///
+/// Bytes answered inline (a ping, or a follow-up refused with
+/// `draining`) are not activity, so a peer that pings more often than
+/// the window (a router's health prober dials every ~100 ms) cannot
+/// hold a drain open. The window is wall-clock time, not a count of
+/// poll cycles, because every inline answer ends a poll early and a
+/// count would shrink the window. Admitted work (`Handler::idle`),
+/// unflushed replies and a frame still arriving keep holding the drain.
 const DRAIN_QUIET_CYCLES: u32 = 8;
 
 /// Identifies one live connection for the lifetime of the reactor.
@@ -628,8 +637,8 @@ pub struct Reactor {
     conns: HashMap<ConnId, ConnState>,
     next_id: ConnId,
     completion_buf: Vec<Completion>,
-    /// Set when the current cycle read bytes or applied completions;
-    /// resets the drain's quiet-cycle countdown.
+    /// Set when the current cycle applied completions or read bytes that
+    /// left a frame incomplete; restarts the drain's quiet window.
     activity: bool,
 }
 
@@ -673,8 +682,9 @@ impl Reactor {
     /// reactor; the caller then joins its workers and unlinks the
     /// socket path.
     pub fn run(mut self, handler: &mut dyn Handler) {
+        let quiet_window = POLL_TICK * DRAIN_QUIET_CYCLES;
         let mut drain_cycles: u32 = 0;
-        let mut quiet_cycles: u32 = 0;
+        let mut quiet_since = Instant::now();
         loop {
             if SIGTERM_SEEN.load(Ordering::SeqCst) {
                 self.drain.store(true, Ordering::SeqCst);
@@ -692,15 +702,13 @@ impl Reactor {
             self.read_and_dispatch(handler);
             self.enforce_timeouts(handler, draining);
             self.flush_all();
-            quiet_cycles = if self.activity {
-                0
-            } else {
-                quiet_cycles.saturating_add(1)
-            };
+            if self.activity {
+                quiet_since = Instant::now();
+            }
 
             if draining
                 && drain_cycles > DRAIN_GRACE_CYCLES
-                && quiet_cycles >= DRAIN_QUIET_CYCLES
+                && quiet_since.elapsed() >= quiet_window
                 && handler.idle()
                 && self.completions.is_empty()
                 && self.conns.values().all(|c| !c.has_output())
@@ -835,9 +843,9 @@ impl Reactor {
     fn read_and_dispatch(&mut self, handler: &mut dyn Handler) {
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
         let mut buf = [0u8; READ_CHUNK];
-        let mut read_any = false;
         for id in ids {
             let mut drop_now = false;
+            let mut read_any = false;
             if let Some(c) = self.conns.get_mut(&id) {
                 if c.dead_read || c.eof {
                     continue;
@@ -869,9 +877,12 @@ impl Reactor {
                 continue;
             }
             self.pump_frames(handler, id);
-        }
-        if read_any {
-            self.activity = true;
+            // Complete frames were answered inline or admitted (and
+            // admitted work holds a drain by itself); only a frame
+            // still arriving is drain activity.
+            if read_any && self.conns.get(&id).is_some_and(|c| c.asm.mid_frame()) {
+                self.activity = true;
+            }
         }
     }
 

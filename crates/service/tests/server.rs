@@ -583,6 +583,81 @@ fn backlog_connections_get_a_draining_reply_not_silence() {
     );
 }
 
+/// Ping `addr` every 50 ms until `stop` is set or 10 s have passed,
+/// over one kept connection or, with `redial`, a new connection per
+/// ping. Returns how many pings were answered `pong`.
+fn keep_pinging(
+    addr: std::net::SocketAddr,
+    redial: bool,
+    stop: &std::sync::atomic::AtomicBool,
+) -> u32 {
+    use std::sync::atomic::Ordering;
+    let started = std::time::Instant::now();
+    let mut kept: Option<TcpStream> = None;
+    let mut pongs = 0;
+    while !stop.load(Ordering::Relaxed) && started.elapsed() < Duration::from_secs(10) {
+        let sock = match kept.take() {
+            Some(s) => Some(s),
+            None => TcpStream::connect(addr).ok(),
+        };
+        if let Some(mut s) = sock {
+            let _ = s.set_read_timeout(Some(Duration::from_secs(2)));
+            let answered = write_frame(&mut s, FrameKind::Ping, b"").is_ok()
+                && matches!(read_frame(&mut s, 1 << 20), Ok((FrameKind::Pong, _)));
+            if answered {
+                pongs += 1;
+                if !redial {
+                    kept = Some(s);
+                }
+            }
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    pongs
+}
+
+/// A draining daemon stops waiting on peers that keep pinging: a ping
+/// answered inline is not drain activity. One pinger keeps its
+/// connection and one dials a new connection per ping, both every
+/// 50 ms — faster than the ~200 ms follow-up window, as a router's
+/// health prober is. They stop on their own after 10 s, so a drain they
+/// held open would end then, not hang the test.
+#[test]
+fn drain_finishes_while_a_peer_keeps_pinging() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let handle = tcp_server(ServerConfig::default());
+    let addr = handle.local_addr().expect("tcp addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let pingers: Vec<_> = [false, true]
+        .into_iter()
+        .map(|redial| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || keep_pinging(addr, redial, &stop))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+
+    let started = std::time::Instant::now();
+    handle.begin_drain();
+    handle.join();
+    let took = started.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    let pongs: Vec<u32> = pingers
+        .into_iter()
+        .map(|p| p.join().expect("pinger thread"))
+        .collect();
+    assert!(
+        pongs.iter().all(|&n| n > 0),
+        "both pingers reached the daemon: {pongs:?}"
+    );
+    assert!(
+        took < Duration::from_secs(2),
+        "the drain took {took:?} behind peers pinging every 50 ms"
+    );
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_roundtrip_and_cleanup() {

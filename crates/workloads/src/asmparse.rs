@@ -72,70 +72,69 @@ fn parse_line(line: &str, prog: &mut Program) -> Result<Instruction, String> {
         Some((m, r)) => (m, r.trim()),
         None => (line, ""),
     };
+    let (ops, n) = split_operands(rest);
     // Figure 1 notation: dst-last FP three-address ops on Rn registers.
     if let Some(op) = fig1_opcode(mnemonic) {
-        let ops = split_operands(rest);
-        if ops.len() != 3 {
+        if n != 3 {
             return Err(format!("{mnemonic} expects 3 operands"));
         }
-        let a = parse_fig1_reg(&ops[0])?;
-        let b = parse_fig1_reg(&ops[1])?;
-        let d = parse_fig1_reg(&ops[2])?;
+        let a = parse_fig1_reg(ops[0])?;
+        let b = parse_fig1_reg(ops[1])?;
+        let d = parse_fig1_reg(ops[2])?;
         return Ok(Instruction::fp3(op, a, b, d));
     }
 
     let op =
         Opcode::from_mnemonic(mnemonic).ok_or_else(|| format!("unknown mnemonic `{mnemonic}`"))?;
-    let ops = split_operands(rest);
     match op {
         Opcode::Nop | Opcode::Save | Opcode::Restore => Ok(Instruction::new(op)),
         Opcode::Ba | Opcode::Bicc | Opcode::Fbcc | Opcode::Call | Opcode::Jmpl => {
             Ok(Instruction::branch(op))
         }
         _ if op.mem_access() == Some(dagsched_isa::MemAccessKind::Load) => {
-            if ops.len() != 2 {
+            if n != 2 {
                 return Err(format!("{mnemonic} expects `[addr], reg`"));
             }
-            let mem = parse_mem(&ops[0], prog)?;
-            let rd = parse_reg(&ops[1])?;
+            let mem = parse_mem(ops[0], prog)?;
+            let rd = parse_reg(ops[1])?;
             Ok(Instruction::load(op, mem, rd))
         }
         _ if op.mem_access() == Some(dagsched_isa::MemAccessKind::Store) => {
-            if ops.len() != 2 {
+            if n != 2 {
                 return Err(format!("{mnemonic} expects `reg, [addr]`"));
             }
-            let rs = parse_reg(&ops[0])?;
-            let mem = parse_mem(&ops[1], prog)?;
+            let rs = parse_reg(ops[0])?;
+            let mem = parse_mem(ops[1], prog)?;
             Ok(Instruction::store(op, rs, mem))
         }
-        Opcode::SubCc if ops.len() == 2 => {
+        Opcode::SubCc if n == 2 => {
             // `cmp a, b`
-            Ok(Instruction::cmp(parse_reg(&ops[0])?, parse_reg(&ops[1])?))
+            Ok(Instruction::cmp(parse_reg(ops[0])?, parse_reg(ops[1])?))
         }
         Opcode::Sethi => {
-            if ops.len() != 2 {
+            if n != 2 {
                 return Err("sethi expects `imm, reg`".into());
             }
-            Ok(Instruction::sethi(parse_imm(&ops[0])?, parse_reg(&ops[1])?))
+            Ok(Instruction::sethi(parse_imm(ops[0])?, parse_reg(ops[1])?))
         }
         Opcode::Mov => {
-            if ops.len() != 2 {
+            if n != 2 {
                 return Err("mov expects `imm|reg, reg`".into());
             }
-            let rd = parse_reg(&ops[1])?;
-            match parse_reg(&ops[0]) {
+            let rd = parse_reg(ops[1])?;
+            match try_reg(ops[0]) {
                 Ok(rs) => Ok(Instruction::fp2(Opcode::Mov, rs, rd)),
-                Err(_) => Ok(Instruction::mov_imm(parse_imm(&ops[0])?, rd)),
+                Err(_) => Ok(Instruction::mov_imm(parse_imm(ops[0])?, rd)),
             }
         }
         Opcode::FCmpS | Opcode::FCmpD => {
-            if ops.len() != 2 {
+            if n != 2 {
                 return Err(format!("{mnemonic} expects 2 operands"));
             }
             Ok(Instruction::fcmp(
                 op,
-                parse_reg(&ops[0])?,
-                parse_reg(&ops[1])?,
+                parse_reg(ops[0])?,
+                parse_reg(ops[1])?,
             ))
         }
         Opcode::FMovS
@@ -148,70 +147,70 @@ fn parse_line(line: &str, prog: &mut Program) -> Result<Instruction, String> {
         | Opcode::FdToS
         | Opcode::FsToI
         | Opcode::FdToI => {
-            if ops.len() != 2 {
+            if n != 2 {
                 return Err(format!("{mnemonic} expects 2 operands"));
             }
-            Ok(Instruction::fp2(
-                op,
-                parse_reg(&ops[0])?,
-                parse_reg(&ops[1])?,
-            ))
+            Ok(Instruction::fp2(op, parse_reg(ops[0])?, parse_reg(ops[1])?))
         }
         _ => {
             // Three-address integer/FP: `op a, b, d` or `op a, imm, d`.
-            if ops.len() != 3 {
+            if n != 3 {
                 return Err(format!("{mnemonic} expects 3 operands"));
             }
-            let a = parse_reg(&ops[0])?;
-            let d = parse_reg(&ops[2])?;
-            match parse_reg(&ops[1]) {
+            let a = parse_reg(ops[0])?;
+            let d = parse_reg(ops[2])?;
+            match try_reg(ops[1]) {
                 Ok(b) if op.is_fp() => Ok(Instruction::fp3(op, a, b, d)),
                 Ok(b) => Ok(Instruction::int3(op, a, b, d)),
-                Err(_) => Ok(Instruction::int_imm(op, a, parse_imm(&ops[1])?, d)),
+                Err(_) => Ok(Instruction::int_imm(op, a, parse_imm(ops[1])?, d)),
             }
         }
     }
 }
 
 fn fig1_opcode(mnemonic: &str) -> Option<Opcode> {
-    match mnemonic.to_ascii_uppercase().as_str() {
-        "DIVF" => Some(Opcode::FDivD),
-        "ADDF" => Some(Opcode::FAddD),
-        "SUBF" => Some(Opcode::FSubD),
-        "MULF" => Some(Opcode::FMulD),
-        _ => None,
-    }
+    [
+        ("DIVF", Opcode::FDivD),
+        ("ADDF", Opcode::FAddD),
+        ("SUBF", Opcode::FSubD),
+        ("MULF", Opcode::FMulD),
+    ]
+    .into_iter()
+    .find(|(name, _)| name.eq_ignore_ascii_case(mnemonic))
+    .map(|(_, op)| op)
 }
 
-fn split_operands(rest: &str) -> Vec<String> {
-    if rest.is_empty() {
-        return Vec::new();
-    }
-    // Split on commas that are not inside a bracketed address.
-    let mut out = Vec::new();
+/// Split an operand list on the commas that are not inside a bracketed
+/// address. Returns the first three operands, trimmed, and the count of
+/// all of them: no form takes more than three, so a longer list is only
+/// ever an arity error. An empty trailing operand is dropped.
+fn split_operands(rest: &str) -> ([&str; 3], usize) {
+    let mut ops = [""; 3];
+    let mut n = 0;
+    let mut push = |op| {
+        if let Some(slot) = ops.get_mut(n) {
+            *slot = op;
+        }
+        n += 1;
+    };
     let mut depth = 0usize;
-    let mut cur = String::new();
-    for ch in rest.chars() {
-        match ch {
-            '[' => {
-                depth += 1;
-                cur.push(ch);
+    let mut start = 0;
+    for (i, b) in rest.bytes().enumerate() {
+        match b {
+            b'[' => depth += 1,
+            b']' => depth = depth.saturating_sub(1),
+            b',' if depth == 0 => {
+                push(rest[start..i].trim());
+                start = i + 1;
             }
-            ']' => {
-                depth = depth.saturating_sub(1);
-                cur.push(ch);
-            }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur = String::new();
-            }
-            _ => cur.push(ch),
+            _ => {}
         }
     }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
+    let last = rest[start..].trim();
+    if !last.is_empty() {
+        push(last);
     }
-    out
+    (ops, n)
 }
 
 fn parse_fig1_reg(s: &str) -> Result<Reg, String> {
@@ -225,10 +224,37 @@ fn parse_fig1_reg(s: &str) -> Result<Reg, String> {
     Ok(Reg::f(n))
 }
 
+/// Why a register operand failed to parse; [`RegError::message`]
+/// renders it only when the error is reported.
+#[derive(Debug, Clone, Copy)]
+enum RegError {
+    NotARegister,
+    Unknown,
+    Bad,
+    OutOfRange,
+    FpOutOfRange,
+}
+
+impl RegError {
+    fn message(self, s: &str) -> String {
+        match self {
+            RegError::NotARegister => format!("expected register, got `{s}`"),
+            RegError::Unknown => format!("unknown register `{s}`"),
+            RegError::Bad => format!("bad register `{s}`"),
+            RegError::OutOfRange => format!("register out of range `{s}`"),
+            RegError::FpOutOfRange => format!("fp register out of range `{s}`"),
+        }
+    }
+}
+
 fn parse_reg(s: &str) -> Result<Reg, String> {
-    let body = s
-        .strip_prefix('%')
-        .ok_or_else(|| format!("expected register, got `{s}`"))?;
+    try_reg(s).map_err(|e| e.message(s))
+}
+
+/// [`parse_reg`] without building the message, for operands that may
+/// also be an immediate.
+fn try_reg(s: &str) -> Result<Reg, RegError> {
+    let body = s.strip_prefix('%').ok_or(RegError::NotARegister)?;
     // Named registers first: `%fp` must not be read as the fp bank.
     match body {
         "fp" => return Ok(Reg::fp()),
@@ -242,29 +268,29 @@ fn parse_reg(s: &str) -> Result<Reg, String> {
     // first character is multi-byte (index 1 is not a char boundary) —
     // both reachable from user input, so they must be parse errors.
     if body.len() < 2 || !body.is_char_boundary(1) {
-        return Err(format!("unknown register `{s}`"));
+        return Err(RegError::Unknown);
     }
     let (bank, num) = body.split_at(1);
     match (bank, num) {
-        ("g", n) => ok_bank(n, 0, s),
-        ("o", n) => ok_bank(n, 8, s),
-        ("l", n) => ok_bank(n, 16, s),
-        ("i", n) => ok_bank(n, 24, s),
+        ("g", n) => ok_bank(n, 0),
+        ("o", n) => ok_bank(n, 8),
+        ("l", n) => ok_bank(n, 16),
+        ("i", n) => ok_bank(n, 24),
         ("f", n) => {
-            let k: u8 = n.parse().map_err(|_| format!("bad register `{s}`"))?;
+            let k: u8 = n.parse().map_err(|_| RegError::Bad)?;
             if k >= 32 {
-                return Err(format!("fp register out of range `{s}`"));
+                return Err(RegError::FpOutOfRange);
             }
             Ok(Reg::f(k))
         }
-        _ => Err(format!("unknown register `{s}`")),
+        _ => Err(RegError::Unknown),
     }
 }
 
-fn ok_bank(n: &str, base: u8, orig: &str) -> Result<Reg, String> {
-    let k: u8 = n.parse().map_err(|_| format!("bad register `{orig}`"))?;
+fn ok_bank(n: &str, base: u8) -> Result<Reg, RegError> {
+    let k: u8 = n.parse().map_err(|_| RegError::Bad)?;
     if k >= 8 {
-        return Err(format!("register out of range `{orig}`"));
+        return Err(RegError::OutOfRange);
     }
     Ok(Reg::Int(base + k))
 }
@@ -281,12 +307,18 @@ fn parse_imm(s: &str) -> Result<i64, String> {
 /// Parse `[%base]`, `[%base+off]`, `[%base-off]` or `[%base+%index]`;
 /// the bracketed text itself is interned as the symbolic expression.
 fn parse_mem(s: &str, prog: &mut Program) -> Result<MemRef, String> {
-    let inner = s
+    let padded = s
         .strip_prefix('[')
         .and_then(|x| x.strip_suffix(']'))
-        .ok_or_else(|| format!("expected `[address]`, got `{s}`"))?
-        .trim();
-    let expr = prog.mem_exprs.intern(&format!("[{inner}]"));
+        .ok_or_else(|| format!("expected `[address]`, got `{s}`"))?;
+    let inner = padded.trim();
+    // `s` is already the canonical `[inner]` unless whitespace pads the
+    // brackets.
+    let expr = if inner.len() == padded.len() {
+        prog.mem_exprs.intern(s)
+    } else {
+        prog.mem_exprs.intern(&format!("[{inner}]"))
+    };
     // %base ± rest
     let (base_txt, sign, rest) = match inner.find(['+', '-']) {
         Some(pos) => (
@@ -437,5 +469,73 @@ mod tests {
         assert_eq!(p.insns[0].imm, Some(42));
         assert_eq!(p.insns[1].imm, Some(0x1000));
         assert_eq!(p.insns[2].opcode, Opcode::FSqrtD);
+    }
+
+    #[test]
+    fn mnemonics_and_aliases_match_in_any_case() {
+        let p = parse_asm("LD [%fp-8], %l0\nBne loop\nRETL\nfcmpED %f0, %f2\nFaddD %f0, %f2, %f4")
+            .unwrap();
+        let opcodes: Vec<Opcode> = p.insns.iter().map(|i| i.opcode).collect();
+        assert_eq!(
+            opcodes,
+            [
+                Opcode::Ld,
+                Opcode::Bicc,
+                Opcode::Jmpl,
+                Opcode::FCmpD,
+                Opcode::FAddD
+            ]
+        );
+        // Figure 1 notation in lower case, destination last.
+        let p = parse_asm("addf r4, r5, r1").unwrap();
+        assert_eq!(p.insns[0].opcode, Opcode::FAddD);
+        assert_eq!(p.insns[0].rs, vec![Reg::f(4), Reg::f(5)]);
+        assert_eq!(p.insns[0].rd, Some(Reg::f(1)));
+    }
+
+    #[test]
+    fn unknown_mnemonics_are_reported_as_written() {
+        for (line, mnemonic) in [
+            ("restores %o0", "restores"),
+            ("faddddddddddddddd %f0, %f2, %f4", "faddddddddddddddd"),
+            ("fädd %f0, %f2, %f4", "fädd"),
+            ("ＬＤ [%fp-8], %l0", "ＬＤ"),
+        ] {
+            let err = parse_asm(line).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("line 1: unknown mnemonic `{mnemonic}`")
+            );
+        }
+    }
+
+    #[test]
+    fn padded_memory_operands_intern_in_canonical_form() {
+        let p = parse_asm("ld [ %fp - 8 ], %l0\nst %l0, [%fp - 8]").unwrap();
+        let (load, store) = (p.insns[0].mem.unwrap(), p.insns[1].mem.unwrap());
+        assert_eq!(p.mem_exprs.text(load.expr), "[%fp - 8]");
+        assert_eq!(load.expr, store.expr);
+        assert_eq!((load.base, load.offset), (Reg::fp(), -8));
+    }
+
+    #[test]
+    fn empty_operands_between_commas_are_counted() {
+        // An empty operand is still an operand: here a register or an
+        // immediate, then a register.
+        let err = parse_asm("add %o0,, %o2").unwrap_err();
+        assert_eq!(err.message, "bad immediate ``");
+        let err = parse_asm("add ,, %o1, %o2").unwrap_err();
+        assert_eq!(err.message, "add expects 3 operands");
+        let err = parse_asm("st %o0,, [%fp-8]").unwrap_err();
+        assert_eq!(err.message, "st expects `reg, [addr]`");
+        let err = parse_asm("sub ,%o1, %o2").unwrap_err();
+        assert_eq!(err.message, "expected register, got ``");
+        let err = parse_asm("add %o0, %o1,, %o2").unwrap_err();
+        assert_eq!(err.message, "add expects 3 operands");
+        // A trailing empty operand is dropped.
+        let p = parse_asm("add %o0, %o1, %o2,").unwrap();
+        assert_eq!(p.insns[0].rd, Some(Reg::o(2)));
+        let err = parse_asm("ld [%fp-8],, %l0").unwrap_err();
+        assert_eq!(err.message, "ld expects `[addr], reg`");
     }
 }

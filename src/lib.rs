@@ -88,7 +88,9 @@ pub mod prelude {
 
     pub use dagsched_core::{default_jobs, PhaseStats, Scratch};
 
-    pub use crate::batch::{schedule_program_batch, BlockCache, LimitError, Limits, NoCache};
+    pub use crate::batch::{
+        schedule_program_batch, BlockCache, CacheScope, LimitError, Limits, NoCache,
+    };
     pub use crate::driver::{
         schedule_program, schedule_program_stats, BlockReport, DriverConfig, ScheduledProgram,
     };
