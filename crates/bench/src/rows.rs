@@ -551,11 +551,7 @@ pub fn ablate_alternate(seed: u64, bench_name: &str) -> Table {
                 continue;
             }
             let schedule = sched.schedule_block(insns, &model);
-            let reordered: Vec<_> = schedule
-                .order
-                .iter()
-                .map(|n| insns[n.index()].clone())
-                .collect();
+            let reordered: Vec<_> = schedule.order.iter().map(|n| insns[n.index()]).collect();
             cycles += simulate(&reordered, &model, opts).cycles;
             insts += insns.len();
         }

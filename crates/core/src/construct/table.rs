@@ -135,6 +135,7 @@ pub(crate) fn table_backward_bitmap_in(
         tables,
         matrix,
         stats,
+        ..
     } = scratch;
     // "each node's map is initialized to indicate that a node can reach itself"
     let desc = reset_matrix(matrix, n, true);

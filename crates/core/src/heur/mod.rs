@@ -100,10 +100,25 @@ impl HeuristicSet {
         with_descendants: bool,
     ) -> HeuristicSet {
         let mut h = HeuristicSet::default();
-        annotate_construction(&mut h, dag, insns, model);
-        annotate_forward(&mut h, dag);
-        annotate_backward(&mut h, dag, BackwardOrder::ReverseWalk, with_descendants);
+        h.compute_into(dag, insns, model, with_descendants);
         h
+    }
+
+    /// [`HeuristicSet::compute`] into `self`, refilling its vectors in
+    /// place: a set reused block after block (the one a
+    /// [`Scratch`](crate::Scratch) owns) stops allocating once its
+    /// vectors have grown to the largest block. Every field is
+    /// overwritten, so nothing of the previous block survives.
+    pub fn compute_into(
+        &mut self,
+        dag: &Dag,
+        insns: &[Instruction],
+        model: &MachineModel,
+        with_descendants: bool,
+    ) {
+        annotate_construction(self, dag, insns, model);
+        annotate_forward(self, dag);
+        annotate_backward(self, dag, BackwardOrder::ReverseWalk, with_descendants);
     }
 
     /// Compute only the cheapest useful heuristic subset: execution
@@ -126,15 +141,76 @@ impl HeuristicSet {
         insns: &[Instruction],
         model: &MachineModel,
     ) -> HeuristicSet {
+        let mut h = HeuristicSet::default();
+        h.compute_critical_path_into(dag, insns, model);
+        h
+    }
+
+    /// [`HeuristicSet::compute_critical_path`] into `self`, reusing its
+    /// storage. Every field the critical-path subset does not compute is
+    /// left empty, exactly as in a fresh set, so no stale vector from an
+    /// earlier block can be read.
+    pub fn compute_critical_path_into(
+        &mut self,
+        dag: &Dag,
+        insns: &[Instruction],
+        model: &MachineModel,
+    ) {
         let n = dag.node_count();
         assert_eq!(n, insns.len(), "DAG/block size mismatch");
-        let mut h = HeuristicSet {
-            exec_time: insns.iter().map(|i| model.exec_latency(i)).collect(),
-            original_order: (0..n as u32).collect(),
-            ..HeuristicSet::default()
-        };
-        annotate_backward_cp(&mut h, dag, BackwardOrder::ReverseWalk);
-        h
+        self.clear();
+        self.exec_time
+            .extend(insns.iter().map(|i| model.exec_latency(i)));
+        self.original_order.extend(0..n as u32);
+        annotate_backward_cp(self, dag, BackwardOrder::ReverseWalk);
+    }
+
+    /// Empty every vector, keeping its storage.
+    fn clear(&mut self) {
+        let HeuristicSet {
+            exec_time,
+            interlock_with_child,
+            num_children,
+            num_parents,
+            sum_delays_to_children,
+            max_delay_to_child,
+            sum_delays_from_parents,
+            max_delay_from_parent,
+            regs_born,
+            regs_killed,
+            liveness,
+            original_order,
+            max_path_from_root,
+            max_delay_from_root,
+            est,
+            max_path_to_leaf,
+            max_delay_to_leaf,
+            lst,
+            slack,
+            num_descendants,
+            sum_exec_descendants,
+        } = self;
+        exec_time.clear();
+        interlock_with_child.clear();
+        num_children.clear();
+        num_parents.clear();
+        sum_delays_to_children.clear();
+        max_delay_to_child.clear();
+        sum_delays_from_parents.clear();
+        max_delay_from_parent.clear();
+        regs_born.clear();
+        regs_killed.clear();
+        liveness.clear();
+        original_order.clear();
+        max_path_from_root.clear();
+        max_delay_from_root.clear();
+        est.clear();
+        max_path_to_leaf.clear();
+        max_delay_to_leaf.clear();
+        lst.clear();
+        slack.clear();
+        num_descendants.clear();
+        sum_exec_descendants.clear();
     }
 
     /// Number of nodes annotated.

@@ -1,9 +1,19 @@
 //! Static heuristic calculation passes.
 
-use dagsched_isa::{Instruction, MachineModel, Reg, RegClass, Resource};
+use dagsched_isa::{Instruction, MachineModel, RegClass, Resource};
 
 use crate::dag::{Dag, NodeId};
 use crate::heur::HeuristicSet;
+use crate::prepare::{reg_resource_id, REG_RESOURCE_COUNT};
+
+/// Empty `v` and refill it with `n` copies of `value`, keeping its
+/// storage: every pass rewrites its fields through this (or
+/// `clear` + `extend`), so a [`HeuristicSet`] reused across blocks
+/// allocates only when a block is larger than any before it.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
+}
 
 /// Annotate the heuristics that are "determined when an instruction node
 /// or dependency arc is added to the DAG" (Table 1 class `a`).
@@ -20,14 +30,16 @@ pub fn annotate_construction(
 ) {
     let n = dag.node_count();
     assert_eq!(n, insns.len(), "DAG/block size mismatch");
-    h.exec_time = insns.iter().map(|i| model.exec_latency(i)).collect();
-    h.interlock_with_child = vec![false; n];
-    h.num_children = vec![0; n];
-    h.num_parents = vec![0; n];
-    h.sum_delays_to_children = vec![0; n];
-    h.max_delay_to_child = vec![0; n];
-    h.sum_delays_from_parents = vec![0; n];
-    h.max_delay_from_parent = vec![0; n];
+    h.exec_time.clear();
+    h.exec_time
+        .extend(insns.iter().map(|i| model.exec_latency(i)));
+    refill(&mut h.interlock_with_child, n, false);
+    refill(&mut h.num_children, n, 0);
+    refill(&mut h.num_parents, n, 0);
+    refill(&mut h.sum_delays_to_children, n, 0);
+    refill(&mut h.max_delay_to_child, n, 0);
+    refill(&mut h.sum_delays_from_parents, n, 0);
+    refill(&mut h.max_delay_from_parent, n, 0);
     // One linear sweep over the arc columns: order does not matter here,
     // so no sortedness gate is needed.
     let (froms, tos, lats) = (dag.arc_froms(), dag.arc_tos(), dag.arc_latencies());
@@ -43,47 +55,43 @@ pub fn annotate_construction(
             h.interlock_with_child[f] = true;
         }
     }
-    h.original_order = (0..n as u32).collect();
+    h.original_order.clear();
+    h.original_order.extend(0..n as u32);
     annotate_registers(h, insns);
 }
 
 /// Register-pressure heuristics: `#registers born` (integer/FP registers
 /// defined), `#registers killed` (registers whose last use within the
 /// block is here), and Warren-style `liveness` (born − killed).
+///
+/// Last uses live in a dense table indexed by [`reg_resource_id`], so the
+/// pass touches no map and no heap.
 fn annotate_registers(h: &mut HeuristicSet, insns: &[Instruction]) {
     let n = insns.len();
-    h.regs_born = vec![0; n];
-    h.regs_killed = vec![0; n];
-    h.liveness = vec![0; n];
+    refill(&mut h.regs_born, n, 0);
+    refill(&mut h.regs_killed, n, 0);
+    refill(&mut h.liveness, n, 0);
+    let pressure_reg = |res: Resource| match res {
+        Resource::Reg(r) if matches!(r.class(), RegClass::Int | RegClass::Fp) => {
+            Some(reg_resource_id(r))
+        }
+        _ => None,
+    };
     // Last use index per register within the block.
-    let mut last_use: std::collections::HashMap<Reg, usize> = std::collections::HashMap::new();
+    let mut last_use = [usize::MAX; REG_RESOURCE_COUNT];
     for (i, insn) in insns.iter().enumerate() {
-        for res in insn.uses() {
-            if let Resource::Reg(r) = res {
-                if matches!(r.class(), RegClass::Int | RegClass::Fp) {
-                    last_use.insert(r, i);
-                }
-            }
+        for r in insn.uses().into_iter().filter_map(pressure_reg) {
+            last_use[r] = i;
         }
     }
     for (i, insn) in insns.iter().enumerate() {
-        for res in insn.defs() {
-            if let Resource::Reg(r) = res {
-                if matches!(r.class(), RegClass::Int | RegClass::Fp) {
-                    h.regs_born[i] += 1;
-                }
-            }
-        }
-        let mut seen: Vec<Reg> = Vec::new();
-        for res in insn.uses() {
-            if let Resource::Reg(r) = res {
-                if matches!(r.class(), RegClass::Int | RegClass::Fp)
-                    && last_use.get(&r) == Some(&i)
-                    && !seen.contains(&r)
-                {
-                    h.regs_killed[i] += 1;
-                    seen.push(r);
-                }
+        h.regs_born[i] = insn.defs().into_iter().filter_map(pressure_reg).count() as u32;
+        for r in insn.uses().into_iter().filter_map(pressure_reg) {
+            // No later instruction reads `r`, so forgetting its last use
+            // here makes a repeated operand count once.
+            if last_use[r] == i {
+                h.regs_killed[i] += 1;
+                last_use[r] = usize::MAX;
             }
         }
         h.liveness[i] = h.regs_born[i] as i32 - h.regs_killed[i] as i32;
@@ -107,9 +115,9 @@ fn annotate_registers(h: &mut HeuristicSet, insns: &[Instruction]) {
 /// into `f` has `to = f < t` (resp. `from < f`), so it precedes `f -> t`.
 pub fn annotate_forward(h: &mut HeuristicSet, dag: &Dag) {
     let n = dag.node_count();
-    h.max_path_from_root = vec![0; n];
-    h.max_delay_from_root = vec![0; n];
-    h.est = vec![0; n];
+    refill(&mut h.max_path_from_root, n, 0);
+    refill(&mut h.max_delay_from_root, n, 0);
+    refill(&mut h.est, n, 0);
     let step = |h: &mut HeuristicSet, f: usize, t: usize, lat: u32| {
         h.max_path_from_root[t] = h.max_path_from_root[t].max(h.max_path_from_root[f] + 1);
         h.max_delay_from_root[t] =
@@ -174,8 +182,8 @@ pub fn compute_levels(dag: &Dag) -> Vec<u32> {
 /// backward pass, timed in Tables 4 and 5.
 pub fn annotate_backward_cp(h: &mut HeuristicSet, dag: &Dag, order: BackwardOrder) {
     let n = dag.node_count();
-    h.max_path_to_leaf = vec![0; n];
-    h.max_delay_to_leaf = vec![0; n];
+    refill(&mut h.max_path_to_leaf, n, 0);
+    refill(&mut h.max_delay_to_leaf, n, 0);
     let step = |h: &mut HeuristicSet, f: usize, t: usize, lat: u32| {
         h.max_path_to_leaf[f] = h.max_path_to_leaf[f].max(h.max_path_to_leaf[t] + 1);
         h.max_delay_to_leaf[f] = h.max_delay_to_leaf[f].max(h.max_delay_to_leaf[t] + lat as u64);
@@ -275,9 +283,9 @@ pub fn annotate_backward(
         .max()
         .unwrap_or(0);
 
-    h.max_path_to_leaf = vec![0; n];
-    h.max_delay_to_leaf = vec![0; n];
-    h.slack = vec![0; n];
+    refill(&mut h.max_path_to_leaf, n, 0);
+    refill(&mut h.max_delay_to_leaf, n, 0);
+    refill(&mut h.slack, n, 0);
 
     match backward_sweep_dir(dag, order) {
         Some(dir) => {
@@ -286,15 +294,14 @@ pub fn annotate_backward(
             // arcs (a non-leaf has at least one, so the sentinel never
             // survives). The sweep order guarantees `lst[t]` is final
             // before any arc `f -> t` reads it.
-            h.lst = (0..n)
-                .map(|i| {
-                    if dag.num_children(NodeId::new(i)) == 0 {
-                        total - h.exec_time[i] as u64
-                    } else {
-                        u64::MAX
-                    }
-                })
-                .collect();
+            h.lst.clear();
+            h.lst.extend((0..n).map(|i| {
+                if dag.num_children(NodeId::new(i)) == 0 {
+                    total - h.exec_time[i] as u64
+                } else {
+                    u64::MAX
+                }
+            }));
             let step = |h: &mut HeuristicSet, f: usize, t: usize, lat: u32| {
                 h.max_path_to_leaf[f] = h.max_path_to_leaf[f].max(h.max_path_to_leaf[t] + 1);
                 h.max_delay_to_leaf[f] =
@@ -316,7 +323,7 @@ pub fn annotate_backward(
             }
         }
         None => {
-            h.lst = vec![0; n];
+            refill(&mut h.lst, n, 0);
             for i in backward_visit_order(dag, order) {
                 let node = NodeId::new(i);
                 if dag.num_children(node) == 0 {
@@ -344,20 +351,19 @@ pub fn annotate_backward(
         // node's reachability map" (§3): one row popcount per node over
         // the flat descendant matrix.
         let maps = dag.descendants();
-        h.num_descendants = (0..n)
-            .map(|i| (maps.row_count_ones(i) - 1) as u32)
-            .collect();
-        h.sum_exec_descendants = (0..n)
-            .map(|i| {
-                maps.row_iter(i)
-                    .filter(|&d| d != i)
-                    .map(|d| h.exec_time[d] as u64)
-                    .sum()
-            })
-            .collect();
+        h.num_descendants.clear();
+        h.num_descendants
+            .extend((0..n).map(|i| (maps.row_count_ones(i) - 1) as u32));
+        h.sum_exec_descendants.clear();
+        h.sum_exec_descendants.extend((0..n).map(|i| {
+            maps.row_iter(i)
+                .filter(|&d| d != i)
+                .map(|d| h.exec_time[d] as u64)
+                .sum::<u64>()
+        }));
     } else {
-        h.num_descendants = Vec::new();
-        h.sum_exec_descendants = Vec::new();
+        h.num_descendants.clear();
+        h.sum_exec_descendants.clear();
     }
 }
 

@@ -65,6 +65,6 @@ pub use heur::{
     HeuristicInfo, HeuristicSet, PassKind,
 };
 pub use memdep::{MemDepPolicy, MemKey, MemOp, StorageClass};
-pub use prepare::{reg_resource_id, PreparedBlock, REG_RESOURCE_COUNT};
+pub use prepare::{reg_resource_id, PreparedBlock, RegDefs, RegUses, REG_RESOURCE_COUNT};
 pub use scratch::{default_jobs, map_blocks_with_scratch, PhaseStats, Scratch};
 pub use viz::{dump_annotations, to_dot};

@@ -1,6 +1,8 @@
 //! Per-block preparation shared by all construction algorithms.
 
-use dagsched_isa::{Instruction, MachineModel, MemAccessKind, Reg, Resource};
+use dagsched_isa::{
+    InlineList, Instruction, MachineModel, MemAccessKind, Reg, Resource, MAX_DEFS, MAX_USES,
+};
 
 use crate::dag::{ConstructError, MAX_NODES};
 use crate::memdep::{MemKey, MemOp};
@@ -20,20 +22,28 @@ pub fn reg_resource_id(r: Reg) -> usize {
     }
 }
 
+/// An instruction's register definitions, deduplicated.
+pub type RegDefs = InlineList<Reg, MAX_DEFS>;
+
+/// An instruction's register uses, deduplicated, operand order kept.
+pub type RegUses = InlineList<Reg, MAX_USES>;
+
 /// A basic block preprocessed for DAG construction: per-instruction
 /// register definition/use lists (deduplicated, `%g0` writes removed) and
 /// the memory operation, if any.
 ///
 /// Both the compare-against-all and the table-building algorithms consume
 /// this; building it is the common "first pass over the instructions".
+/// Each per-instruction list is stored inline, so preparing a block
+/// allocates three vectors, not two per instruction.
 #[derive(Debug)]
 pub struct PreparedBlock<'a> {
     /// The block's instructions.
     pub insns: &'a [Instruction],
     /// Register definitions per instruction (deduplicated).
-    pub reg_defs: Vec<Vec<Reg>>,
+    pub reg_defs: Vec<RegDefs>,
     /// Register uses per instruction (deduplicated, operand order kept).
-    pub reg_uses: Vec<Vec<Reg>>,
+    pub reg_uses: Vec<RegUses>,
     /// Memory operation per instruction.
     pub mem_ops: Vec<Option<MemOp>>,
 }
@@ -69,7 +79,7 @@ impl<'a> PreparedBlock<'a> {
         let mut reg_uses = Vec::with_capacity(insns.len());
         let mut mem_ops = Vec::with_capacity(insns.len());
         for (i, insn) in insns.iter().enumerate() {
-            let mut defs: Vec<Reg> = Vec::new();
+            let mut defs = RegDefs::new();
             for res in insn.defs() {
                 if let Resource::Reg(r) = res {
                     if !defs.contains(&r) {
@@ -77,7 +87,7 @@ impl<'a> PreparedBlock<'a> {
                     }
                 }
             }
-            let mut uses: Vec<Reg> = Vec::new();
+            let mut uses = RegUses::new();
             for res in insn.uses() {
                 if let Resource::Reg(r) = res {
                     if !uses.contains(&r) {

@@ -10,7 +10,8 @@
 //! allocate `n` reachability bitmaps per block.
 //!
 //! [`Scratch`] owns those structures once per worker and resets them
-//! between blocks, so the per-block hot path allocates nothing after
+//! between blocks, together with the [`HeuristicSet`] the intermediate
+//! pass refills, so the per-block hot path allocates nothing after
 //! warm-up (beyond the output [`crate::Dag`] itself). [`PhaseStats`]
 //! threads per-phase work counters (nodes, arcs, table probes, pairwise
 //! comparisons, suppressed transitive arcs) and wall-clock nanoseconds
@@ -27,6 +28,7 @@
 
 use crate::bitset::BitMatrix;
 use crate::construct::table::DepTables;
+use crate::heur::HeuristicSet;
 
 /// Per-phase work counters and timings for a batch-compilation run.
 ///
@@ -147,10 +149,10 @@ impl std::fmt::Display for PhaseStats {
 ///
 /// One `Scratch` is owned by each pipeline worker (or by the single
 /// serial loop) and lives for the whole batch: the definition/use tables
-/// of the table-building algorithms and the reachability-bitmap pool of
-/// the avoidance variants are reset — not reallocated — between blocks.
-/// The embedded [`PhaseStats`] accumulates per-phase counters for every
-/// block the worker compiles.
+/// of the table-building algorithms, the reachability-bitmap pool of
+/// the avoidance variants and the heuristic vectors are reset — not
+/// reallocated — between blocks. The embedded [`PhaseStats`] accumulates
+/// per-phase counters for every block the worker compiles.
 #[derive(Debug)]
 pub struct Scratch {
     /// Definition/use tables reused by the table-building algorithms.
@@ -158,6 +160,11 @@ pub struct Scratch {
     /// Reachability bit-matrix reused by the transitive-arc-avoidance
     /// variants (one flat allocation; rows are per-node maps).
     pub(crate) matrix: BitMatrix,
+    /// Heuristic storage for the block being compiled. Fill it with
+    /// [`HeuristicSet::compute_into`] or
+    /// [`HeuristicSet::compute_critical_path_into`], which overwrite
+    /// every field, before reading it.
+    pub heuristics: HeuristicSet,
     /// Accumulated per-phase counters.
     pub stats: PhaseStats,
 }
@@ -168,6 +175,7 @@ impl Scratch {
         Scratch {
             tables: DepTables::new(),
             matrix: BitMatrix::new(0, 0),
+            heuristics: HeuristicSet::default(),
             stats: PhaseStats::default(),
         }
     }

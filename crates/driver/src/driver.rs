@@ -1,7 +1,7 @@
 //! Whole-program scheduling driver: the paper's per-block machinery
 //! composed into the pass a compiler backend would actually run.
 
-use dagsched_core::{ConstructError, HeuristicSet, PhaseStats, PreparedBlock, Scratch};
+use dagsched_core::{ConstructError, PhaseStats, PreparedBlock, Scratch};
 use dagsched_isa::{Instruction, MachineModel, Program};
 use dagsched_pipesim::{simulate, SimOptions};
 use dagsched_sched::{
@@ -20,6 +20,8 @@ use crate::batch::{schedule_program_batch, Limits, NoCache};
 pub enum HeuristicMode {
     /// Every static heuristic pass ([`HeuristicSet::compute`]): the
     /// construction-time sweep, the forward pass, and the backward pass.
+    ///
+    /// [`HeuristicSet::compute`]: dagsched_core::HeuristicSet::compute
     #[default]
     Full,
     /// Only the cheapest useful subset
@@ -27,6 +29,9 @@ pub enum HeuristicMode {
     /// original order, and the backward critical-path walk. Valid only
     /// with a scheduler restricted to those fields (the sched crate's
     /// `critical_path_fallback`).
+    ///
+    /// [`HeuristicSet::compute_critical_path`]:
+    ///     dagsched_core::HeuristicSet::compute_critical_path
     CriticalPathOnly,
 }
 
@@ -103,8 +108,10 @@ pub struct BlockOutcome {
     pub emitted: Vec<Instruction>,
     /// The per-block report.
     pub report: BlockReport,
-    /// Operation latencies carried past the block's exit (consumed by the
-    /// next block only under latency inheritance).
+    /// Operation latencies carried past the block's exit, consumed by the
+    /// next block under latency inheritance. Computed only then (when
+    /// [`compile_block`] is given a `carry_in`); every other outcome,
+    /// including a cache replay, carries [`CarryOut::default`].
     pub carry: CarryOut,
 }
 
@@ -141,11 +148,13 @@ pub fn compile_block(
         scratch,
     );
     let t_heur = std::time::Instant::now();
-    let heur = match config.heuristics {
-        HeuristicMode::Full => HeuristicSet::compute(&dag, insns, model, false),
-        HeuristicMode::CriticalPathOnly => HeuristicSet::compute_critical_path(&dag, insns, model),
-    };
+    let heur = &mut scratch.heuristics;
+    match config.heuristics {
+        HeuristicMode::Full => heur.compute_into(&dag, insns, model, false),
+        HeuristicMode::CriticalPathOnly => heur.compute_critical_path_into(&dag, insns, model),
+    }
     scratch.stats.heur_ns += t_heur.elapsed().as_nanos() as u64;
+    let heur = &scratch.heuristics;
 
     let t_sched = std::time::Instant::now();
     let schedule = if let Some(carry) = carry_in {
@@ -153,7 +162,7 @@ pub fn compile_block(
         let s = config
             .scheduler
             .list
-            .run_with_entry(&dag, insns, model, &heur, &entry);
+            .run_with_entry(&dag, insns, model, heur, &entry);
         // Inheritance must not silently drop the algorithm's postpass
         // (Krishnamurthy's delay-slot fixup).
         if config.scheduler.postpass_fixup {
@@ -162,11 +171,15 @@ pub fn compile_block(
             s
         }
     } else {
-        config.scheduler.schedule_dag(&dag, insns, model, &heur)
+        config.scheduler.schedule_dag(&dag, insns, model, heur)
     };
     scratch.stats.sched_ns += t_sched.elapsed().as_nanos() as u64;
     debug_assert!(schedule.verify(&dag).is_ok());
-    let carry = carry_out(&schedule, insns, model);
+    // Only the next block of a latency-inheriting chain reads the carry.
+    let carry = match carry_in {
+        Some(_) => carry_out(&schedule, insns, model),
+        None => CarryOut::default(),
+    };
 
     let original = dagsched_sched::Schedule::from_order(
         (0..insns.len()).map(dagsched_core::NodeId::new).collect(),
@@ -180,11 +193,7 @@ pub fn compile_block(
         slot = Some(fill);
         stream
     } else {
-        schedule
-            .order
-            .iter()
-            .map(|n| insns[n.index()].clone())
-            .collect()
+        schedule.order.iter().map(|n| insns[n.index()]).collect()
     };
     Ok(BlockOutcome {
         emitted,

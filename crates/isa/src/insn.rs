@@ -2,9 +2,32 @@
 
 use std::fmt;
 
+use crate::inline::InlineList;
 use crate::memexpr::MemExprId;
 use crate::opcode::{InsnClass, MemAccessKind, Opcode};
 use crate::reg::{Reg, Resource};
+
+/// The most register source operands an instruction carries (`rs`).
+pub const MAX_SOURCES: usize = 2;
+
+/// The most resources any instruction can use: two sources and their
+/// double-word partners, a memory operand's base and index, the integer
+/// and FP condition codes, `%y`, and a loaded memory expression.
+pub const MAX_USES: usize = 2 * MAX_SOURCES + 2 + 3 + 1;
+
+/// The most resources any instruction can define: a destination and its
+/// double-word partner, the integer and FP condition codes, `%y`, and a
+/// stored memory expression.
+pub const MAX_DEFS: usize = 2 + 3 + 1;
+
+/// An instruction's register source operands.
+pub type Sources = InlineList<Reg, MAX_SOURCES>;
+
+/// The resources an instruction uses ([`Instruction::uses`]).
+pub type Uses = InlineList<Resource, MAX_USES>;
+
+/// The resources an instruction defines ([`Instruction::defs`]).
+pub type Defs = InlineList<Resource, MAX_DEFS>;
 
 /// A memory operand: `[base + index + offset]`, plus the interned symbolic
 /// address expression used for dependence analysis and the paper's "unique
@@ -61,7 +84,8 @@ impl fmt::Display for MemRef {
 /// An instruction is an [`Opcode`] plus operands. Definitions and uses —
 /// the inputs to DAG construction — are derived from the opcode's static
 /// properties and the operands by [`Instruction::defs`] and
-/// [`Instruction::uses`].
+/// [`Instruction::uses`]. Every operand is stored inline, so an
+/// instruction is `Copy` and owns no heap memory.
 ///
 /// ```
 /// use dagsched_isa::{Instruction, Opcode, Reg, Resource};
@@ -70,14 +94,15 @@ impl fmt::Display for MemRef {
 /// assert_eq!(add.defs(), vec![Resource::Reg(Reg::f(6))]);
 /// assert!(add.uses().contains(&Resource::Reg(Reg::f(0))));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// The operation.
     pub opcode: Opcode,
     /// Destination register, if any.
     pub rd: Option<Reg>,
-    /// Register source operands, in operand order.
-    pub rs: Vec<Reg>,
+    /// Register source operands, in operand order. Hashes and prints as
+    /// the slice of its values, exactly as a `Vec<Reg>` would.
+    pub rs: Sources,
     /// Memory operand for loads and stores.
     pub mem: Option<MemRef>,
     /// Immediate operand, if any.
@@ -94,7 +119,7 @@ impl Instruction {
         Instruction {
             opcode,
             rd: None,
-            rs: Vec::new(),
+            rs: Sources::new(),
             mem: None,
             imm: None,
             orig_index: u32::MAX,
@@ -109,7 +134,7 @@ impl Instruction {
         ));
         Instruction {
             rd: Some(rd),
-            rs: vec![rs1, rs2],
+            rs: Sources::from_slice(&[rs1, rs2]),
             ..Instruction::new(opcode)
         }
     }
@@ -118,7 +143,7 @@ impl Instruction {
     pub fn int_imm(opcode: Opcode, rs1: Reg, imm: i64, rd: Reg) -> Instruction {
         Instruction {
             rd: Some(rd),
-            rs: vec![rs1],
+            rs: Sources::from_slice(&[rs1]),
             imm: Some(imm),
             ..Instruction::new(opcode)
         }
@@ -128,7 +153,7 @@ impl Instruction {
     pub fn fp3(opcode: Opcode, rs1: Reg, rs2: Reg, rd: Reg) -> Instruction {
         Instruction {
             rd: Some(rd),
-            rs: vec![rs1, rs2],
+            rs: Sources::from_slice(&[rs1, rs2]),
             ..Instruction::new(opcode)
         }
     }
@@ -138,7 +163,7 @@ impl Instruction {
     pub fn fp2(opcode: Opcode, rs: Reg, rd: Reg) -> Instruction {
         Instruction {
             rd: Some(rd),
-            rs: vec![rs],
+            rs: Sources::from_slice(&[rs]),
             ..Instruction::new(opcode)
         }
     }
@@ -147,7 +172,7 @@ impl Instruction {
     pub fn fcmp(opcode: Opcode, rs1: Reg, rs2: Reg) -> Instruction {
         debug_assert!(opcode.sets_fcc());
         Instruction {
-            rs: vec![rs1, rs2],
+            rs: Sources::from_slice(&[rs1, rs2]),
             ..Instruction::new(opcode)
         }
     }
@@ -155,7 +180,7 @@ impl Instruction {
     /// Integer compare `cmp rs1, rs2` (a `subcc` discarding its result).
     pub fn cmp(rs1: Reg, rs2: Reg) -> Instruction {
         Instruction {
-            rs: vec![rs1, rs2],
+            rs: Sources::from_slice(&[rs1, rs2]),
             ..Instruction::new(Opcode::SubCc)
         }
     }
@@ -182,7 +207,7 @@ impl Instruction {
     pub fn store(opcode: Opcode, src: Reg, mem: MemRef) -> Instruction {
         debug_assert_eq!(opcode.mem_access(), Some(MemAccessKind::Store));
         Instruction {
-            rs: vec![src],
+            rs: Sources::from_slice(&[src]),
             mem: Some(mem),
             ..Instruction::new(opcode)
         }
@@ -231,8 +256,8 @@ impl Instruction {
     /// codes, `%y`, then the memory expression for stores.
     ///
     /// Writes to the hardwired zero register `%g0` are discarded.
-    pub fn defs(&self) -> Vec<Resource> {
-        let mut out = Vec::with_capacity(2);
+    pub fn defs(&self) -> Defs {
+        let mut out = Defs::new();
         if let Some(rd) = self.rd {
             if rd.is_writable() {
                 out.push(Resource::Reg(rd));
@@ -267,8 +292,8 @@ impl Instruction {
     ///
     /// Reads of `%g0` are kept (they are harmless: `%g0` is never defined,
     /// so no arcs result).
-    pub fn uses(&self) -> Vec<Resource> {
-        let mut out = Vec::with_capacity(4);
+    pub fn uses(&self) -> Uses {
+        let mut out = Uses::new();
         for &r in &self.rs {
             out.push(Resource::Reg(r));
             if self.opcode.is_dword() && self.opcode.mem_access() == Some(MemAccessKind::Store) {

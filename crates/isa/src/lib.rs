@@ -39,6 +39,7 @@
 
 mod block;
 mod fingerprint;
+mod inline;
 mod insn;
 mod machine;
 mod memexpr;
@@ -47,7 +48,8 @@ mod reg;
 
 pub use block::{BasicBlock, Program};
 pub use fingerprint::{fnv64, splitmix64, splitmix64_at, Fnv64};
-pub use insn::{Instruction, MemRef};
+pub use inline::InlineList;
+pub use insn::{Defs, Instruction, MemRef, Sources, Uses, MAX_DEFS, MAX_SOURCES, MAX_USES};
 pub use machine::{DepKind, FuncUnit, MachineModel, UnitDesc};
 pub use memexpr::{MemExprId, MemExprPool};
 pub use opcode::{InsnClass, MemAccessKind, Opcode};

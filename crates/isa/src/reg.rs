@@ -115,6 +115,14 @@ impl Reg {
     }
 }
 
+/// The hardwired zero register `%g0`: the placeholder that fills the
+/// unused slots of an [`InlineList`](crate::InlineList) of registers.
+impl Default for Reg {
+    fn default() -> Reg {
+        Reg::Int(0)
+    }
+}
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -167,6 +175,13 @@ pub enum Resource {
     Mem(MemExprId),
     /// All of memory as a single resource (strict load/store serialization).
     MemAll,
+}
+
+/// The register `%g0` (see [`Reg`]'s `Default`).
+impl Default for Resource {
+    fn default() -> Resource {
+        Resource::Reg(Reg::default())
+    }
 }
 
 impl fmt::Display for Resource {

@@ -356,7 +356,7 @@ mod tests {
         ];
         let r1 = simulate(&naive, &m(), SimOptions::default());
         assert_eq!(r1.data_stalls, 1);
-        let scheduled = vec![naive[0].clone(), naive[2].clone(), naive[1].clone()];
+        let scheduled = vec![naive[0], naive[2], naive[1]];
         let r2 = simulate(&scheduled, &m(), SimOptions::default());
         assert_eq!(r2.total_stalls(), 0);
         assert!(r2.cycles < r1.cycles);

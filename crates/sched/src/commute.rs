@@ -9,7 +9,7 @@
 //! the operand slot with the cheaper bypass.
 
 use dagsched_core::{Dag, NodeId};
-use dagsched_isa::{Instruction, MachineModel, Opcode, Resource};
+use dagsched_isa::{Instruction, MachineModel, Opcode, Resource, Sources};
 
 /// Whether `op` computes the same result with its register source
 /// operands swapped.
@@ -65,8 +65,8 @@ pub fn commute_for_bypass(
         };
         let (a, b) = (insn.rs[0], insn.rs[1]);
         let cost = |first: dagsched_isa::Reg, second: dagsched_isa::Reg| -> u64 {
-            let mut trial = out[i].clone();
-            trial.rs = vec![first, second];
+            let mut trial = out[i];
+            trial.rs = Sources::from_slice(&[first, second]);
             let mut worst = 0u64;
             for (reg, _slot) in [(first, 0usize), (second, 1usize)] {
                 if let Some(p) = producer_of(reg) {
@@ -197,8 +197,8 @@ mod tests {
         // here check structure: same opcode and operand *sets*.
         for (a, b) in insns.iter().zip(&rewritten) {
             assert_eq!(a.opcode, b.opcode);
-            let mut sa = a.rs.clone();
-            let mut sb = b.rs.clone();
+            let mut sa = a.rs;
+            let mut sb = b.rs;
             sa.sort();
             sb.sort();
             assert_eq!(sa, sb);

@@ -48,11 +48,7 @@ pub fn fill_branch_delay_slot(
         return (Vec::new(), SlotFill::NoSlot);
     };
     if !insns[term.index()].opcode.has_delay_slot() {
-        let stream = schedule
-            .order
-            .iter()
-            .map(|n| insns[n.index()].clone())
-            .collect();
+        let stream = schedule.order.iter().map(|n| insns[n.index()]).collect();
         return (stream, SlotFill::NoSlot);
     }
     // Search the body bottom-up for the last legal candidate: a leaf in
@@ -76,15 +72,15 @@ pub fn fill_branch_delay_slot(
             let node = schedule.order[pos];
             for (p, &n) in schedule.order.iter().enumerate() {
                 if p != pos {
-                    stream.push(insns[n.index()].clone());
+                    stream.push(insns[n.index()]);
                 }
             }
-            stream.push(insns[node.index()].clone());
+            stream.push(insns[node.index()]);
             (stream, SlotFill::Moved(node))
         }
         None => {
             for &n in &schedule.order {
-                stream.push(insns[n.index()].clone());
+                stream.push(insns[n.index()]);
             }
             stream.push(Instruction::nop());
             (stream, SlotFill::Nop)

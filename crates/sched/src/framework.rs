@@ -119,27 +119,27 @@ impl ListScheduler {
         let mut order = Vec::with_capacity(n);
         let mut issue_cycle = Vec::with_capacity(n);
         let mut time: u64 = 0;
+        // One candidate buffer for the whole block: refilled from `ready`
+        // at every step and winnowed in place by the selection.
+        let mut selectable: Vec<NodeId> = Vec::with_capacity(n);
 
         while order.len() < n {
-            let selectable: Vec<NodeId> = ready
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    if Some(c.index()) == pinned && order.len() + 1 < n {
-                        return false;
-                    }
-                    match self.gating {
-                        Gating::AllReady => true,
-                        Gating::ByEarliestExec { include_fpu_busy } => {
-                            let mut t = dyn_state.earliest_exec[c.index()];
-                            if include_fpu_busy {
-                                t = dyn_state.unit_free_at(model, &insns[c.index()], t);
-                            }
-                            t <= time
+            selectable.clear();
+            selectable.extend(ready.iter().copied().filter(|&c| {
+                if Some(c.index()) == pinned && order.len() + 1 < n {
+                    return false;
+                }
+                match self.gating {
+                    Gating::AllReady => true,
+                    Gating::ByEarliestExec { include_fpu_busy } => {
+                        let mut t = dyn_state.earliest_exec[c.index()];
+                        if include_fpu_busy {
+                            t = dyn_state.unit_free_at(model, &insns[c.index()], t);
                         }
+                        t <= time
                     }
-                })
-                .collect();
+                }
+            }));
             if selectable.is_empty() {
                 // Stall: advance the clock to the earliest release time of
                 // any ready node (taking the pin into account).
@@ -171,7 +171,7 @@ impl ListScheduler {
                 time,
                 last_class: order.last().map(|&p: &NodeId| insns[p.index()].class()),
             };
-            let chosen = ctx.select(&self.strategy, &selectable);
+            let chosen = ctx.select_in(&self.strategy, &mut selectable);
             // Issue time: under AllReady gating the machine may still have
             // to wait for operands; record the true earliest issue.
             let issue = time

@@ -290,7 +290,7 @@ impl LinearScan {
         let mut out: Vec<Instruction> = Vec::with_capacity(insns.len());
         let mut spill_code = 0usize;
         for insn in insns {
-            let mut work = insn.clone();
+            let mut work = *insn;
             // Reload spilled uses into scratches.
             let mut scratch_ix: HashMap<RegClass, usize> = HashMap::new();
             let uses: Vec<Reg> = reg_uses(&work);

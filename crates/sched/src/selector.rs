@@ -286,32 +286,51 @@ impl SelectCtx<'_> {
     ///
     /// Panics if `candidates` is empty.
     pub fn select(&self, strategy: &SelectStrategy, candidates: &[NodeId]) -> NodeId {
-        assert!(!candidates.is_empty(), "no candidates to select from");
+        match strategy {
+            SelectStrategy::Winnowing(_) => self.select_in(strategy, &mut candidates.to_vec()),
+            SelectStrategy::Priority(criteria) => self.best_priority(criteria, candidates),
+        }
+    }
+
+    /// [`SelectCtx::select`] over a candidate buffer the caller owns and
+    /// lets this call consume: winnowing narrows `candidates` in place
+    /// instead of copying it, so a scheduler that refills one buffer per
+    /// step selects without allocating. On return the buffer holds an
+    /// unspecified subset of the candidates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty.
+    pub fn select_in(&self, strategy: &SelectStrategy, candidates: &mut Vec<NodeId>) -> NodeId {
         match strategy {
             SelectStrategy::Winnowing(criteria) => {
-                let mut pool: Vec<NodeId> = candidates.to_vec();
+                assert!(!candidates.is_empty(), "no candidates to select from");
                 for c in criteria {
-                    if pool.len() == 1 {
+                    if candidates.len() == 1 {
                         break;
                     }
-                    let best = pool.iter().map(|&n| self.score(*c, n)).max().unwrap();
-                    pool.retain(|&n| self.score(*c, n) == best);
+                    let best = candidates.iter().map(|&n| self.score(*c, n)).max();
+                    candidates.retain(|&n| Some(self.score(*c, n)) == best);
                 }
-                pool[0]
+                candidates[0]
             }
-            SelectStrategy::Priority(criteria) => {
-                let mut best = candidates[0];
-                let mut best_p = i128::MIN;
-                for &n in candidates {
-                    let p = self.priority_value(criteria, n);
-                    if p > best_p {
-                        best_p = p;
-                        best = n;
-                    }
-                }
-                best
+            SelectStrategy::Priority(criteria) => self.best_priority(criteria, candidates),
+        }
+    }
+
+    /// The first candidate of highest [`SelectCtx::priority_value`].
+    fn best_priority(&self, criteria: &[Criterion], candidates: &[NodeId]) -> NodeId {
+        assert!(!candidates.is_empty(), "no candidates to select from");
+        let mut best = candidates[0];
+        let mut best_p = i128::MIN;
+        for &n in candidates {
+            let p = self.priority_value(criteria, n);
+            if p > best_p {
+                best_p = p;
+                best = n;
             }
         }
+        best
     }
 }
 

@@ -92,8 +92,7 @@ impl TwoPhase {
         // Phase 1: prepass schedule (pressure-aware).
         let (dag, heur) = self.analyze(insns, model);
         let pre = self.prepass.run(&dag, insns, model, &heur);
-        let reordered: Vec<Instruction> =
-            pre.order.iter().map(|n| insns[n.index()].clone()).collect();
+        let reordered: Vec<Instruction> = pre.order.iter().map(|n| insns[n.index()]).collect();
 
         // Phase 2: register allocation on the prepass order.
         let alloc: AllocResult = self.allocator.allocate(&reordered, mem_exprs);
@@ -102,11 +101,8 @@ impl TwoPhase {
         // is rebuilt: renaming and spill code changed the dependences).
         let (dag2, heur2) = self.analyze(&alloc.insns, model);
         let post = self.postpass.run(&dag2, &alloc.insns, model, &heur2);
-        let final_insns: Vec<Instruction> = post
-            .order
-            .iter()
-            .map(|n| alloc.insns[n.index()].clone())
-            .collect();
+        let final_insns: Vec<Instruction> =
+            post.order.iter().map(|n| alloc.insns[n.index()]).collect();
         // `insns` above is already emitted in postpass order, so the
         // schedule over the *returned* stream is the identity order with
         // the postpass issue cycles.

@@ -216,7 +216,7 @@ impl CachedBlock {
             .map(
                 |insn| match positions.get_mut(insn).and_then(VecDeque::pop_front) {
                     Some(i) => EmitSlot::FromBlock(i as u32),
-                    None => EmitSlot::Literal(insn.clone()),
+                    None => EmitSlot::Literal(*insn),
                 },
             )
             .collect();
@@ -247,7 +247,7 @@ impl CachedBlock {
             .iter()
             .map(|slot| match slot {
                 EmitSlot::FromBlock(i) => insns.get(*i as usize).cloned(),
-                EmitSlot::Literal(insn) => Some(insn.clone()),
+                EmitSlot::Literal(insn) => Some(*insn),
             })
             .collect();
         Some(BlockOutcome {

@@ -461,7 +461,7 @@ fn check_block(
             ));
         }
 
-        let emitted: Vec<Instruction> = s.order.iter().map(|n| insns[n.index()].clone()).collect();
+        let emitted: Vec<Instruction> = s.order.iter().map(|n| insns[n.index()]).collect();
 
         // Interpreter-state equivalence against the unscheduled block.
         let mut seed = cfg

@@ -62,11 +62,7 @@ fn main() {
                 continue;
             }
             let schedule = sched.schedule_block(insns, &model);
-            let reordered: Vec<_> = schedule
-                .order
-                .iter()
-                .map(|n| insns[n.index()].clone())
-                .collect();
+            let reordered: Vec<_> = schedule.order.iter().map(|n| insns[n.index()]).collect();
             let r = simulate(&reordered, &model, SimOptions::default());
             cycles += r.cycles;
             stalls += r.total_stalls();

@@ -27,11 +27,7 @@ fn build(insns: &[Instruction], model: &MachineModel) -> (dagsched::core::Dag, H
 }
 
 fn emit(insns: &[Instruction], schedule: &Schedule) -> Vec<Instruction> {
-    schedule
-        .order
-        .iter()
-        .map(|n| insns[n.index()].clone())
-        .collect()
+    schedule.order.iter().map(|n| insns[n.index()]).collect()
 }
 
 fn main() {

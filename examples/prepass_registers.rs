@@ -38,11 +38,7 @@ fn max_pressure(insns: &[Instruction]) -> usize {
 }
 
 fn reordered(insns: &[Instruction], schedule: &Schedule) -> Vec<Instruction> {
-    schedule
-        .order
-        .iter()
-        .map(|n| insns[n.index()].clone())
-        .collect()
+    schedule.order.iter().map(|n| insns[n.index()]).collect()
 }
 
 fn main() {

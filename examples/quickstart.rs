@@ -74,7 +74,7 @@ fn main() {
     let reordered: Vec<_> = schedule
         .order
         .iter()
-        .map(|n| prog.insns[n.index()].clone())
+        .map(|n| prog.insns[n.index()])
         .collect();
 
     let before = simulate(&prog.insns, &model, SimOptions::default());

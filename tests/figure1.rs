@@ -81,7 +81,7 @@ fn every_published_scheduler_respects_the_divide_latency() {
         let reordered: Vec<_> = schedule
             .order
             .iter()
-            .map(|n| prog.insns[n.index()].clone())
+            .map(|n| prog.insns[n.index()])
             .collect();
         let sim = simulate(&reordered, &model(), SimOptions::default());
         assert!(

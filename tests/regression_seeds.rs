@@ -614,7 +614,7 @@ fn semantics_seed_schedulers_preserve_semantics() {
         let transformed: Vec<_> = schedule
             .order
             .iter()
-            .map(|n| prog.insns[n.index()].clone())
+            .map(|n| prog.insns[n.index()])
             .collect();
         let initial = MachineState::random(0, mem_cells(&prog.insns));
         let a = run(&prog.insns, &initial);
@@ -639,7 +639,7 @@ fn semantics_seed_optimal_schedule_preserves_semantics() {
         .schedule()
         .order
         .iter()
-        .map(|n| prog.insns[n.index()].clone())
+        .map(|n| prog.insns[n.index()])
         .collect();
     let initial = MachineState::random(0, mem_cells(&prog.insns));
     assert_eq!(run(&prog.insns, &initial), run(&transformed, &initial));

@@ -24,7 +24,7 @@ fn mem_cells(insns: &[Instruction]) -> Vec<MemExprId> {
 }
 
 fn reorder(insns: &[Instruction], order: &[dagsched::core::NodeId]) -> Vec<Instruction> {
-    order.iter().map(|n| insns[n.index()].clone()).collect()
+    order.iter().map(|n| insns[n.index()]).collect()
 }
 
 /// Registers whose final value the block may expose (last event is a

@@ -62,7 +62,7 @@ proptest! {
         let reordered: Vec<_> = schedule
             .order
             .iter()
-            .map(|n| prog.insns[n.index()].clone())
+            .map(|n| prog.insns[n.index()])
             .collect();
         // Recompute the timing of the order against the live-dependence
         // (table-built) DAG, then against architectural state.
