@@ -677,6 +677,20 @@ impl ScheduleRequest {
 
     /// Serialize to the wire payload.
     pub fn to_json(&self) -> Json {
+        self.to_json_with_attempt(self.attempt)
+    }
+
+    /// The request's identity: its wire JSON with the `attempt` counter
+    /// zeroed, so a retry coalesces, is quarantined and routes with its
+    /// original. The daemon's single-flight table compares these
+    /// strings; its quarantine and the router's ring hash them with
+    /// FNV-1a, and persisted quarantine facts and shard placement
+    /// depend on the bytes staying the same.
+    pub fn canonical_json(&self) -> String {
+        self.to_json_with_attempt(0).to_string()
+    }
+
+    fn to_json_with_attempt(&self, attempt: u64) -> Json {
         let mut fields = vec![];
         match &self.input {
             RequestInput::Asm(text) => fields.push(("asm", Json::from(text.as_str()))),
@@ -706,8 +720,8 @@ impl ScheduleRequest {
         if !self.degrade {
             fields.push(("degrade", Json::from(false)));
         }
-        if self.attempt > 0 {
-            fields.push(("attempt", Json::from(self.attempt)));
+        if attempt > 0 {
+            fields.push(("attempt", Json::from(attempt)));
         }
         if self.debug_panic {
             fields.push(("debug_panic", Json::from(true)));
@@ -1421,6 +1435,25 @@ mod tests {
         let resp = ScheduleResponse::from_json(&v).unwrap();
         assert_eq!(resp.blocks[0].block, 1);
         assert_eq!(resp.blocks[0].len, 2);
+    }
+
+    #[test]
+    fn the_canonical_request_ignores_the_attempt_counter_and_keeps_its_hash() {
+        let first = ScheduleRequest::asm("add %o0, %o1, %o2");
+        let mut retry = first.clone();
+        retry.attempt = 3;
+        assert_ne!(first.to_json(), retry.to_json());
+        assert_eq!(first.canonical_json(), retry.canonical_json());
+        assert_ne!(
+            first.canonical_json(),
+            ScheduleRequest::asm("sub %o0, %o1, %o2").canonical_json()
+        );
+        // Quarantine keys persist across restarts and the router's ring
+        // places shards by this hash: its value must never move.
+        assert_eq!(
+            dagsched_isa::fnv64(retry.canonical_json().as_bytes()),
+            0xcc23_3bdf_869c_ee00
+        );
     }
 
     #[test]

@@ -38,10 +38,10 @@
 //! expired) are relayed as-is without failover — they would fail
 //! identically everywhere, and the rejection proves the shard is
 //! healthy. Frame-level complaints (`malformed-frame`,
-//! `oversized-frame`, `parse-error`) are the exception: the router
-//! always emits well-formed frames, so a shard claiming otherwise read
-//! corrupted bytes — those count as link evidence and the ladder moves
-//! on.
+//! `oversized-frame`, `parse-error`, `idle-timeout`) are the exception:
+//! the router always writes whole, well-formed frames, so a shard
+//! claiming otherwise read corrupted bytes or waited on a stalled link —
+//! those count as link evidence and the ladder moves on.
 //!
 //! # Gray failures: breakers and hedges
 //!
@@ -306,11 +306,16 @@ fn note_failure(shared: &Shared, shard: &ShardState, err: &ClientError) {
 
 /// Frame-level rejections from a *shard* are link evidence: the router
 /// always emits well-formed frames and re-serialises the request
-/// itself, so a shard claiming otherwise read corrupted bytes.
+/// itself, so a shard claiming otherwise read corrupted bytes, and a
+/// shard that timed out waiting for the rest of a frame saw a stalled
+/// or partitioned link.
 fn reply_is_link_evidence(reply: &ErrorReply) -> bool {
     matches!(
         reply.code,
-        ErrorCode::MalformedFrame | ErrorCode::OversizedFrame | ErrorCode::ParseError
+        ErrorCode::MalformedFrame
+            | ErrorCode::OversizedFrame
+            | ErrorCode::ParseError
+            | ErrorCode::IdleTimeout
     )
 }
 
@@ -414,9 +419,9 @@ fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Forwarding worker: pops job batches, walks the failover ladder (or
-/// runs the admin command) with its own keep-alive shard connections,
-/// and pushes the encoded reply back to the reactor.
+/// Forwarding worker: pops one job at a time, walks the failover ladder
+/// (or runs the admin command) with its own keep-alive shard
+/// connections, and pushes the encoded reply back to the reactor.
 fn worker_loop(
     shared: Arc<Shared>,
     queue: Arc<StageQueue<RouterJob>>,
@@ -425,40 +430,37 @@ fn worker_loop(
     repl_tx: SyncSender<ReplJob>,
 ) {
     let mut conns = ShardConns::default();
-    let mut batch = Vec::new();
-    while queue.pop_batch(&mut batch) {
-        for job in batch.drain(..) {
-            let bytes = match job.work {
-                Work::Request(payload) => {
-                    match forward_request(&shared, &mut conns, &repl_tx, &payload, job.arrival) {
-                        Ok(body) => {
-                            RouterMetrics::bump(&shared.metrics.responses);
-                            encode_frame(FrameKind::Response, body.to_string().as_bytes())
-                        }
-                        Err(reply) => {
-                            RouterMetrics::bump(&shared.metrics.errors);
-                            encode_frame(FrameKind::Error, reply.to_json().to_string().as_bytes())
-                        }
+    while let Some(job) = queue.pop() {
+        let bytes = match job.work {
+            Work::Request(payload) => {
+                match forward_request(&shared, &mut conns, &repl_tx, &payload, job.arrival) {
+                    Ok(body) => {
+                        RouterMetrics::bump(&shared.metrics.responses);
+                        encode_frame(FrameKind::Response, body.to_string().as_bytes())
                     }
-                }
-                Work::Admin(payload) => match handle_admin(&shared, &mut conns, &payload) {
-                    Ok(reply) => encode_frame(FrameKind::AdminReply, reply.to_string().as_bytes()),
                     Err(reply) => {
                         RouterMetrics::bump(&shared.metrics.errors);
                         encode_frame(FrameKind::Error, reply.to_json().to_string().as_bytes())
                     }
-                },
-            };
-            // Push the completion *before* the inflight decrement: the
-            // drain must never observe `idle` while a reply exists only
-            // on this stack frame.
-            completions.push(Completion {
-                conn: job.conn,
-                bytes,
-                close: false,
-            });
-            inflight.fetch_sub(1, Ordering::SeqCst);
-        }
+                }
+            }
+            Work::Admin(payload) => match handle_admin(&shared, &mut conns, &payload) {
+                Ok(reply) => encode_frame(FrameKind::AdminReply, reply.to_string().as_bytes()),
+                Err(reply) => {
+                    RouterMetrics::bump(&shared.metrics.errors);
+                    encode_frame(FrameKind::Error, reply.to_json().to_string().as_bytes())
+                }
+            },
+        };
+        // Push the completion *before* the inflight decrement: the
+        // drain must never observe `idle` while a reply exists only on
+        // this stack frame.
+        completions.push(Completion {
+            conn: job.conn,
+            bytes,
+            close: false,
+        });
+        inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -640,10 +642,7 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
         .spawn(move || probe_loop(probe_shared))?;
 
     let worker_count = config.workers.max(1);
-    let queue = Arc::new(StageQueue::<RouterJob>::new(
-        config.queue.max(1),
-        worker_count,
-    ));
+    let queue = Arc::new(StageQueue::<RouterJob>::new(config.queue));
     let inflight = Arc::new(AtomicU64::new(0));
     let mut workers = Vec::new();
     let mut spawn_all = || -> io::Result<()> {
@@ -725,14 +724,16 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
     })
 }
 
-/// The routing key: FNV-1a of the canonical request JSON with the
-/// `attempt` counter zeroed — the same idempotency identity the
-/// shards' cache and quarantine key on, so retries and repeats land on
-/// the same shard.
+/// The canonical request (`attempt` zeroed) and its routing key:
+/// FNV-1a of [`ScheduleRequest::canonical_json`], the same identity the
+/// shards' single-flight table and quarantine key on, so retries and
+/// repeats land on the same shard.
 pub fn routing_key(req: &ScheduleRequest) -> (ScheduleRequest, u64) {
-    let mut canonical = req.clone();
-    canonical.attempt = 0;
-    let key = fnv64(canonical.to_json().to_string().as_bytes());
+    let key = fnv64(req.canonical_json().as_bytes());
+    let canonical = ScheduleRequest {
+        attempt: 0,
+        ..req.clone()
+    };
     (canonical, key)
 }
 
@@ -1643,17 +1644,6 @@ mod tests {
     }
 
     #[test]
-    fn routing_key_ignores_the_attempt_counter() {
-        let mut a = ScheduleRequest::asm("add %o0, %o1, %o2");
-        let mut b = a.clone();
-        a.attempt = 0;
-        b.attempt = 5;
-        assert_eq!(routing_key(&a).1, routing_key(&b).1);
-        let c = ScheduleRequest::asm("sub %o0, %o1, %o2");
-        assert_ne!(routing_key(&a).1, routing_key(&c).1);
-    }
-
-    #[test]
     fn default_config_is_sane() {
         let cfg = RouterConfig::default();
         assert_eq!(cfg.replicas, 2);
@@ -1674,6 +1664,7 @@ mod tests {
             ErrorCode::MalformedFrame,
             ErrorCode::OversizedFrame,
             ErrorCode::ParseError,
+            ErrorCode::IdleTimeout,
         ] {
             let err = ClientError::Server(ErrorReply::new(code, "x"));
             assert!(

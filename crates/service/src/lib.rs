@@ -3,10 +3,10 @@
 //! A long-running scheduling daemon for the `dagsched` workspace: the
 //! paper's per-block pipeline behind a length-prefixed binary+JSON wire
 //! protocol over TCP or Unix sockets. A single readiness-driven
-//! reactor thread owns every socket; requests flow through bounded
-//! decode and compile stage queues (one reusable `Scratch` arena per
-//! compile worker) with single-flight coalescing of identical
-//! in-flight requests, a content-addressed schedule cache with LRU
+//! reactor thread owns every socket and screens each request; screened
+//! requests flow through one bounded compile queue (one reusable
+//! `Scratch` arena per compile worker) with single-flight coalescing of
+//! identical in-flight requests, a content-addressed schedule cache with LRU
 //! eviction and a byte budget, per-request deadlines anchored at
 //! arrival, explicit `busy` backpressure, and a SIGTERM-triggered
 //! graceful drain.
@@ -26,10 +26,10 @@
 //!   generator).
 //! * [`reactor`] — the readiness-driven (nonblocking `poll(2)`) front
 //!   end shared by the daemon and the cluster router.
-//! * [`pipeline`] — bounded stage queues with adaptive batching, plus
-//!   single-flight compile coalescing.
-//! * [`server`] — the daemon: reactor handler, decode/compile stages,
-//!   drain.
+//! * [`pipeline`] — bounded stage queues that pop one job at a time,
+//!   plus single-flight compile coalescing.
+//! * [`server`] — the daemon: reactor handler (request screening),
+//!   compile workers, drain.
 //! * [`client`] — a small blocking client.
 //! * [`metrics`] — server counters.
 //!

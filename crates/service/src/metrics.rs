@@ -52,10 +52,10 @@ pub struct Metrics {
     /// Connections closed with a typed `idle-timeout` error for
     /// stalling without a complete frame (slow-loris defence).
     pub idle_timeouts: AtomicU64,
-    /// Batches popped by pipeline stage workers.
+    /// Jobs popped from the compile queue.
     pub batches_dispatched: AtomicU64,
-    /// Requests carried by those batches (`batched_requests /
-    /// batches_dispatched` = realized mean batch size).
+    /// Requests carried by those pops. A worker pops one job at a time,
+    /// so `batched_requests / batches_dispatched` reads 1.0.
     pub batched_requests: AtomicU64,
     /// Queued requests shed with `deadline-expired` instead of being
     /// compiled after their deadline had already passed.

@@ -1,31 +1,21 @@
-//! Stage plumbing for the pipelined server core: bounded MPMC stage
-//! queues with depth-adaptive batch pops, and the single-flight table
-//! that coalesces identical in-flight compiles.
+//! Stage plumbing shared by the daemon and the router: a bounded MPMC
+//! stage queue that hands out one job per pop, and the single-flight
+//! table that coalesces identical in-flight compiles.
 //!
-//! The daemon's request path is a two-stage pipeline fed by the
-//! reactor: *decode* workers parse and screen request JSON, *compile*
-//! workers run the scheduling engine and encode replies. Each stage
-//! pulls a **batch** whose size adapts to queue depth (roughly
-//! `depth / workers`, clamped to [1, max]): near-idle servers get
-//! batch-of-1 latency, saturated servers amortize wakeups and lock
-//! traffic across larger batches — the batching/overlap idiom the
-//! multi-processor scheduling literature argues for (see DESIGN.md
-//! §14).
+//! The daemon's reactor screens each request and enqueues one compile
+//! job per flight; the router's reactor enqueues one forwarding job per
+//! request. A job takes milliseconds either way (a compile, or a
+//! blocking forward), so a worker pops exactly one: popping more would
+//! only park jobs behind one another while another worker idles.
 //!
 //! Backpressure: `try_push` never blocks. A full queue is an explicit,
 //! typed `busy` signal at request granularity — the replacement for
 //! the old core's connection-level pool rejection — carrying the fixed
 //! [`BUSY_RETRY_MS`] hint. The queue keeps no clock: deadline shedding
 //! is the compile stage's job (DESIGN.md §16).
-//!
-//! All depth and batch arithmetic is checked or saturating: a hostile
-//! configuration cannot turn a queue-depth computation into a panic.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Largest batch one worker pops per wakeup, regardless of depth.
-pub const MAX_BATCH: usize = 16;
 
 /// Retry hint attached to `busy` rejections from a full stage queue.
 pub const BUSY_RETRY_MS: u64 = 50;
@@ -49,7 +39,6 @@ pub struct StageQueue<T> {
     inner: Mutex<Inner<T>>,
     ready: Condvar,
     cap: usize,
-    workers: usize,
 }
 
 /// Poison-recovering lock: a panic in one worker must cost its request,
@@ -59,10 +48,8 @@ fn lock_inner<'a, T>(m: &'a Mutex<Inner<T>>) -> MutexGuard<'a, Inner<T>> {
 }
 
 impl<T> StageQueue<T> {
-    /// A queue holding at most `cap` items, drained by `workers`
-    /// consumers (used to scale batch sizes). Zero values are clamped
-    /// to 1 so the arithmetic below can never divide by zero.
-    pub fn new(cap: usize, workers: usize) -> StageQueue<T> {
+    /// A queue holding at most `cap` items (zero is clamped to 1).
+    pub fn new(cap: usize) -> StageQueue<T> {
         StageQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -70,7 +57,6 @@ impl<T> StageQueue<T> {
             }),
             ready: Condvar::new(),
             cap: cap.max(1),
-            workers: workers.max(1),
         }
     }
 
@@ -89,31 +75,22 @@ impl<T> StageQueue<T> {
         Ok(())
     }
 
-    /// Block until work arrives, then pop an adaptively sized batch
-    /// into `out` (cleared first). Returns `false` when the queue is
-    /// closed *and* empty — the consumer should exit.
-    pub fn pop_batch(&self, out: &mut Vec<T>) -> bool {
-        out.clear();
+    /// Block until a job arrives and take it. Returns `None` when the
+    /// queue is closed *and* empty — the consumer should exit.
+    pub fn pop(&self) -> Option<T> {
         let mut inner = lock_inner(&self.inner);
-        while inner.items.is_empty() {
+        loop {
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
+            }
             if inner.closed {
-                return false;
+                return None;
             }
             inner = self
                 .ready
                 .wait(inner)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        let depth = inner.items.len();
-        let take = adaptive_batch(depth, self.workers, MAX_BATCH).min(depth);
-        out.extend(inner.items.drain(..take));
-        let more = !inner.items.is_empty();
-        drop(inner);
-        if more {
-            // Leftover work: make sure another consumer wakes for it.
-            self.ready.notify_one();
-        }
-        true
     }
 
     /// Close the queue: producers get `Closed`, consumers drain what
@@ -122,16 +99,6 @@ impl<T> StageQueue<T> {
         lock_inner(&self.inner).closed = true;
         self.ready.notify_all();
     }
-}
-
-/// Batch size for the current depth: split the backlog across the
-/// stage's workers, floor 1, ceiling `max`. Saturating/checked — no
-/// depth can overflow or divide by zero.
-pub fn adaptive_batch(depth: usize, workers: usize, max: usize) -> usize {
-    depth
-        .checked_div(workers.max(1))
-        .unwrap_or(1)
-        .clamp(1, max.max(1))
 }
 
 // ---------------------------------------------------------------------
@@ -156,10 +123,11 @@ pub enum FlightOutcome<E> {
 /// arriving while it runs *attach* as followers and are answered from
 /// the leader's reply, bit-identically, without compiling again.
 ///
-/// The key is the request's canonical JSON with the `attempt` counter
-/// zeroed — exactly the identity the schedule cache and quarantine
-/// already use, so "identical" means identical semantics, not merely
-/// equal hashes (string equality rules out collisions).
+/// The key is the request's canonical JSON
+/// (`ScheduleRequest::canonical_json`, the `attempt` counter zeroed) —
+/// exactly the identity the quarantine and the router's ring hash, so
+/// "identical" means identical semantics, not merely equal hashes
+/// (string equality rules out collisions).
 ///
 /// The enqueue runs *while the table is locked*, so a leader can never
 /// finish (and sweep its followers) before its entry exists; once the
@@ -235,48 +203,30 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn adaptive_batch_scales_with_depth_and_respects_bounds() {
-        // Idle: batch of 1, lowest latency.
-        assert_eq!(adaptive_batch(0, 4, MAX_BATCH), 1);
-        assert_eq!(adaptive_batch(1, 4, MAX_BATCH), 1);
-        // Moderate backlog: split across workers.
-        assert_eq!(adaptive_batch(16, 4, MAX_BATCH), 4);
-        assert_eq!(adaptive_batch(40, 4, MAX_BATCH), 10);
-        // Saturated: clamped to the ceiling.
-        assert_eq!(adaptive_batch(10_000, 4, MAX_BATCH), MAX_BATCH);
-        // Hostile parameters cannot panic.
-        assert_eq!(adaptive_batch(usize::MAX, 0, 0), 1);
-        assert_eq!(adaptive_batch(usize::MAX, 1, MAX_BATCH), MAX_BATCH);
-    }
-
-    #[test]
     fn queue_honours_capacity_and_close() {
-        let q: StageQueue<u32> = StageQueue::new(2, 1);
+        let q: StageQueue<u32> = StageQueue::new(2);
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert!(matches!(q.try_push(3), Err(PushError::Full(3))));
-        let mut out = Vec::new();
-        assert!(q.pop_batch(&mut out));
-        assert!(!out.is_empty());
+        assert_eq!(q.pop(), Some(1));
         q.close();
         assert!(matches!(q.try_push(9), Err(PushError::Closed(9))));
         // Drain what remains, then the closed+empty queue says exit.
-        while q.pop_batch(&mut out) {}
-        assert!(out.is_empty());
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn consumers_wake_on_push_and_exit_on_close() {
-        let q: Arc<StageQueue<u32>> = Arc::new(StageQueue::new(64, 2));
+        let q: Arc<StageQueue<u32>> = Arc::new(StageQueue::new(64));
         let seen = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let q = Arc::clone(&q);
                 let seen = Arc::clone(&seen);
                 std::thread::spawn(move || {
-                    let mut batch = Vec::new();
-                    while q.pop_batch(&mut batch) {
-                        seen.fetch_add(batch.len(), Ordering::SeqCst);
+                    while q.pop().is_some() {
+                        seen.fetch_add(1, Ordering::SeqCst);
                     }
                 })
             })
@@ -291,18 +241,6 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(seen.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn a_batch_never_exceeds_the_ceiling() {
-        let q: StageQueue<u32> = StageQueue::new(1024, 1);
-        for i in 0..200 {
-            q.try_push(i).unwrap();
-        }
-        let mut out = Vec::new();
-        assert!(q.pop_batch(&mut out));
-        assert!(out.len() <= MAX_BATCH, "batch of {}", out.len());
-        assert_eq!(out, (0..out.len() as u32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -355,7 +293,7 @@ mod tests {
 
     #[test]
     fn stage_queue_survives_a_poisoned_lock() {
-        let q: Arc<StageQueue<u32>> = Arc::new(StageQueue::new(4, 1));
+        let q: Arc<StageQueue<u32>> = Arc::new(StageQueue::new(4));
         let q2 = Arc::clone(&q);
         let _ = std::thread::spawn(move || {
             let _guard = q2.inner.lock().unwrap();
@@ -363,8 +301,6 @@ mod tests {
         })
         .join();
         assert!(q.try_push(7).is_ok());
-        let mut out = Vec::new();
-        assert!(q.pop_batch(&mut out));
-        assert_eq!(out, vec![7]);
+        assert_eq!(q.pop(), Some(7));
     }
 }

@@ -1,17 +1,23 @@
-//! The daemon: a readiness-driven front end feeding a staged compile
-//! pipeline.
+//! The daemon: a readiness-driven front end feeding a pool of compile
+//! workers.
 //!
 //! One [`Reactor`] thread owns every socket: it accepts, assembles
-//! frames incrementally, answers cheap frames (ping, metrics, admin,
-//! shutdown) inline, and hands each `Request` to the *decode* stage.
-//! Decode workers parse and screen the payload (UTF-8 → JSON →
-//! [`ScheduleRequest`] → quarantine check), then either attach the
+//! frames incrementally, and answers cheap frames (ping, metrics,
+//! admin, shutdown) inline. It also screens each `Request` itself
+//! (UTF-8 → JSON → [`ScheduleRequest`] → canonical key → quarantine
+//! check), answers a failure inline, and then either attaches the
 //! request to an identical in-flight compile (single-flight
-//! coalescing) or enqueue a new [`CompileJob`]. Compile workers pop
-//! *batches* — sized adaptively from queue depth — execute under panic
-//! containment with the deadline anchored at arrival time, encode the
-//! reply once, and fan it out to the leader plus every coalesced
-//! follower through the reactor's completion queue.
+//! coalescing) or enqueues a new [`CompileJob`]. Compile workers pop
+//! one job at a time, execute it under panic containment with the
+//! deadline anchored at arrival time, encode the reply once, and fan
+//! it out to the leader plus every coalesced follower through the
+//! reactor's completion queue.
+//!
+//! Screening stays on the reactor for two reasons. It costs tens of
+//! microseconds, less than handing the request to another thread and
+//! waking it. And followers must attach while every compile worker is
+//! busy: with one worker lingering on a leader, only the reactor is
+//! free to screen the identical requests behind it.
 //!
 //! Backpressure is request-shaped: when the bounded compile queue is
 //! full the *request* gets a `busy` + retry hint and the connection
@@ -196,10 +202,10 @@ pub fn parse_endpoint(s: &str) -> Result<Listen, String> {
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Compile-stage worker threads (the decode stage gets half as
-    /// many, at least one).
+    /// Compile worker threads.
     pub workers: usize,
-    /// Bounded request-queue depth per stage; beyond this, `busy`.
+    /// Bounded compile-queue depth: a request that would open a new
+    /// flight when the queue is full is answered `busy`.
     pub queue: usize,
     /// Schedule-cache bounds.
     pub cache: CacheConfig,
@@ -329,19 +335,6 @@ impl Shared {
 // Pipeline stages
 // ---------------------------------------------------------------------
 
-/// A raw `Request` payload headed for the decode stage.
-struct DecodeJob {
-    conn: ConnId,
-    payload: Vec<u8>,
-    /// When the frame completed on the wire; the deadline anchors here.
-    arrival: Instant,
-    /// Bytes charged against the admission gate on entry; released
-    /// exactly once, when this request's reply is finished.
-    charge: u64,
-    #[cfg(feature = "fault-injection")]
-    fault: Fault,
-}
-
 /// A screened request headed for the compile stage (the flight leader).
 struct CompileJob {
     conn: ConnId,
@@ -350,8 +343,10 @@ struct CompileJob {
     /// cache, and quarantine identity.
     key: String,
     key_hash: u64,
+    /// When the frame completed on the wire; the deadline anchors here.
     arrival: Instant,
-    /// Admission-gate bytes carried over from the decode job.
+    /// Bytes charged against the admission gate on entry; released
+    /// exactly once, when this request's reply is finished.
     charge: u64,
     #[cfg(feature = "fault-injection")]
     fault: Fault,
@@ -373,7 +368,6 @@ struct Recipient {
 #[derive(Clone)]
 struct Pipeline {
     shared: Arc<Shared>,
-    decode_q: Arc<StageQueue<DecodeJob>>,
     compile_q: Arc<StageQueue<CompileJob>>,
     flights: Arc<SingleFlight<Recipient>>,
     completions: Arc<Completions>,
@@ -427,104 +421,10 @@ fn finish_response(
     pipe.inflight.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Decode-stage worker: parse, screen, coalesce or enqueue.
-fn decode_loop(pipe: Pipeline) {
-    let mut batch: Vec<DecodeJob> = Vec::new();
-    while pipe.decode_q.pop_batch(&mut batch) {
-        Metrics::bump(&pipe.shared.metrics.batches_dispatched);
-        pipe.shared.metrics.batched_requests.fetch_add(
-            u64::try_from(batch.len()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        for job in batch.drain(..) {
-            decode_one(&pipe, job);
-        }
-    }
-}
-
-fn decode_one(pipe: &Pipeline, job: DecodeJob) {
-    let shared = &pipe.shared;
-    let request = match parse_request(shared, &job.payload) {
-        Ok(request) => request,
-        Err(reply) => {
-            shared.release_bytes(job.charge);
-            return finish_error(pipe, job.conn, &reply);
-        }
-    };
-    let key = canonical_key(&request);
-    let key_hash = fnv64(key.as_bytes());
-    if shared.quarantine.strikes(key_hash) >= QUARANTINE_THRESHOLD {
-        Metrics::bump(&shared.metrics.requests_quarantined);
-        shared.release_bytes(job.charge);
-        return finish_error(pipe, job.conn, &quarantined_reply());
-    }
-
-    // Single-flight: attach to an identical in-flight compile, or open
-    // a new flight by enqueueing the leader. The enqueue runs under the
-    // flight-table lock, so the leader cannot finish (and remove the
-    // flight) before the table knows the flight exists.
-    let follower = Recipient {
-        conn: job.conn,
-        charge: job.charge,
-        #[cfg(feature = "fault-injection")]
-        fault: job.fault,
-    };
-    let compile_q = &pipe.compile_q;
-    let leader_conn = job.conn;
-    // The refusal path hands the whole `CompileJob` back so nothing is
-    // lost on a full queue; that makes the closure's `Err` as big as a
-    // job, which is the point, not a problem.
-    #[allow(clippy::result_large_err)]
-    let outcome = pipe.flights.join_or_open(&key, follower, || {
-        compile_q.try_push(CompileJob {
-            conn: leader_conn,
-            request,
-            key: key.clone(),
-            key_hash,
-            arrival: job.arrival,
-            charge: job.charge,
-            #[cfg(feature = "fault-injection")]
-            fault: job.fault,
-        })
-    });
-    match outcome {
-        FlightOutcome::Attached => {
-            Metrics::bump(&shared.metrics.coalesced_requests);
-        }
-        FlightOutcome::Opened => {}
-        FlightOutcome::Refused(PushError::Full(_)) => {
-            Metrics::bump(&shared.metrics.busy_rejections);
-            Metrics::bump(&shared.metrics.shed_with_retry_after);
-            shared.release_bytes(job.charge);
-            finish_error(
-                pipe,
-                job.conn,
-                &ErrorReply::new(
-                    ErrorCode::Busy,
-                    "all workers busy and the queue is full; retry later",
-                )
-                .with_retry_after_ms(BUSY_RETRY_MS),
-            );
-        }
-        FlightOutcome::Refused(PushError::Closed(_)) => {
-            Metrics::bump(&shared.metrics.drain_rejections);
-            Metrics::bump(&shared.metrics.shed_with_retry_after);
-            shared.release_bytes(job.charge);
-            finish_error(
-                pipe,
-                job.conn,
-                &ErrorReply::new(ErrorCode::Draining, "server is draining")
-                    .with_retry_after_ms(DRAIN_RETRY_MS),
-            );
-        }
-    }
-}
-
-/// Compile-stage worker: pop adaptively sized batches, execute each
-/// leader under containment, fan the reply out to the whole flight.
+/// Compile worker: pop one job at a time, execute each leader under
+/// containment, fan the reply out to the whole flight.
 fn compile_loop(pipe: Pipeline) {
     let mut scratch = Scratch::new();
-    let mut batch: Vec<CompileJob> = Vec::new();
     let default_deadline = pipe.shared.limits.default_deadline_ms;
     // EWMA (α = 1/8) of this worker's recent compile times, in µs. A
     // job whose remaining budget cannot absorb an expected compile is
@@ -534,35 +434,28 @@ fn compile_loop(pipe: Pipeline) {
     // (a cold worker never predictively sheds) and one outlier decays
     // away within a few compiles.
     let mut svc_ewma_us: u64 = 0;
-    while pipe.compile_q.pop_batch(&mut batch) {
+    while let Some(job) = pipe.compile_q.pop() {
         Metrics::bump(&pipe.shared.metrics.batches_dispatched);
-        pipe.shared.metrics.batched_requests.fetch_add(
-            u64::try_from(batch.len()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        for job in batch.drain(..) {
-            // The one queue-side deadline check, made per job rather
-            // than per batch because a full batch takes tens of
-            // milliseconds to work through. It is predictive — elapsed
-            // plus one expected compile against the budget — so it
-            // sheds work that already expired in the queue and work
-            // certain to expire midway alike.
-            let doomed = match job.request.deadline_ms.or(default_deadline) {
-                Some(ms) => {
-                    let elapsed_us =
-                        u64::try_from(job.arrival.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    elapsed_us.saturating_add(svc_ewma_us) >= ms.saturating_mul(1_000)
-                }
-                None => false,
-            };
-            if doomed {
-                shed_expired_job(&pipe, job);
-            } else {
-                let started = Instant::now();
-                compile_one(&pipe, &mut scratch, job);
-                let spent_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                svc_ewma_us = svc_ewma_us.saturating_sub(svc_ewma_us / 8) + spent_us / 8;
+        Metrics::bump(&pipe.shared.metrics.batched_requests);
+        // The one queue-side deadline check. It is predictive — elapsed
+        // plus one expected compile against the budget — so it sheds
+        // work that already expired in the queue and work certain to
+        // expire midway alike.
+        let doomed = match job.request.deadline_ms.or(default_deadline) {
+            Some(ms) => {
+                let elapsed_us =
+                    u64::try_from(job.arrival.elapsed().as_micros()).unwrap_or(u64::MAX);
+                elapsed_us.saturating_add(svc_ewma_us) >= ms.saturating_mul(1_000)
             }
+            None => false,
+        };
+        if doomed {
+            shed_expired_job(&pipe, job);
+        } else {
+            let started = Instant::now();
+            compile_one(&pipe, &mut scratch, job);
+            let spent_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            svc_ewma_us = svc_ewma_us.saturating_sub(svc_ewma_us / 8) + spent_us / 8;
         }
         // Replies are already queued; folding the WAL into a snapshot
         // here never adds request latency.
@@ -642,9 +535,15 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, job: CompileJob) {
     }
 }
 
-/// Parse and screen a raw request payload (decode-stage half of the
-/// old `run_request`).
-fn parse_request(shared: &Shared, payload: &[u8]) -> Result<ScheduleRequest, ErrorReply> {
+/// Screen a raw request payload on the reactor thread: UTF-8, JSON,
+/// [`ScheduleRequest`], then the quarantine. Returns the request with
+/// its canonical key ([`ScheduleRequest::canonical_json`]) and that
+/// key's hash. Every failure is a typed reply, because a panic here
+/// would stop the reactor, not one request.
+fn screen_request(
+    shared: &Shared,
+    payload: &[u8],
+) -> Result<(ScheduleRequest, String, u64), ErrorReply> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| ErrorReply::new(ErrorCode::ParseError, "request payload is not UTF-8"))?;
     let value = Json::parse(text)
@@ -653,16 +552,17 @@ fn parse_request(shared: &Shared, payload: &[u8]) -> Result<ScheduleRequest, Err
     if request.attempt > 0 {
         Metrics::bump(&shared.metrics.retries_attempted);
     }
-    Ok(request)
+    let key = request.canonical_json();
+    let key_hash = fnv64(key.as_bytes());
+    if shared.quarantine.strikes(key_hash) >= QUARANTINE_THRESHOLD {
+        Metrics::bump(&shared.metrics.requests_quarantined);
+        return Err(quarantined_reply());
+    }
+    Ok((request, key, key_hash))
 }
 
-/// The canonical request identity: a re-serialization with the
-/// `attempt` counter zeroed, so retries coalesce with (and are
-/// quarantined alongside) their original.
-fn canonical_key(request: &ScheduleRequest) -> String {
-    let mut canonical = request.clone();
-    canonical.attempt = 0;
-    canonical.to_json().to_string()
+fn draining_reply() -> ErrorReply {
+    ErrorReply::new(ErrorCode::Draining, "server is draining").with_retry_after_ms(DRAIN_RETRY_MS)
 }
 
 fn quarantined_reply() -> ErrorReply {
@@ -675,8 +575,7 @@ fn quarantined_reply() -> ErrorReply {
     )
 }
 
-/// Execute one screened request under panic containment (compile-stage
-/// half of the old `run_request`).
+/// Execute one screened request under panic containment.
 fn run_compile(
     shared: &Shared,
     scratch: &mut Scratch,
@@ -725,9 +624,8 @@ fn run_compile(
     }
 }
 
-/// The old single-thread request path: parse, screen, and execute one
-/// payload end to end. Kept as the unit-test seam for the decode +
-/// compile halves.
+/// Screen and execute one payload on the calling thread: the unit-test
+/// seam for the reactor's and a compile worker's halves of a request.
 #[cfg(test)]
 fn run_request(
     shared: &Shared,
@@ -735,13 +633,7 @@ fn run_request(
     payload: &[u8],
     #[cfg(feature = "fault-injection")] injected: Fault,
 ) -> Result<ScheduleResponse, ErrorReply> {
-    let request = parse_request(shared, payload)?;
-    let key = canonical_key(&request);
-    let key_hash = fnv64(key.as_bytes());
-    if shared.quarantine.strikes(key_hash) >= QUARANTINE_THRESHOLD {
-        Metrics::bump(&shared.metrics.requests_quarantined);
-        return Err(quarantined_reply());
-    }
+    let (request, _key, key_hash) = screen_request(shared, payload)?;
     let result = run_compile(
         shared,
         scratch,
@@ -797,7 +689,9 @@ struct ServeHandler {
 
 impl ServeHandler {
     fn on_request(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, payload: Vec<u8>) {
-        let shared = Arc::clone(&self.pipe.shared);
+        let arrival = Instant::now();
+        let pipe = &self.pipe;
+        let shared = &*pipe.shared;
         Metrics::bump(&shared.metrics.requests);
         if ctx.draining() && ctx.requests_seen(conn) > 0 {
             // In-flight work is completed during a drain, but a
@@ -806,11 +700,7 @@ impl ServeHandler {
             Metrics::bump(&shared.metrics.drain_rejections);
             Metrics::bump(&shared.metrics.shed_with_retry_after);
             Metrics::bump(&shared.metrics.errors);
-            ctx.send_error(
-                conn,
-                &ErrorReply::new(ErrorCode::Draining, "server is draining")
-                    .with_retry_after_ms(DRAIN_RETRY_MS),
-            );
+            ctx.send_error(conn, &draining_reply());
             if !ctx.has_pending(conn) {
                 ctx.close_after_flush(conn);
             }
@@ -820,7 +710,7 @@ impl ServeHandler {
         // Byte-accounted admission: when a memory budget is configured,
         // the request's payload is only admitted if in-flight payloads
         // plus cache growth still fit — shedding happens *before* the
-        // pipeline takes ownership of the bytes, never as an OOM later.
+        // payload is even parsed, never as an OOM later.
         let charge = u64::try_from(payload.len()).unwrap_or(u64::MAX);
         if let Some(budget) = shared.mem_budget {
             let projected = shared
@@ -841,49 +731,78 @@ impl ServeHandler {
                 return;
             }
         }
+        #[cfg(feature = "fault-injection")]
+        let fault = shared.next_fault();
+        let (request, key, key_hash) = match screen_request(shared, &payload) {
+            Ok(screened) => screened,
+            Err(reply) => {
+                Metrics::bump(&shared.metrics.errors);
+                ctx.send_error(conn, &reply);
+                return;
+            }
+        };
+
+        // Admitted. Counted before the flight table sees the request,
+        // since a compile worker may finish the flight before
+        // `join_or_open` returns; exactly one completion comes back
+        // (reply, coalesced reply, or typed shed) unless it is refused.
         shared.inflight_bytes.fetch_add(charge, Ordering::Relaxed);
-        let job = DecodeJob {
+        pipe.inflight.fetch_add(1, Ordering::SeqCst);
+        // Single-flight: attach to an identical in-flight compile, or
+        // open a new flight by enqueueing the leader. The enqueue runs
+        // under the flight-table lock, so the leader cannot finish (and
+        // remove the flight) before the table knows the flight exists.
+        let follower = Recipient {
             conn,
-            payload,
-            arrival: Instant::now(),
             charge,
             #[cfg(feature = "fault-injection")]
-            fault: shared.next_fault(),
+            fault,
         };
-        match self.pipe.decode_q.try_push(job) {
-            Ok(()) => {
-                // Exactly one completion will come back for this job
-                // (reply, coalesced reply, or typed rejection).
-                self.pipe.inflight.fetch_add(1, Ordering::SeqCst);
+        // The refusal path hands the whole `CompileJob` back so nothing
+        // is lost on a full queue; that makes the closure's `Err` as big
+        // as a job, which is the point, not a problem.
+        #[allow(clippy::result_large_err)]
+        let outcome = pipe.flights.join_or_open(&key, follower, || {
+            pipe.compile_q.try_push(CompileJob {
+                conn,
+                request,
+                key: key.clone(),
+                key_hash,
+                arrival,
+                charge,
+                #[cfg(feature = "fault-injection")]
+                fault,
+            })
+        });
+        let reply = match outcome {
+            FlightOutcome::Attached => {
+                Metrics::bump(&shared.metrics.coalesced_requests);
                 ctx.expect_reply(conn);
+                return;
             }
-            Err(PushError::Full(_)) => {
-                shared.release_bytes(charge);
+            FlightOutcome::Opened => {
+                ctx.expect_reply(conn);
+                return;
+            }
+            FlightOutcome::Refused(PushError::Full(_)) => {
                 Metrics::bump(&shared.metrics.busy_rejections);
-                Metrics::bump(&shared.metrics.shed_with_retry_after);
-                Metrics::bump(&shared.metrics.errors);
-                ctx.send_error(
-                    conn,
-                    &ErrorReply::new(
-                        ErrorCode::Busy,
-                        "all workers busy and the queue is full; retry later",
-                    )
-                    .with_retry_after_ms(BUSY_RETRY_MS),
-                );
+                ErrorReply::new(
+                    ErrorCode::Busy,
+                    "all workers busy and the queue is full; retry later",
+                )
+                .with_retry_after_ms(BUSY_RETRY_MS)
             }
-            Err(PushError::Closed(_)) => {
-                shared.release_bytes(charge);
+            FlightOutcome::Refused(PushError::Closed(_)) => {
                 Metrics::bump(&shared.metrics.drain_rejections);
-                Metrics::bump(&shared.metrics.shed_with_retry_after);
-                Metrics::bump(&shared.metrics.errors);
-                ctx.send_error(
-                    conn,
-                    &ErrorReply::new(ErrorCode::Draining, "server is draining")
-                        .with_retry_after_ms(DRAIN_RETRY_MS),
-                );
                 ctx.close_after_flush(conn);
+                draining_reply()
             }
-        }
+        };
+        pipe.inflight.fetch_sub(1, Ordering::SeqCst);
+        shared.release_bytes(charge);
+        Metrics::bump(&shared.metrics.shed_with_retry_after);
+        Metrics::bump(&shared.metrics.errors);
+        ctx.send_error(conn, &reply);
     }
 }
 
@@ -1012,41 +931,27 @@ impl ServerHandle {
     }
 }
 
-/// Spawn the decode and compile stage workers; on any spawn failure the
-/// queues are closed and already-started workers joined.
-fn spawn_stage_workers(compile_workers: usize, pipe: &Pipeline) -> io::Result<Vec<JoinHandle<()>>> {
-    let mut workers = Vec::new();
-    let decode_workers = (compile_workers / 2).clamp(1, 4);
-    let mut spawn_all = || -> io::Result<()> {
-        for i in 0..decode_workers {
-            let p = pipe.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dagsched-decode-{i}"))
-                    .spawn(move || decode_loop(p))?,
-            );
-        }
-        for i in 0..compile_workers {
-            let p = pipe.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dagsched-compile-{i}"))
-                    .spawn(move || compile_loop(p))?,
-            );
-        }
-        Ok(())
-    };
-    match spawn_all() {
-        Ok(()) => Ok(workers),
-        Err(e) => {
-            pipe.decode_q.close();
-            pipe.compile_q.close();
-            for h in workers {
-                let _ = h.join();
+/// Spawn the compile workers; on a spawn failure the queue is closed
+/// and the workers already started are joined.
+fn spawn_compile_workers(workers: usize, pipe: &Pipeline) -> io::Result<Vec<JoinHandle<()>>> {
+    let mut handles = Vec::new();
+    for i in 0..workers {
+        let p = pipe.clone();
+        let spawned = std::thread::Builder::new()
+            .name(format!("dagsched-compile-{i}"))
+            .spawn(move || compile_loop(p));
+        match spawned {
+            Ok(h) => handles.push(h),
+            Err(e) => {
+                pipe.compile_q.close();
+                for h in handles {
+                    let _ = h.join();
+                }
+                return Err(e);
             }
-            Err(e)
         }
     }
+    Ok(handles)
 }
 
 /// Bind `listen` and start serving under `config`.
@@ -1109,8 +1014,6 @@ pub fn serve(listen: Listen, config: ServerConfig) -> io::Result<ServerHandle> {
         fault_seq: AtomicU64::new(0),
     });
 
-    let compile_workers = config.workers.max(1);
-    let queue_cap = config.queue.max(1);
     let reactor = Reactor::new(
         listener,
         ReactorConfig {
@@ -1125,16 +1028,12 @@ pub fn serve(listen: Listen, config: ServerConfig) -> io::Result<ServerHandle> {
     let completions = reactor.completions();
     let pipe = Pipeline {
         shared: Arc::clone(&shared),
-        decode_q: Arc::new(StageQueue::new(
-            queue_cap,
-            (compile_workers / 2).clamp(1, 4),
-        )),
-        compile_q: Arc::new(StageQueue::new(queue_cap, compile_workers)),
+        compile_q: Arc::new(StageQueue::new(config.queue)),
         flights: Arc::new(SingleFlight::default()),
         completions: Arc::clone(&completions),
         inflight: Arc::new(AtomicU64::new(0)),
     };
-    let workers = spawn_stage_workers(compile_workers, &pipe)?;
+    let workers = spawn_compile_workers(config.workers.max(1), &pipe)?;
 
     let reactor_pipe = pipe.clone();
     let cleanup_path = reactor.unix_path();
@@ -1143,10 +1042,9 @@ pub fn serve(listen: Listen, config: ServerConfig) -> io::Result<ServerHandle> {
         .spawn(move || {
             let mut handler = ServeHandler { pipe: reactor_pipe };
             reactor.run(&mut handler);
-            // Drain finished: no new work can arrive. Close the stage
-            // queues so workers exit, join them, then fold the final
+            // Drain finished: no new work can arrive. Close the compile
+            // queue so workers exit, join them, then fold the final
             // snapshot and unlink a unix socket path.
-            handler.pipe.decode_q.close();
             handler.pipe.compile_q.close();
             for h in workers {
                 let _ = h.join();
@@ -1161,7 +1059,6 @@ pub fn serve(listen: Listen, config: ServerConfig) -> io::Result<ServerHandle> {
         }) {
         Ok(t) => t,
         Err(e) => {
-            pipe.decode_q.close();
             pipe.compile_q.close();
             return Err(e);
         }
@@ -1281,6 +1178,7 @@ fn handle_admin(shared: &Shared, payload: &[u8]) -> Result<Json, ErrorReply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagsched_isa::splitmix64;
 
     #[test]
     fn endpoints_parse() {
@@ -1354,18 +1252,55 @@ mod tests {
         assert_ne!(a, fnv64(b"{\"asm\":\"sub %o0, %o1, %o2\"}"));
     }
 
+    /// A panic while screening would stop the reactor, so every hostile
+    /// payload must screen to a typed error or a request: every
+    /// truncation of a valid request, random byte overwrites of it, and
+    /// random bytes (half drawn from JSON's own alphabet, so the parser
+    /// gets past the first byte).
     #[test]
-    fn canonical_keys_ignore_the_attempt_counter() {
-        let first =
-            ScheduleRequest::from_json(&Json::parse(r#"{"asm":"nop","attempt":0}"#).unwrap())
-                .unwrap();
-        let retry =
-            ScheduleRequest::from_json(&Json::parse(r#"{"asm":"nop","attempt":3}"#).unwrap())
-                .unwrap();
-        assert_eq!(canonical_key(&first), canonical_key(&retry));
-        let other = ScheduleRequest::from_json(&Json::parse(r#"{"asm":"sethi 42, %g1"}"#).unwrap())
-            .unwrap();
-        assert_ne!(canonical_key(&first), canonical_key(&other));
+    fn hostile_payloads_screen_to_a_typed_error_or_a_request() {
+        let shared = test_shared();
+        let mut valid = ScheduleRequest::asm("ld [%o0+4], %o1\nadd %o1, %o2, %o3");
+        valid.deadline_ms = Some(250);
+        valid.linger_ms = 5;
+        valid.attempt = 2;
+        let valid = valid.to_json().to_string().into_bytes();
+        let mut inputs: Vec<Vec<u8>> = (0..=valid.len()).map(|n| valid[..n].to_vec()).collect();
+        let alphabet = br#"{}[]":,.-+0123456789eEtrufalsn\ "#;
+        let pick = |r: u64, n: usize| usize::try_from(r).unwrap() % n;
+        let mut seed = 0x5EED_F00D_u64;
+        for _ in 0..4000 {
+            let r = splitmix64(&mut seed);
+            let mut overwritten = valid.clone();
+            overwritten[pick(r, valid.len())] = r.to_le_bytes()[7];
+            inputs.push(overwritten);
+            let json_like = r & 1 == 0;
+            let random: Vec<u8> = (0..pick(r >> 8, 64))
+                .map(|_| {
+                    let b = splitmix64(&mut seed);
+                    if json_like {
+                        alphabet[pick(b, alphabet.len())]
+                    } else {
+                        b.to_le_bytes()[0]
+                    }
+                })
+                .collect();
+            inputs.push(random);
+        }
+        let mut requests = 0;
+        for input in &inputs {
+            match screen_request(&shared, input) {
+                Ok(_) => requests += 1,
+                Err(reply) => assert!(
+                    matches!(reply.code, ErrorCode::ParseError | ErrorCode::BadRequest),
+                    "{reply}"
+                ),
+            }
+        }
+        assert!(
+            requests > 1,
+            "some overwrites must still screen as requests"
+        );
     }
 
     #[test]

@@ -87,6 +87,26 @@ fn raw_tcp(handle: &dagsched_service::ServerHandle) -> TcpStream {
     s
 }
 
+/// The accounting identity, read from a Metrics frame once every reply
+/// has been read: each request was answered exactly once, by a response
+/// or by a typed error.
+fn assert_every_request_answered(handle: &dagsched_service::ServerHandle) {
+    let m = Client::connect(&handle.endpoint())
+        .expect("connect")
+        .metrics()
+        .expect("metrics frame");
+    let count = |key: &str| {
+        m.get(key)
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("metrics frame has no `{key}`"))
+    };
+    assert_eq!(
+        count("requests"),
+        count("responses") + count("errors"),
+        "requests == responses + errors: {m}"
+    );
+}
+
 fn expect_error_frame(stream: &mut TcpStream) -> ErrorReply {
     let (kind, payload) = read_frame(stream, 1 << 20).expect("server reply frame");
     assert_eq!(kind, FrameKind::Error, "expected an error frame");
@@ -183,12 +203,18 @@ fn bad_requests_and_expired_deadlines_are_typed_errors() {
         other => panic!("expected a bad-request error, got {other:?}"),
     }
 
+    // A well-framed payload that is not JSON.
+    let mut raw = raw_tcp(&handle);
+    write_frame(&mut raw, FrameKind::Request, b"schedule this, please").unwrap();
+    assert_eq!(expect_error_frame(&mut raw).code, ErrorCode::ParseError);
+
     // The connection survives typed errors: a valid request still works.
     let resp = client
         .request(&ScheduleRequest::asm("add %o0, %o1, %o2"))
         .expect("valid request after errors");
     assert_eq!(resp.insns.len(), 1);
 
+    assert_every_request_answered(&handle);
     handle.begin_drain();
     handle.join();
 }
@@ -269,6 +295,7 @@ fn full_queue_answers_busy() {
     );
 
     assert!(metric(&handle, "busy_rejections") >= 1);
+    assert_every_request_answered(&handle);
     handle.begin_drain();
     handle.join();
 }
@@ -398,6 +425,7 @@ fn a_repeat_offender_payload_is_quarantined_over_the_wire() {
     assert_eq!(metric(&handle, "panics_caught"), 2);
     assert_eq!(metric(&handle, "requests_quarantined"), 1);
     assert_eq!(metric(&handle, "retries_attempted"), 2);
+    assert_every_request_answered(&handle);
 
     handle.begin_drain();
     handle.join();

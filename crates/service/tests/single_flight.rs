@@ -94,6 +94,17 @@ fn identical_concurrent_requests_compile_once_with_identical_bytes() {
         "exactly one compile, N-1 followers"
     );
     assert_eq!(metric(&handle, "responses"), N as u64);
+    // The accounting identity, from a Metrics frame.
+    let m = Client::connect(&handle.endpoint())
+        .expect("connect")
+        .metrics()
+        .expect("metrics frame");
+    let count = |key: &str| m.get(key).and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(
+        count("requests"),
+        count("responses") + count("errors"),
+        "requests == responses + errors: {m}"
+    );
 
     handle.begin_drain();
     handle.join();

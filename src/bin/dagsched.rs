@@ -1004,8 +1004,8 @@ fn usage(err: &str) -> ! {
          \n\
          serve options:\n\
          \x20 --listen EP  tcp:HOST:PORT or unix:/path (default tcp:127.0.0.1:4591)\n\
-         \x20 --workers N  worker threads (default 4)\n\
-         \x20 --queue N    stage-queue depth before `busy` (default 64)\n\
+         \x20 --workers N  compile worker threads (default 4)\n\
+         \x20 --queue N    compile-queue depth before `busy` (default 64)\n\
          \x20 --cache-mb N schedule-cache byte budget in MiB (default 64)\n\
          \x20 --first-frame-timeout-ms N  typed idle-timeout close for connections\n\
          \x20                    that never complete a frame (default 2000)\n\
