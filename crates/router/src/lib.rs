@@ -15,7 +15,8 @@
 //!   scored, not just binary up/down.
 //! - **Failover** ([`server`]): hedged primary (a forward that
 //!   outlives the shard's recent latency quantile is raced against the
-//!   next replica; first answer wins, the loser is cancelled) →
+//!   next replica; first complete reply wins, the loser's connection
+//!   is dropped) →
 //!   replica set in ring order → any other live shard ordered by
 //!   health score (`rerouted`, a cache miss rather than an error) →
 //!   retryable `busy` only when nothing at all is live.

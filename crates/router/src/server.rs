@@ -14,6 +14,17 @@
 //! client on the same connection thread. When the queue is full the
 //! client gets a retryable `busy` with a hint instead of silence.
 //!
+//! # Forwarding
+//!
+//! A forwarding worker carries each forward itself, on one path
+//! (`exchange`): it writes the whole request frame on its kept (or
+//! freshly dialed) shard connection, then polls the socket until a
+//! complete reply frame has arrived. No thread is spawned per request.
+//! The client's payload goes out as it arrived unless a `deadline_ms`
+//! must be rewritten, and the shard's `Response` payload comes back to
+//! the client byte for byte; the router parses it only to read
+//! `stats.cache_misses` for the replication rule.
+//!
 //! # Failover ladder
 //!
 //! A request's key is the FNV-1a hash of its canonical JSON (the
@@ -52,15 +63,18 @@
 //! the prober through half-open trial pings and must string together
 //! `revive_threshold` successes before re-entering the ring.
 //!
-//! Hedging bounds tail latency the breaker cannot see: when a forward
-//! to the primary outlives that shard's observed `hedge_quantile`
-//! latency (clamped to `[hedge_min_ms, hedge_max_ms]`), the router
-//! launches the same request at the next replica and relays whichever
-//! answer lands first, cancelling the loser (`hedged_requests`,
-//! `hedge_wins`). Racing a compile is safe: requests are
-//! content-addressed and idempotent, and replies are deterministic —
-//! both racers return bit-identical bytes, so the client cannot
-//! observe which one won.
+//! Hedging bounds tail latency the breaker cannot see: when nothing
+//! complete has come back from the primary by that shard's observed
+//! 95th-percentile forward latency (clamped to 10–400 ms, see
+//! [`crate::shard::HEDGE_QUANTILE`]), the worker writes the same frame
+//! to the next replica on a second connection, polls both, relays
+//! whichever reply completes first and drops the loser's connection
+//! (`hedged_requests`, `hedge_wins`). Both frames are written whole
+//! before the worker waits, so the loser's shard answers a complete
+//! request nobody reads instead of counting a truncated one. Racing a
+//! compile is safe: requests are content-addressed and idempotent, and
+//! replies are deterministic — both shards return bit-identical bytes,
+//! so the client cannot observe which one won.
 //!
 //! # Overload: deadline propagation and retry budgets
 //!
@@ -77,32 +91,32 @@
 //! budgets at forward time feed the `deadline_propagated_ms`
 //! histogram.
 //!
-//! Every retry the router originates — client-level redials, failover
-//! rungs past the first attempt, hedge launches — draws from one
-//! shared token-bucket [`RetryBudget`] refilled by successful
-//! forwards. Under a healthy cluster the bucket stays full and the
-//! ladder behaves as before; when shards wedge, the bucket drains and
-//! the router stops multiplying load (`retry_budget_exhausted`),
-//! which is the difference between a recoverable overload and a
-//! metastable retry storm.
+//! Every retry the router originates — failover rungs past the first
+//! attempt and hedge launches — draws from one shared token-bucket
+//! [`RetryBudget`] refilled by successful forwards. Each rung is one
+//! attempt: it does not redial or resend to the same shard, and
+//! `shard_retry` governs only the dial and the per-attempt timeout.
+//! Under a healthy cluster the bucket stays full; when shards wedge,
+//! the bucket drains and the router stops multiplying load
+//! (`retry_budget_exhausted`), which is the difference between a
+//! recoverable overload and a metastable retry storm.
 //!
 //! # Replication
 //!
 //! A fresh compile on the primary (`cache_misses > 0` in the reply)
 //! enqueues the same canonical request for the key's second ring
 //! replica. A background replicator drains the queue and re-issues the
-//! request there, warming the successor's cache so the primary's death
-//! does not cold-start its working set. The queue is bounded; when
-//! replication cannot keep up, jobs are dropped and counted
-//! (`replication_dropped`) rather than backpressuring the serving path.
+//! request there through the same `exchange`, warming the successor's
+//! cache so the primary's death does not cold-start its working set.
+//! The queue is bounded; when replication cannot keep up, jobs are
+//! dropped and counted (`replication_dropped`) rather than
+//! backpressuring the serving path.
 
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -110,9 +124,9 @@ use std::time::{Duration, Instant};
 use dagsched_proto::json::Json;
 use dagsched_proto::{
     hex_decode, remaining_deadline_ms, write_frame, AdminCommand, ErrorCode, ErrorReply, FrameKind,
-    ScheduleRequest, ScheduleResponse, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
+    ScheduleRequest, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
 };
-use dagsched_service::client::{CancelHandle, Client, ClientError, RetryBudget, RetryPolicy};
+use dagsched_service::client::{decode_error, Client, ClientError, RetryBudget, RetryPolicy};
 use dagsched_service::pipeline::{PushError, StageQueue, BUSY_RETRY_MS};
 use dagsched_service::reactor::{
     install_sigterm_handler, lock_recover, Completion, Completions, ConnId, Ctx, Handler, Listener,
@@ -121,7 +135,10 @@ use dagsched_service::reactor::{
 use dagsched_service::server::Listen;
 
 use crate::ring::{fnv64, Ring};
-use crate::shard::{RouterMetrics, ShardConns, ShardState, Transition};
+use crate::shard::{
+    admin, wait_ready, Link, RouterMetrics, ShardConns, ShardState, Transition, HEDGE_MAX,
+    HEDGE_MIN, HEDGE_QUANTILE,
+};
 
 /// Retry hint attached to `busy` rejections when no shard is live.
 const NO_SHARD_RETRY_MS: u64 = 200;
@@ -132,10 +149,6 @@ const DRAIN_RETRY_MS: u64 = 500;
 /// Socket timeout for health probes (a hung shard must not wedge the
 /// prober).
 const PROBE_TIMEOUT: Duration = Duration::from_millis(2000);
-
-/// Slack past the per-attempt socket timeout before a hedged race is
-/// abandoned outright (both racers cancelled).
-const HEDGE_RACE_SLACK: Duration = Duration::from_secs(5);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -152,16 +165,6 @@ pub struct RouterConfig {
     pub revive_threshold: u32,
     /// Milliseconds between health-probe sweeps.
     pub health_check_ms: u64,
-    /// Race a stuck primary forward against the next replica.
-    pub hedge: bool,
-    /// The latency quantile (per shard, over recent forwards) a
-    /// forward must outlive before the hedge launches.
-    pub hedge_quantile: f64,
-    /// Lower clamp on the hedge delay, milliseconds.
-    pub hedge_min_ms: u64,
-    /// Upper clamp on the hedge delay (also the delay while a shard
-    /// has too few samples), milliseconds.
-    pub hedge_max_ms: u64,
     /// Largest accepted frame payload (client side and shard side).
     pub max_frame: usize,
     /// Per-connection read timeout for idle clients (silent close
@@ -172,7 +175,9 @@ pub struct RouterConfig {
     pub first_frame_timeout_ms: u64,
     /// Install a SIGTERM handler that triggers a graceful drain.
     pub handle_sigterm: bool,
-    /// Retry policy for shard dials and forwarded requests.
+    /// Shard dials retry under this policy; its `per_attempt_timeout`
+    /// bounds how long one forward may go without progress. A rung
+    /// never resends to the same shard.
     pub shard_retry: RetryPolicy,
     /// Bounded replication-queue depth.
     pub replication_queue: usize,
@@ -190,10 +195,6 @@ impl Default for RouterConfig {
             fail_threshold: 3,
             revive_threshold: 3,
             health_check_ms: 500,
-            hedge: true,
-            hedge_quantile: 0.95,
-            hedge_min_ms: 10,
-            hedge_max_ms: 400,
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout_ms: 10_000,
             first_frame_timeout_ms: 2_000,
@@ -242,18 +243,11 @@ impl Cluster {
     }
 }
 
-/// One replication job: warm `target` with the canonical request.
+/// One replication job: warm `target` with the canonical request,
+/// already framed.
 struct ReplJob {
     target: String,
-    request: ScheduleRequest,
-}
-
-/// Hedging knobs, resolved once at startup.
-struct HedgeConfig {
-    enabled: bool,
-    quantile: f64,
-    min: Duration,
-    max: Duration,
+    frame: Vec<u8>,
 }
 
 /// State shared by every router thread.
@@ -266,10 +260,9 @@ struct Shared {
     fail_threshold: u32,
     revive_threshold: u32,
     health_check_ms: u64,
-    hedge: HedgeConfig,
     shard_retry: RetryPolicy,
     /// One shared token bucket for every retry the router originates
-    /// (redials, failover rungs, hedges); refilled by successes.
+    /// (failover rungs and hedges); refilled by successes.
     retry_budget: RetryBudget,
 }
 
@@ -305,10 +298,10 @@ fn note_failure(shared: &Shared, shard: &ShardState, err: &ClientError) {
 }
 
 /// Frame-level rejections from a *shard* are link evidence: the router
-/// always emits well-formed frames and re-serialises the request
-/// itself, so a shard claiming otherwise read corrupted bytes, and a
-/// shard that timed out waiting for the rest of a frame saw a stalled
-/// or partitioned link.
+/// writes whole frames and forwards only payloads it parsed itself, so
+/// a shard claiming otherwise read corrupted bytes, and a shard that
+/// timed out waiting for the rest of a frame saw a stalled or
+/// partitioned link.
 fn reply_is_link_evidence(reply: &ErrorReply) -> bool {
     matches!(
         reply.code,
@@ -436,7 +429,7 @@ fn worker_loop(
                 match forward_request(&shared, &mut conns, &repl_tx, &payload, job.arrival) {
                     Ok(body) => {
                         RouterMetrics::bump(&shared.metrics.responses);
-                        encode_frame(FrameKind::Response, body.to_string().as_bytes())
+                        encode_frame(FrameKind::Response, &body)
                     }
                     Err(reply) => {
                         RouterMetrics::bump(&shared.metrics.errors);
@@ -444,7 +437,7 @@ fn worker_loop(
                     }
                 }
             }
-            Work::Admin(payload) => match handle_admin(&shared, &mut conns, &payload) {
+            Work::Admin(payload) => match handle_admin(&shared, &payload) {
                 Ok(reply) => encode_frame(FrameKind::AdminReply, reply.to_string().as_bytes()),
                 Err(reply) => {
                     RouterMetrics::bump(&shared.metrics.errors);
@@ -598,7 +591,6 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
     }
 
     let drain = Arc::new(AtomicBool::new(false));
-    let hedge_min = Duration::from_millis(config.hedge_min_ms);
     let shared = Arc::new(Shared {
         cluster: Mutex::new(cluster),
         metrics: RouterMetrics::default(),
@@ -607,12 +599,6 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
         fail_threshold: config.fail_threshold.max(1),
         revive_threshold: config.revive_threshold.max(1),
         health_check_ms: config.health_check_ms.max(50),
-        hedge: HedgeConfig {
-            enabled: config.hedge,
-            quantile: config.hedge_quantile.clamp(0.5, 0.999),
-            min: hedge_min,
-            max: Duration::from_millis(config.hedge_max_ms).max(hedge_min),
-        },
         shard_retry: config.shard_retry.clone(),
         retry_budget: RetryBudget::default(),
     });
@@ -724,17 +710,21 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
     })
 }
 
-/// The canonical request (`attempt` zeroed) and its routing key:
-/// FNV-1a of [`ScheduleRequest::canonical_json`], the same identity the
-/// shards' single-flight table and quarantine key on, so retries and
-/// repeats land on the same shard.
+/// A request's ring key: FNV-1a of [`ScheduleRequest::canonical_json`],
+/// the same identity the shards' single-flight table and quarantine key
+/// on, so retries and repeats land on the same shard.
+fn ring_key(req: &ScheduleRequest) -> u64 {
+    fnv64(req.canonical_json().as_bytes())
+}
+
+/// The canonical request (`attempt` zeroed) and its routing key (see
+/// `ring_key`).
 pub fn routing_key(req: &ScheduleRequest) -> (ScheduleRequest, u64) {
-    let key = fnv64(req.canonical_json().as_bytes());
     let canonical = ScheduleRequest {
         attempt: 0,
         ..req.clone()
     };
-    (canonical, key)
+    (canonical, ring_key(req))
 }
 
 /// Which rung of the ladder produced a successful answer.
@@ -746,51 +736,45 @@ enum Rung {
     Failover,
     /// A shard outside the replica set (whole set down).
     Rerouted,
-    /// The hedge secondary beat a slow-but-alive primary. Not a
+    /// The hedge partner beat a slow-but-alive primary. Not a
     /// failover: the primary never failed, it was merely outraced.
     HedgeWin,
 }
 
-/// Success bookkeeping shared by the hedge fast path and the ladder:
-/// failover/reroute counters and the replication enqueue.
-fn finish_success(
+/// Queue the canonical form of `req` (attempt zeroed, original
+/// deadline, debug knobs off) for `successor`, warming its cache with a
+/// fresh compile. A full queue drops the job rather than backpressuring
+/// the serving path.
+fn replicate(
     shared: &Shared,
     repl_tx: &SyncSender<ReplJob>,
-    replicas: &[Arc<ShardState>],
-    rung: Rung,
-    canonical: &ScheduleRequest,
-    resp: ScheduleResponse,
-) -> Json {
-    match rung {
-        Rung::Primary | Rung::HedgeWin => {}
-        Rung::Failover => RouterMetrics::bump(&shared.metrics.failovers),
-        Rung::Rerouted => RouterMetrics::bump(&shared.metrics.rerouted),
+    successor: &ShardState,
+    req: ScheduleRequest,
+    deadline_ms: Option<u64>,
+) {
+    let canonical = ScheduleRequest {
+        attempt: 0,
+        deadline_ms,
+        sim: false,
+        linger_ms: 0,
+        debug_panic: false,
+        ..req
+    };
+    let job = ReplJob {
+        target: successor.endpoint.clone(),
+        frame: encode_frame(
+            FrameKind::Request,
+            canonical.to_json().to_string().as_bytes(),
+        ),
+    };
+    if repl_tx.try_send(job).is_err() {
+        RouterMetrics::bump(&shared.metrics.replication_dropped);
     }
-    // Replicate fresh compiles from the primary to its first ring
-    // successor (R ≥ 2 and a successor exists).
-    if rung == Rung::Primary && resp.stats.cache_misses > 0 {
-        if let Some(successor) = replicas.get(1) {
-            let mut repl_req = canonical.clone();
-            repl_req.sim = false;
-            repl_req.linger_ms = 0;
-            repl_req.debug_panic = false;
-            match repl_tx.try_send(ReplJob {
-                target: successor.endpoint.clone(),
-                request: repl_req,
-            }) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    RouterMetrics::bump(&shared.metrics.replication_dropped);
-                }
-            }
-        }
-    }
-    resp.to_json()
 }
 
 /// Subtract the time since `arrival` from the request's original
-/// deadline and re-encode the remainder for the next shard hop, so
-/// queue time in the router is never silently billed to the shard.
+/// deadline and write the remainder into `req` for the next shard hop,
+/// so queue time in the router is never silently billed to the shard.
 /// Returns the remaining budget (`None` when the request never had a
 /// deadline); fails fast with `deadline-expired` when less than
 /// [`dagsched_proto::MIN_FORWARD_DEADLINE_MS`] is left — compiling for
@@ -831,27 +815,33 @@ fn estimated_queue_delay_ms(shard: &ShardState) -> u64 {
     shard.ewma_us().saturating_mul(depth) / 1000
 }
 
-/// Walk the failover ladder for one request; returns the response body
-/// to relay.
+/// Walk the failover ladder for one request; returns the shard's
+/// `Response` payload to relay as it arrived.
 fn forward_request(
     shared: &Shared,
     conns: &mut ShardConns,
     repl_tx: &SyncSender<ReplJob>,
     payload: &[u8],
     arrival: Instant,
-) -> Result<Json, ErrorReply> {
+) -> Result<Vec<u8>, ErrorReply> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| ErrorReply::new(ErrorCode::ParseError, "request payload is not UTF-8"))?;
     let value = Json::parse(text)
         .map_err(|e| ErrorReply::new(ErrorCode::ParseError, format!("request is not JSON: {e}")))?;
     let mut req = ScheduleRequest::from_json(&value)?;
-    let (canonical, key) = routing_key(&req);
+    let key = ring_key(&req);
 
     // Deadline propagation: bill the queue time this frame already
     // spent in the router against the client's budget before any
     // forward — a request that died waiting is shed, not compiled.
     let orig_deadline = req.deadline_ms;
     let budget = propagate_deadline(shared, &mut req, orig_deadline, arrival)?;
+    // Without a deadline to rewrite, the client's bytes go out as they
+    // arrived.
+    let mut frame = match budget {
+        Some(_) => encode_frame(FrameKind::Request, req.to_json().to_string().as_bytes()),
+        None => encode_frame(FrameKind::Request, payload),
+    };
 
     // Snapshot the ladder under the lock, then forward without it.
     let (mut replicas, others): (Vec<Arc<ShardState>>, Vec<Arc<ShardState>>) = {
@@ -899,45 +889,13 @@ fn forward_request(
         }
     }
 
+    // The primary rung races the next replica while both are believed
+    // healthy.
     let primary = Arc::clone(&replicas[0]);
-    let mut last_err: Option<ErrorReply> = None;
-    let mut skip_primary = false;
-
-    // Hedged fast path: the primary is believed healthy and a live
-    // replica exists to race against.
-    if shared.hedge.enabled && primary.is_up() {
-        if let Some(secondary) = replicas.get(1).filter(|s| s.is_up()) {
-            match hedged_request(shared, conns, &primary, secondary, &req) {
-                HedgeOutcome::Answer {
-                    shard,
-                    resp,
-                    latency,
-                } => {
-                    shard.observe_latency(latency, true);
-                    note_success(shared, &shard);
-                    // Racer forwards bypass the budgeted client path,
-                    // so their successes refill the bucket here.
-                    shared.retry_budget.record_success();
-                    let rung = if Arc::ptr_eq(&shard, &primary) {
-                        Rung::Primary
-                    } else {
-                        Rung::HedgeWin
-                    };
-                    return Ok(finish_success(
-                        shared, repl_tx, &replicas, rung, &canonical, resp,
-                    ));
-                }
-                HedgeOutcome::Reject(reply) => return Err(reply),
-                HedgeOutcome::Failed(reply) => {
-                    // Health evidence was already recorded inside the
-                    // race; the ladder resumes past the primary.
-                    RouterMetrics::bump(&primary.failovers);
-                    last_err = Some(reply);
-                    skip_primary = true;
-                }
-            }
-        }
-    }
+    let partner = replicas
+        .get(1)
+        .filter(|s| primary.is_up() && s.is_up())
+        .cloned();
 
     // Rungs 1–2: the replica set in ring order; rung 3: every other
     // live shard, cheapest health score first. Down shards are skipped
@@ -947,69 +905,70 @@ fn forward_request(
     let any_up = replicas.iter().chain(others.iter()).any(|s| s.is_up());
     let mut reroute: Vec<&Arc<ShardState>> = others.iter().filter(|s| s.is_up()).collect();
     reroute.sort_by_key(|s| s.health_score());
-    let mut attempted: u32 = u32::from(skip_primary);
+    let mut last_err: Option<ErrorReply> = None;
+    let mut attempted: u32 = 0;
     for (tier, shard) in replicas
         .iter()
         .map(|s| (0usize, s))
         .chain(reroute.into_iter().map(|s| (1usize, s)))
     {
-        if tier == 0 && skip_primary && Arc::ptr_eq(shard, &primary) {
-            continue; // the hedged race already spent this rung
-        }
         if tier == 0 && !shard.is_up() && any_up {
             RouterMetrics::bump(&shard.failovers);
             continue;
         }
-        // Every rung past the first attempt re-sends the same logical
-        // request: it spends from the shared retry budget, and when
-        // the bucket is dry the ladder stops rather than multiplying
-        // load onto an already-struggling cluster.
-        if attempted > 0 && !shared.retry_budget.try_spend() {
-            RouterMetrics::bump(&shared.metrics.retry_budget_exhausted);
-            break;
+        if attempted > 0 {
+            // Every rung past the first attempt re-sends the same
+            // logical request: it spends from the shared retry budget,
+            // and when the bucket is dry the ladder stops rather than
+            // multiplying load onto an already-struggling cluster.
+            if !shared.retry_budget.try_spend() {
+                RouterMetrics::bump(&shared.metrics.retry_budget_exhausted);
+                break;
+            }
+            // Earlier rungs burned real time: re-derive the deadline
+            // for this hop (and shed if nothing usable is left).
+            if propagate_deadline(shared, &mut req, orig_deadline, arrival)?.is_some() {
+                frame = encode_frame(FrameKind::Request, req.to_json().to_string().as_bytes());
+            }
         }
-        // Earlier rungs burned real time: re-derive the deadline for
-        // this hop (and shed if nothing usable is left).
-        propagate_deadline(shared, &mut req, orig_deadline, arrival)?;
         attempted += 1;
-        RouterMetrics::bump(&shard.requests);
-        shard.inflight.fetch_add(1, Ordering::Relaxed);
-        let outcome = conns.request_budgeted(
-            &shard.endpoint,
-            &req,
-            &shared.shard_retry,
-            Some(&shared.retry_budget),
-        );
-        shard.inflight.fetch_sub(1, Ordering::Relaxed);
-        match outcome {
-            Ok((resp, latency)) => {
-                shard.observe_latency(latency, true);
-                note_success(shared, shard);
-                let rung = if Arc::ptr_eq(shard, &primary) {
-                    Rung::Primary
-                } else if tier == 0 {
-                    Rung::Failover
-                } else {
-                    Rung::Rerouted
-                };
-                return Ok(finish_success(
-                    shared, repl_tx, &replicas, rung, &canonical, resp,
-                ));
-            }
-            Err(ClientError::Server(reply))
-                if !reply.code.is_retryable() && !reply_is_link_evidence(&reply) =>
-            {
-                // The shard answered: it is healthy, the request is
-                // not. Failing over would reproduce the same rejection.
-                note_success(shared, shard);
-                return Err(reply);
-            }
-            Err(err) => {
-                note_failure(shared, shard, &err);
+        let is_primary = Arc::ptr_eq(shard, &primary);
+        let hedge = partner.as_ref().filter(|_| is_primary);
+        let (outcome, by_partner, latency) = exchange(shared, conns, &frame, shard, hedge);
+        let (payload, misses) = match outcome {
+            Outcome::Answer { payload, misses } => (payload, misses),
+            Outcome::Verdict(reply) => return Err(reply),
+            Outcome::Failed(reply) => {
                 RouterMetrics::bump(&shard.failovers);
-                last_err = Some(rung_error(shard, err));
+                last_err = Some(reply);
+                continue;
             }
+        };
+        let (answered, rung) = match hedge {
+            Some(partner) if by_partner => (partner, Rung::HedgeWin),
+            _ if is_primary => (shard, Rung::Primary),
+            _ if tier == 0 => (shard, Rung::Failover),
+            _ => (shard, Rung::Rerouted),
+        };
+        answered.observe_latency(latency, true);
+        shared.retry_budget.record_success();
+        match rung {
+            // Replicate fresh compiles from the primary to its first
+            // ring successor (R ≥ 2 and a successor exists).
+            Rung::Primary if misses > 0 => {
+                if let Some(successor) = replicas.get(1) {
+                    replicate(shared, repl_tx, successor, req, orig_deadline);
+                }
+            }
+            Rung::Primary => {}
+            Rung::HedgeWin => {
+                RouterMetrics::bump(&shared.metrics.hedge_wins);
+                RouterMetrics::bump(&answered.hedge_wins);
+            }
+            Rung::Failover => RouterMetrics::bump(&shared.metrics.failovers),
+            Rung::Rerouted => RouterMetrics::bump(&shared.metrics.rerouted),
         }
+        return Ok(payload);
     }
     RouterMetrics::bump(&shared.metrics.no_live_shard);
     Err(last_err
@@ -1019,269 +978,199 @@ fn forward_request(
         .with_retry_after_ms(NO_SHARD_RETRY_MS))
 }
 
-/// One racer's report back to the coordinating worker.
-struct HedgeMsg {
-    from_secondary: bool,
-    result: Result<ScheduleResponse, ClientError>,
-    /// The racer's connection, riding along so a winner's socket goes
-    /// back into the keep-alive map (`None` if the thread never ran).
-    client: Option<Client>,
-    latency: Duration,
-}
-
-/// How a (possibly hedged) primary forward ended.
-enum HedgeOutcome {
-    /// A racer answered; relay its response.
+/// How one shard's part in a rung ended.
+enum Outcome {
+    /// A `Response`, relayed to the client as it arrived.
     Answer {
-        shard: Arc<ShardState>,
-        resp: ScheduleResponse,
-        latency: Duration,
+        /// The payload, byte for byte.
+        payload: Vec<u8>,
+        /// Its `stats.cache_misses`: fresh compiles are replicated.
+        misses: u64,
     },
-    /// A healthy shard rejected the request itself — terminal, relay
-    /// the rejection without failover.
-    Reject(ErrorReply),
-    /// Every racer failed (health evidence already recorded); the
-    /// ladder continues past the primary.
+    /// A healthy shard rejected the request itself: relayed without
+    /// failover, which would reproduce the rejection.
+    Verdict(ErrorReply),
+    /// The shard or its link failed (evidence already recorded): the
+    /// ladder moves on.
     Failed(ErrorReply),
 }
 
-/// Launch one single-attempt forward on its own thread. The per-shard
-/// request/inflight counters are kept here so both racers are
-/// accounted exactly like ladder forwards.
-fn spawn_racer(
-    shard: &Arc<ShardState>,
-    mut client: Client,
-    req: &ScheduleRequest,
-    from_secondary: bool,
-    tx: &Sender<HedgeMsg>,
-) {
-    RouterMetrics::bump(&shard.requests);
-    shard.inflight.fetch_add(1, Ordering::Relaxed);
-    let thread_shard = Arc::clone(shard);
-    let req = req.clone();
-    let thread_tx = tx.clone();
-    let spawned = std::thread::Builder::new()
-        .name("dagsched-hedge".to_string())
-        .spawn(move || {
-            let started = Instant::now();
-            let result = client.request(&req);
-            thread_shard.inflight.fetch_sub(1, Ordering::Relaxed);
-            // The coordinator may already have returned with the other
-            // racer's answer; a closed channel is fine.
-            let _ = thread_tx.send(HedgeMsg {
-                from_secondary,
-                result,
-                client: Some(client),
-                latency: started.elapsed(),
-            });
-        });
-    if let Err(e) = spawned {
-        // The closure (and its client) never ran: undo the inflight
-        // and report the spawn failure as this racer's result.
-        shard.inflight.fetch_sub(1, Ordering::Relaxed);
-        let _ = tx.send(HedgeMsg {
-            from_secondary,
-            result: Err(ClientError::Io(e)),
-            client: None,
-            latency: Duration::ZERO,
-        });
-    }
-}
-
-/// Settle a race that ended with the primary answering before the
-/// hedge delay elapsed (the common case: no hedge was launched).
-fn settle_primary(
+/// Classify what one shard sent back, or how its connection failed,
+/// and record the health evidence. Forwards, hedges and replication
+/// writes all settle here.
+fn settle(
     shared: &Shared,
-    conns: &mut ShardConns,
-    primary: &Arc<ShardState>,
-    msg: HedgeMsg,
-) -> HedgeOutcome {
-    match msg.result {
-        Ok(resp) => {
-            if let Some(client) = msg.client {
-                conns.put(&primary.endpoint, client);
+    shard: &ShardState,
+    reply: Result<(FrameKind, Vec<u8>), ClientError>,
+) -> Outcome {
+    let err = match reply {
+        Ok((FrameKind::Response, payload)) => match response_misses(&payload) {
+            Some(misses) => {
+                note_success(shared, shard);
+                return Outcome::Answer { payload, misses };
             }
-            HedgeOutcome::Answer {
-                shard: Arc::clone(primary),
-                resp,
-                latency: msg.latency,
-            }
-        }
-        Err(ClientError::Server(reply))
+            None => ClientError::Protocol("undecodable response".to_string()),
+        },
+        Ok((FrameKind::Error, payload)) => match decode_error(&payload) {
+            Ok(reply) => ClientError::Server(reply),
+            Err(err) => err,
+        },
+        Ok((kind, _)) => ClientError::Protocol(format!("expected a response frame, got {kind:?}")),
+        Err(err) => err,
+    };
+    match err {
+        ClientError::Server(reply)
             if !reply.code.is_retryable() && !reply_is_link_evidence(&reply) =>
         {
-            note_success(shared, primary);
-            HedgeOutcome::Reject(reply)
+            // The shard answered: it is healthy, the request is not.
+            note_success(shared, shard);
+            Outcome::Verdict(reply)
         }
-        Err(err) => {
-            note_failure(shared, primary, &err);
-            HedgeOutcome::Failed(rung_error(primary, err))
+        err => {
+            note_failure(shared, shard, &err);
+            Outcome::Failed(rung_error(shard, err))
         }
     }
 }
 
-/// Forward to the primary with a hedge: if the answer outlives the
-/// primary's recent latency quantile, the same request is raced
-/// against `secondary` and the first answer wins. The loser is
-/// cancelled via its [`CancelHandle`] — a shutdown unblocks its read
-/// immediately instead of letting it wait out the socket timeout.
-///
-/// Racing is safe because requests are content-addressed and
-/// idempotent and replies deterministic: both racers produce
-/// bit-identical bytes, so relaying either is correct, and a
-/// duplicated compile only warms a cache.
-fn hedged_request(
+/// `stats.cache_misses` of a `Response` payload (absent reads as zero),
+/// or `None` when the payload is not JSON with a `stats` object.
+fn response_misses(payload: &[u8]) -> Option<u64> {
+    let value = Json::parse(std::str::from_utf8(payload).ok()?).ok()?;
+    let stats = value.get("stats")?;
+    Some(
+        stats
+            .get("cache_misses")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
+    )
+}
+
+/// One copy of a request on the wire.
+struct Leg<'a> {
+    shard: &'a Arc<ShardState>,
+    link: Link,
+    sent: Instant,
+}
+
+/// Check out a connection to `shard` and write `frame` on it whole.
+/// A failure is settled at once.
+fn open_leg<'a>(
     shared: &Shared,
     conns: &mut ShardConns,
-    primary: &Arc<ShardState>,
-    secondary: &Arc<ShardState>,
-    req: &ScheduleRequest,
-) -> HedgeOutcome {
+    frame: &[u8],
+    shard: &'a Arc<ShardState>,
+) -> Result<Leg<'a>, Outcome> {
+    RouterMetrics::bump(&shard.requests);
     let policy = &shared.shard_retry;
-    let delay = primary.hedge_delay(shared.hedge.quantile, shared.hedge.min, shared.hedge.max);
-
-    let pclient = match conns.take_or_dial(&primary.endpoint, policy) {
-        Ok(c) => c,
-        Err(err) => {
-            note_failure(shared, primary, &err);
-            return HedgeOutcome::Failed(rung_error(primary, err));
+    let sent = Instant::now();
+    let opened = conns
+        .checkout(&shard.endpoint, policy)
+        .and_then(|mut link| link.send(frame, policy.per_attempt_timeout).map(|()| link));
+    match opened {
+        Ok(link) => {
+            shard.inflight.fetch_add(1, Ordering::Relaxed);
+            Ok(Leg { shard, link, sent })
         }
-    };
-    pclient.set_io_timeout(policy.per_attempt_timeout);
-    let pcancel = pclient.cancel_handle();
-
-    let (tx, rx) = channel::<HedgeMsg>();
-    spawn_racer(primary, pclient, req, false, &tx);
-
-    // Give the primary its quantile head start.
-    match rx.recv_timeout(delay) {
-        Ok(msg) => return settle_primary(shared, conns, primary, msg),
-        Err(RecvTimeoutError::Timeout) => {}
-        Err(RecvTimeoutError::Disconnected) => {
-            return HedgeOutcome::Failed(ErrorReply::new(
-                ErrorCode::Internal,
-                format!("hedge racer for shard {} vanished", primary.endpoint),
-            ));
-        }
+        Err(err) => Err(settle(shared, shard, Err(err))),
     }
+}
 
-    // The primary is past its quantile: launch the hedge — unless the
-    // shared retry budget is dry, in which case the router waits out
-    // the primary alone instead of putting a second copy of the
-    // request on the wire (a hedge is a speculative retry, and retry
-    // amplification is exactly what a drained bucket forbids).
-    let mut outstanding = 1usize;
-    let scancel: Option<CancelHandle> = if !shared.retry_budget.try_spend() {
-        RouterMetrics::bump(&shared.metrics.retry_budget_exhausted);
-        None
-    } else {
-        RouterMetrics::bump(&shared.metrics.hedged_requests);
-        RouterMetrics::bump(&primary.hedges);
-        match conns.take_or_dial(&secondary.endpoint, policy) {
-            Ok(sclient) => {
-                sclient.set_io_timeout(policy.per_attempt_timeout);
-                let handle = sclient.cancel_handle();
-                spawn_racer(secondary, sclient, req, true, &tx);
-                outstanding += 1;
-                handle
-            }
-            Err(err) => {
-                // The hedge could not even dial: record the evidence
-                // and fall back to waiting out the primary alone.
-                note_failure(shared, secondary, &err);
-                None
-            }
-        }
+/// Send `frame` to `shard` and wait for the first complete reply.
+///
+/// With a hedge `partner`: if nothing complete has come back by
+/// `shard`'s hedge delay and the retry budget grants a token, the same
+/// bytes go to `partner` on a second connection, and whichever reply
+/// completes first settles the exchange; the other connection is
+/// dropped. A leg that fails while the other is still out leaves the
+/// race to it. A leg times out after `per_attempt_timeout` without
+/// progress.
+///
+/// Returns the outcome, whether `partner` produced it, and that leg's
+/// round-trip latency. The answering connection is kept for the next
+/// forward.
+fn exchange(
+    shared: &Shared,
+    conns: &mut ShardConns,
+    frame: &[u8],
+    shard: &Arc<ShardState>,
+    partner: Option<&Arc<ShardState>>,
+) -> (Outcome, bool, Duration) {
+    let timeout = shared.shard_retry.per_attempt_timeout;
+    let mut legs = match open_leg(shared, conns, frame, shard) {
+        Ok(leg) => vec![leg],
+        Err(outcome) => return (outcome, false, Duration::ZERO),
     };
-    drop(tx);
+    let mut hedge_at =
+        partner.map(|_| legs[0].sent + shard.hedge_delay(HEDGE_QUANTILE, HEDGE_MIN, HEDGE_MAX));
+    let mut failed = None;
+    loop {
+        let until = legs
+            .iter()
+            .filter_map(|leg| leg.link.deadline(timeout))
+            .chain(hedge_at)
+            .min();
+        wait_ready(legs.iter().map(|leg| &leg.link), false, until);
 
-    let cancel_all = || {
-        if let Some(c) = &pcancel {
-            c.cancel();
+        let mut i = 0;
+        while i < legs.len() {
+            let reply = match legs[i].link.read_reply() {
+                Ok(Some(reply)) => Ok(reply),
+                Ok(None) if !legs[i].link.expired(timeout) => {
+                    i += 1;
+                    continue;
+                }
+                Ok(None) => Err(io::Error::from(io::ErrorKind::TimedOut).into()),
+                Err(err) => Err(err),
+            };
+            let leg = legs.swap_remove(i);
+            leg.shard.inflight.fetch_sub(1, Ordering::Relaxed);
+            match settle(shared, leg.shard, reply) {
+                Outcome::Failed(reply) => failed = Some(reply),
+                outcome => {
+                    for loser in &legs {
+                        loser.shard.inflight.fetch_sub(1, Ordering::Relaxed);
+                    }
+                    let by_partner = !Arc::ptr_eq(leg.shard, shard);
+                    let latency = leg.sent.elapsed();
+                    conns.checkin(&leg.shard.endpoint, leg.link);
+                    return (outcome, by_partner, latency);
+                }
+            }
         }
-        if let Some(c) = &scancel {
-            c.cancel();
+        if legs.is_empty() {
+            let reply = failed
+                .unwrap_or_else(|| ErrorReply::new(ErrorCode::Internal, "every shard leg failed"));
+            return (Outcome::Failed(reply), false, Duration::ZERO);
         }
-    };
 
-    // First terminal answer wins. Each racer is bounded by its
-    // per-attempt socket timeout; the slack bounds the race itself.
-    let deadline = Instant::now()
-        + policy
-            .per_attempt_timeout
-            .unwrap_or(Duration::from_secs(30))
-        + HEDGE_RACE_SLACK;
-    let mut race_err: Option<ErrorReply> = None;
-    while outstanding > 0 {
-        let left = deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1));
-        let msg = match rx.recv_timeout(left) {
-            Ok(m) => m,
-            // Timeout (both racers wedged past their socket timeouts)
-            // or every sender gone without a message: give up.
-            Err(_) => break,
-        };
-        outstanding -= 1;
-        let (shard, other_cancel) = if msg.from_secondary {
-            (secondary, &pcancel)
-        } else {
-            (primary, &scancel)
-        };
-        match msg.result {
-            Ok(resp) => {
-                if let Some(c) = other_cancel {
-                    c.cancel();
+        // The primary outlived its hedge delay: send the same frame to
+        // the partner — unless the shared retry budget is dry, in which
+        // case the primary is waited out alone (a hedge is a speculative
+        // retry, and retry amplification is what a drained bucket
+        // forbids).
+        if let (Some(at), Some(partner)) = (hedge_at, partner) {
+            if Instant::now() >= at {
+                hedge_at = None;
+                if shared.retry_budget.try_spend() {
+                    RouterMetrics::bump(&shared.metrics.hedged_requests);
+                    RouterMetrics::bump(&shard.hedges);
+                    // A partner that cannot be reached was settled as
+                    // evidence; the primary keeps the race.
+                    if let Ok(leg) = open_leg(shared, conns, frame, partner) {
+                        legs.push(leg);
+                    }
+                } else {
+                    RouterMetrics::bump(&shared.metrics.retry_budget_exhausted);
                 }
-                if msg.from_secondary {
-                    RouterMetrics::bump(&shared.metrics.hedge_wins);
-                    RouterMetrics::bump(&secondary.hedge_wins);
-                }
-                if let Some(client) = msg.client {
-                    conns.put(&shard.endpoint, client);
-                }
-                return HedgeOutcome::Answer {
-                    shard: Arc::clone(shard),
-                    resp,
-                    latency: msg.latency,
-                };
-            }
-            Err(ClientError::Server(reply))
-                if !reply.code.is_retryable() && !reply_is_link_evidence(&reply) =>
-            {
-                // A healthy shard rejected the request itself: that is
-                // the answer, the race cannot change it.
-                note_success(shared, shard);
-                cancel_all();
-                return HedgeOutcome::Reject(reply);
-            }
-            Err(err) => {
-                // The cancelled-loser path never reaches here: a loser
-                // is only cancelled after this function returns with
-                // the winner, so any failure seen in this loop is a
-                // genuine one.
-                note_failure(shared, shard, &err);
-                race_err = Some(rung_error(shard, err));
             }
         }
     }
-    cancel_all();
-    HedgeOutcome::Failed(race_err.unwrap_or_else(|| {
-        ErrorReply::new(
-            ErrorCode::Internal,
-            format!("hedged forward to shard {} timed out", primary.endpoint),
-        )
-        .with_retry_after_ms(NO_SHARD_RETRY_MS)
-    }))
 }
 
 /// Answer one router admin command (cluster membership; shard-level
 /// snapshot commands are refused with a pointer to the right tier).
-fn handle_admin(
-    shared: &Shared,
-    conns: &mut ShardConns,
-    payload: &[u8],
-) -> Result<Json, ErrorReply> {
+fn handle_admin(shared: &Shared, payload: &[u8]) -> Result<Json, ErrorReply> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| ErrorReply::new(ErrorCode::ParseError, "admin payload is not UTF-8"))?;
     let value = Json::parse(text).map_err(|e| {
@@ -1312,8 +1201,7 @@ fn handle_admin(
             let mut installed = 0u64;
             let mut donor_generation = 0u64;
             if let Some(donor_ep) = &donor {
-                let exported = conns
-                    .admin(donor_ep, &AdminCommand::SnapshotExport, &shared.shard_retry)
+                let exported = admin(donor_ep, &AdminCommand::SnapshotExport, &shared.shard_retry)
                     .map_err(|e| {
                         ErrorReply::new(
                             ErrorCode::Internal,
@@ -1334,18 +1222,17 @@ fn handle_admin(
                     .get("generation")
                     .and_then(Json::as_u64)
                     .unwrap_or(0);
-                let installed_reply = conns
-                    .admin(
-                        &endpoint,
-                        &AdminCommand::SnapshotInstall { shipment },
-                        &shared.shard_retry,
+                let installed_reply = admin(
+                    &endpoint,
+                    &AdminCommand::SnapshotInstall { shipment },
+                    &shared.shard_retry,
+                )
+                .map_err(|e| {
+                    ErrorReply::new(
+                        ErrorCode::Internal,
+                        format!("snapshot install on joining shard {endpoint} failed: {e}"),
                     )
-                    .map_err(|e| {
-                        ErrorReply::new(
-                            ErrorCode::Internal,
-                            format!("snapshot install on joining shard {endpoint} failed: {e}"),
-                        )
-                    })?;
+                })?;
                 installed = installed_reply
                     .get("installed")
                     .and_then(Json::as_u64)
@@ -1417,22 +1304,18 @@ fn replicate_loop(shared: Arc<Shared>, rx: Receiver<ReplJob>) {
             RouterMetrics::bump(&shared.metrics.replication_dropped);
             continue;
         }
-        match conns.request(&job.target, &job.request, &shared.shard_retry) {
-            Ok((_, latency)) => {
+        match exchange(&shared, &mut conns, &job.frame, &shard, None) {
+            (Outcome::Answer { .. }, _, latency) => {
                 // Background writes feed the EWMA but not the hedge
                 // window — the quantile must reflect client forwards.
                 shard.observe_latency(latency, false);
-                note_success(&shared, &shard);
                 RouterMetrics::bump(&shard.replication_writes);
                 RouterMetrics::bump(&shared.metrics.replication_writes);
             }
-            Err(err) => {
-                // Link evidence (including frame-level complaints)
-                // feeds the breaker; a plain rejection — e.g. draining
-                // — does not: replication is best-effort either way.
-                note_failure(&shared, &shard, &err);
-                RouterMetrics::bump(&shared.metrics.replication_dropped);
-            }
+            // `settle` fed link evidence to the breaker; a plain
+            // rejection (e.g. draining) did not. Replication is
+            // best-effort either way.
+            _ => RouterMetrics::bump(&shared.metrics.replication_dropped),
         }
     }
 }
@@ -1499,12 +1382,6 @@ mod tests {
             fail_threshold: 3,
             revive_threshold: 3,
             health_check_ms: 500,
-            hedge: HedgeConfig {
-                enabled: false,
-                quantile: 0.95,
-                min: Duration::from_millis(10),
-                max: Duration::from_millis(400),
-            },
             shard_retry: RetryPolicy {
                 max_retries: 0,
                 base_delay: Duration::from_millis(1),
@@ -1649,9 +1526,6 @@ mod tests {
         assert_eq!(cfg.replicas, 2);
         assert!(cfg.fail_threshold >= 1);
         assert!(cfg.revive_threshold >= 1, "half-open revive by default");
-        assert!(cfg.hedge, "hedging is on by default");
-        assert!(cfg.hedge_quantile > 0.5 && cfg.hedge_quantile < 1.0);
-        assert!(cfg.hedge_min_ms <= cfg.hedge_max_ms);
         assert!(cfg.shard_retry.max_retries >= 1);
         assert!(cfg.replication_queue > 0);
         assert!(cfg.workers >= 1);

@@ -1,5 +1,6 @@
 //! Per-shard health state (latency-aware score + circuit breaker),
-//! keep-alive shard connections, and the router's own counters.
+//! the kept shard connections a forwarding worker drives, and the
+//! router's own counters.
 //!
 //! # Breaker state machine
 //!
@@ -28,20 +29,23 @@
 //!
 //! Every successful probe and forward feeds an EWMA of observed latency
 //! (`α = 1/5`); forwards additionally feed a small sliding window from
-//! which the hedging delay quantile is drawn. [`ShardState::health_score`]
+//! which the hedging delay quantile ([`HEDGE_QUANTILE`], clamped to
+//! [`HEDGE_MIN`]..[`HEDGE_MAX`]) is drawn. [`ShardState::health_score`]
 //! combines the EWMA with current failure evidence and orders the
 //! reroute tier, so overflow traffic prefers fast, unblemished shards.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dagsched_proto::json::Json;
-use dagsched_proto::{AdminCommand, ScheduleRequest, ScheduleResponse};
-use dagsched_service::client::{Client, ClientError, RetryBudget, RetryPolicy};
-use dagsched_service::reactor::lock_recover;
+use dagsched_proto::{AdminCommand, FrameAssembler, FrameKind, DEFAULT_MAX_FRAME};
+use dagsched_service::client::{Client, ClientError, RetryPolicy};
+#[cfg(not(unix))]
+use dagsched_service::reactor::NO_POLL_TICK;
+use dagsched_service::reactor::{lock_recover, Stream};
 
 /// Circuit-breaker state for one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,6 +136,17 @@ impl LatencyWindow {
     }
 }
 
+/// The forward-latency quantile a primary forward must outlive before
+/// the router sends the same request to the next replica.
+pub const HEDGE_QUANTILE: f64 = 0.95;
+
+/// Lower clamp on the hedge delay.
+pub const HEDGE_MIN: Duration = Duration::from_millis(10);
+
+/// Upper clamp on the hedge delay, and the delay while a shard has too
+/// few forward samples for a quantile.
+pub const HEDGE_MAX: Duration = Duration::from_millis(400);
+
 /// Health and traffic counters for one shard.
 #[derive(Debug)]
 pub struct ShardState {
@@ -145,9 +160,10 @@ pub struct ShardState {
     ewma_us: AtomicU64,
     /// Recent forward latencies, for the hedge quantile.
     window: Mutex<LatencyWindow>,
-    /// Requests currently being forwarded to this shard.
+    /// Requests currently on their way to or from this shard.
     pub inflight: AtomicU64,
-    /// Requests forwarded (any outcome).
+    /// Requests sent to this shard (forwards, hedges and replication
+    /// writes; any outcome, a failed dial included).
     pub requests: AtomicU64,
     /// Forwarding failures (transport or exhausted retries).
     pub failures: AtomicU64,
@@ -312,7 +328,8 @@ impl ShardState {
 
     /// The hedge-trigger delay for forwards to this shard: the
     /// `quantile` of its recent forward latencies, clamped to
-    /// `[min, max]`; `max` until enough samples exist.
+    /// `[min, max]`; `max` until enough samples exist. The router calls
+    /// it with [`HEDGE_QUANTILE`], [`HEDGE_MIN`] and [`HEDGE_MAX`].
     pub fn hedge_delay(&self, quantile: f64, min: Duration, max: Duration) -> Duration {
         match lock_recover(&self.window).quantile_us(quantile) {
             Some(us) => Duration::from_micros(us).clamp(min, max),
@@ -347,101 +364,184 @@ impl ShardState {
     }
 }
 
-/// Keep-alive connections to shards, one map per forwarding worker (no
-/// cross-thread sharing: a poisoned stream only affects its owner).
+/// One shard connection as a forwarding worker drives it: a
+/// nonblocking socket, the assembler its reply bytes collect in, and
+/// when bytes last moved on it.
+pub(crate) struct Link {
+    stream: Stream,
+    asm: FrameAssembler,
+    progress: Instant,
+}
+
+impl Link {
+    /// Dial `endpoint`, retrying the dial itself under `policy`.
+    fn dial(endpoint: &str, policy: &RetryPolicy) -> Result<Link, ClientError> {
+        let (client, _) = Client::connect_with_retry(endpoint, policy)?;
+        let stream = client.into_stream();
+        stream.set_nonblocking(true)?;
+        Ok(Link {
+            stream,
+            asm: FrameAssembler::new(DEFAULT_MAX_FRAME),
+            progress: Instant::now(),
+        })
+    }
+
+    /// Whether a kept connection is still good for a request: no bytes
+    /// buffered or waiting, and no hangup. A shard that restarted or
+    /// closed the connection as idle shows EOF here, so the request goes
+    /// out on a fresh dial instead of into a dead socket.
+    fn is_idle(&mut self) -> bool {
+        let mut probe = [0u8; 1];
+        !self.asm.mid_frame()
+            && matches!(self.stream.read(&mut probe), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+    }
+
+    /// The instant this link times out: `timeout` after bytes last
+    /// moved on it (`None` waits without bound).
+    pub(crate) fn deadline(&self, timeout: Option<Duration>) -> Option<Instant> {
+        timeout.and_then(|t| self.progress.checked_add(t))
+    }
+
+    /// Whether `timeout` has passed since bytes last moved.
+    pub(crate) fn expired(&self, timeout: Option<Duration>) -> bool {
+        self.deadline(timeout).is_some_and(|t| Instant::now() >= t)
+    }
+
+    /// Write `frame` whole before returning: the shard never sees a
+    /// request cut short by the router. Fails when the socket breaks or
+    /// accepts nothing for `timeout`.
+    pub(crate) fn send(
+        &mut self,
+        frame: &[u8],
+        timeout: Option<Duration>,
+    ) -> Result<(), ClientError> {
+        self.progress = Instant::now();
+        let mut pos = 0;
+        while pos < frame.len() {
+            match self.stream.write(&frame[pos..]) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => {
+                    pos += n;
+                    self.progress = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if self.expired(timeout) {
+                        return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+                    }
+                    wait_ready([&*self], true, self.deadline(timeout));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Read whatever the socket holds; `Ok(Some(..))` once a whole reply
+    /// frame has arrived, `Ok(None)` while it is still on its way.
+    pub(crate) fn read_reply(&mut self) -> Result<Option<(FrameKind, Vec<u8>)>, ClientError> {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            if let Some(frame) = self.asm.next_frame()? {
+                return Ok(Some(frame));
+            }
+            match self.stream.read(&mut buf) {
+                Ok(0) if self.asm.mid_frame() => return Err(self.asm.eof_error().into()),
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
+                Ok(n) => {
+                    self.asm.extend(&buf[..n]);
+                    self.progress = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// Block until one of `links` is readable (or writable) or `until`
+/// passes: `poll(2)` on unix, the reactor's timed tick elsewhere.
+/// Readiness is only a hint; callers retry their nonblocking operation.
+#[cfg(unix)]
+pub(crate) fn wait_ready<'a>(
+    links: impl IntoIterator<Item = &'a Link>,
+    writable: bool,
+    until: Option<Instant>,
+) {
+    use dagsched_service::reactor::sys::{poll_fds, PollFd, POLLIN, POLLOUT};
+    use std::os::unix::io::AsRawFd;
+    let events = if writable { POLLOUT } else { POLLIN };
+    let mut fds: Vec<PollFd> = links
+        .into_iter()
+        .map(|l| PollFd {
+            fd: l.stream.as_raw_fd(),
+            events,
+            revents: 0,
+        })
+        .collect();
+    // Round up: a sub-millisecond remainder must not spin on poll(0).
+    let timeout_ms = until.map_or(-1, |t| {
+        let left = t.saturating_duration_since(Instant::now());
+        i32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
+    });
+    let _ = poll_fds(&mut fds, timeout_ms);
+}
+
+/// Block until one of `links` is readable (or writable) or `until`
+/// passes: `poll(2)` on unix, the reactor's timed tick elsewhere.
+#[cfg(not(unix))]
+pub(crate) fn wait_ready<'a>(
+    _links: impl IntoIterator<Item = &'a Link>,
+    _writable: bool,
+    until: Option<Instant>,
+) {
+    let left = until.map_or(NO_POLL_TICK, |t| {
+        t.saturating_duration_since(Instant::now())
+    });
+    std::thread::sleep(left.min(NO_POLL_TICK));
+}
+
+/// Kept shard connections, one map per forwarding worker (no sharing
+/// across threads: a broken connection only affects its owner).
 #[derive(Default)]
-pub struct ShardConns {
-    conns: HashMap<String, Client>,
+pub(crate) struct ShardConns {
+    links: HashMap<String, Link>,
 }
 
 impl ShardConns {
-    /// Forward `req` to `endpoint`, dialing (with retry) on first use
-    /// and dropping the cached connection on any failure. On success
-    /// the measured round-trip latency rides along for health scoring.
-    pub fn request(
+    /// The kept connection to `endpoint` if it is still idle and open,
+    /// otherwise a fresh one dialed under `policy`. The caller owns it
+    /// for one exchange and hands it back with [`ShardConns::checkin`]
+    /// only if it ended on a whole reply.
+    pub(crate) fn checkout(
         &mut self,
         endpoint: &str,
-        req: &ScheduleRequest,
         policy: &RetryPolicy,
-    ) -> Result<(ScheduleResponse, Duration), ClientError> {
-        self.request_budgeted(endpoint, req, policy, None)
-    }
-
-    /// [`ShardConns::request`] with the client-level retries drawing
-    /// from a shared [`RetryBudget`]: each redial/retry spends a token
-    /// and each success refills one, so a wedged shard cannot make the
-    /// router's own retries amplify the overload.
-    pub fn request_budgeted(
-        &mut self,
-        endpoint: &str,
-        req: &ScheduleRequest,
-        policy: &RetryPolicy,
-        budget: Option<&RetryBudget>,
-    ) -> Result<(ScheduleResponse, Duration), ClientError> {
-        let client = match self.conns.entry(endpoint.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                let (client, _) = Client::connect_with_retry(endpoint, policy)?;
-                v.insert(client)
-            }
-        };
-        let started = std::time::Instant::now();
-        match client.request_with_retry_budgeted(req, policy, budget) {
-            Ok((resp, _)) => Ok((resp, started.elapsed())),
-            Err(e) => {
-                // `request_with_retry` already redialed what it could;
-                // whatever is left is not worth keeping.
-                self.conns.remove(endpoint);
-                Err(e)
+    ) -> Result<Link, ClientError> {
+        if let Some(mut link) = self.links.remove(endpoint) {
+            if link.is_idle() {
+                return Ok(link);
             }
         }
+        Link::dial(endpoint, policy)
     }
 
-    /// Send one admin command to `endpoint` on a fresh or cached
-    /// connection.
-    pub fn admin(
-        &mut self,
-        endpoint: &str,
-        cmd: &AdminCommand,
-        policy: &RetryPolicy,
-    ) -> Result<Json, ClientError> {
-        let client = match self.conns.entry(endpoint.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                let (client, _) = Client::connect_with_retry(endpoint, policy)?;
-                client.set_io_timeout(policy.per_attempt_timeout);
-                v.insert(client)
-            }
-        };
-        match client.admin(cmd) {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.conns.remove(endpoint);
-                Err(e)
-            }
-        }
+    /// Keep `link` for the next request to `endpoint`.
+    pub(crate) fn checkin(&mut self, endpoint: &str, link: Link) {
+        self.links.insert(endpoint.to_string(), link);
     }
+}
 
-    /// Take the cached connection to `endpoint` out of the map (or
-    /// dial a fresh one). Hedged forwards move the connection onto a
-    /// racing thread; the winner's connection is given back via
-    /// [`ShardConns::put`], the cancelled loser's is dropped.
-    pub fn take_or_dial(
-        &mut self,
-        endpoint: &str,
-        policy: &RetryPolicy,
-    ) -> Result<Client, ClientError> {
-        if let Some(client) = self.conns.remove(endpoint) {
-            return Ok(client);
-        }
-        let (client, _) = Client::connect_with_retry(endpoint, policy)?;
-        Ok(client)
-    }
-
-    /// Return a healthy connection to the keep-alive map.
-    pub fn put(&mut self, endpoint: &str, client: Client) {
-        self.conns.insert(endpoint.to_string(), client);
-    }
+/// Send one admin command to `endpoint` on a fresh connection.
+pub(crate) fn admin(
+    endpoint: &str,
+    cmd: &AdminCommand,
+    policy: &RetryPolicy,
+) -> Result<Json, ClientError> {
+    let (mut client, _) = Client::connect_with_retry(endpoint, policy)?;
+    client.set_io_timeout(policy.per_attempt_timeout);
+    client.admin(cmd)
 }
 
 /// Fixed-bucket histogram of the deadline budget (milliseconds) still

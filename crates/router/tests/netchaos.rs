@@ -129,6 +129,43 @@ impl ChaosCluster {
             .unwrap_or_else(|| panic!("router metrics missing {name}"))
     }
 
+    /// Wait until no shard's request counters move for a second (a
+    /// hedge loser may still be crossing a slow proxy), then check the
+    /// accounting identity `requests == responses + errors` on each.
+    fn assert_quiet_shards_balance(&self) {
+        let counts = || -> Vec<[u64; 3]> {
+            self.shards
+                .iter()
+                .map(|s| {
+                    let m = s.metrics();
+                    ["requests", "responses", "errors"].map(|k| {
+                        m.get(k)
+                            .and_then(Json::as_u64)
+                            .unwrap_or_else(|| panic!("shard metrics missing {k}"))
+                    })
+                })
+                .collect()
+        };
+        let deadline = Instant::now() + Duration::from_secs(15);
+        let mut last = counts();
+        loop {
+            std::thread::sleep(Duration::from_secs(1));
+            let now = counts();
+            if now == last {
+                break;
+            }
+            assert!(Instant::now() < deadline, "shards never went quiet");
+            last = now;
+        }
+        for (i, [requests, responses, errors]) in last.into_iter().enumerate() {
+            assert_eq!(
+                requests,
+                responses + errors,
+                "shard {i}: requests {requests}, responses {responses}, errors {errors}"
+            );
+        }
+    }
+
     fn wait_for<F: Fn() -> bool>(cond: F, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !cond() {
@@ -274,5 +311,9 @@ fn a_slow_primary_loses_the_hedge_race_with_its_breaker_closed() {
 
     cluster.proxies[primary].set_extra_latency_ms(0);
     drop(client);
+    // The router writes every request frame whole before it waits or
+    // races, so the hedge loser's shard answers a request nobody reads
+    // instead of counting a frame cut off mid-write as an error.
+    cluster.assert_quiet_shards_balance();
     cluster.teardown();
 }

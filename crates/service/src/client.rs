@@ -31,9 +31,14 @@
 //! half of the metastable-failure loop (DESIGN.md §16).
 //! [`Client::request_with_retry_budgeted`] consults one; the router's
 //! hedges and failovers draw from the same mechanism.
+//!
+//! Calls block until the reply arrives or the socket timeout fires. A
+//! caller that waits on several servers at once, like the router's
+//! hedged forwards, takes the socket with [`Client::into_stream`] and
+//! polls it itself.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -48,6 +53,7 @@ use crate::proto::{
     read_frame, write_frame, AdminCommand, ErrorReply, FrameKind, FrameReadError, ScheduleRequest,
     ScheduleResponse, DEFAULT_MAX_FRAME,
 };
+use crate::reactor::Stream;
 use crate::server::{parse_endpoint, Listen};
 
 /// Why a client call failed.
@@ -277,90 +283,6 @@ impl RetryBudget {
     /// Whole tokens currently available.
     pub fn tokens(&self) -> u64 {
         self.millitokens.load(Ordering::Relaxed) / 1000
-    }
-}
-
-/// The concrete connection (kept as an enum so per-attempt socket
-/// timeouts can be applied; trait objects would hide `set_read_timeout`).
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn set_timeouts(&self, timeout: Option<Duration>) {
-        match self {
-            Stream::Tcp(s) => {
-                let _ = s.set_read_timeout(timeout);
-                let _ = s.set_write_timeout(timeout);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.set_read_timeout(timeout);
-                let _ = s.set_write_timeout(timeout);
-            }
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// A cancellation handle for one in-flight [`Client`] call, cloned off
-/// the live connection with [`Client::cancel_handle`].
-///
-/// [`CancelHandle::cancel`] shuts the socket down from *another*
-/// thread, which makes the blocked read or write on the owning thread
-/// return an error immediately — the std-only equivalent of aborting a
-/// future. The router's hedged forwards use this to cancel the losing
-/// side of a request race: the cancelled `Client` surfaces a transport
-/// error and must be discarded (its stream is dead), which is exactly
-/// the discipline callers already apply to broken connections.
-pub struct CancelHandle {
-    stream: Stream,
-}
-
-impl CancelHandle {
-    /// Abort whatever call is in flight on the owning connection by
-    /// shutting the socket down in both directions. Idempotent; a
-    /// handle whose connection already finished cleanly just breaks
-    /// the (now unused) stream.
-    pub fn cancel(&self) {
-        match &self.stream {
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
     }
 }
 
@@ -659,16 +581,11 @@ impl Client {
         true
     }
 
-    /// A [`CancelHandle`] for the current connection, or `None` when
-    /// the socket cannot be cloned. Cancellation only covers *this*
-    /// stream: a later redial needs a fresh handle.
-    pub fn cancel_handle(&self) -> Option<CancelHandle> {
-        let stream = match &self.stream {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone().ok()?),
-            #[cfg(unix)]
-            Stream::Unix(s) => Stream::Unix(s.try_clone().ok()?),
-        };
-        Some(CancelHandle { stream })
+    /// Give up the protocol wrapper and keep the connected socket (the
+    /// router dials shards through [`Client::connect_with_retry`], then
+    /// drives the socket itself).
+    pub fn into_stream(self) -> Stream {
+        self.stream
     }
 
     /// Apply a read/write timeout to the underlying socket. Calls that
@@ -732,7 +649,8 @@ fn decode_json(payload: &[u8]) -> Result<Json, ClientError> {
     Json::parse(text).map_err(|e| ClientError::Protocol(format!("payload is not JSON: {e}")))
 }
 
-fn decode_error(payload: &[u8]) -> Result<ErrorReply, ClientError> {
+/// Decode the payload of an `Error` frame.
+pub fn decode_error(payload: &[u8]) -> Result<ErrorReply, ClientError> {
     let value = decode_json(payload)?;
     ErrorReply::from_json(&value)
         .ok_or_else(|| ClientError::Protocol("undecodable error reply".to_string()))
@@ -884,48 +802,6 @@ mod tests {
         assert_eq!(stats.redials, stats.retries);
         assert!(client.endpoint.is_some(), "redial target is remembered");
         binder.join().unwrap();
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A cancel handle aborts a request stuck on a server that accepts
-    /// but never answers — the hedged-forward scenario: the loser of
-    /// the race must return promptly instead of waiting out its socket
-    /// timeout.
-    #[cfg(unix)]
-    #[test]
-    fn cancel_handle_unblocks_a_stuck_request() {
-        use std::os::unix::net::UnixListener;
-        let path =
-            std::env::temp_dir().join(format!("dagsched-cancel-{}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path).expect("bind");
-        let hold = std::thread::spawn(move || {
-            // Accept, read the request, answer nothing.
-            let (mut conn, _) = listener.accept().expect("accept");
-            let mut buf = [0u8; 4096];
-            let _ = conn.read(&mut buf);
-            std::thread::sleep(Duration::from_secs(5));
-        });
-        let mut client = Client::connect_unix(&path).expect("connect");
-        let cancel = client.cancel_handle().expect("clonable socket");
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(100));
-            cancel.cancel();
-        });
-        let started = Instant::now();
-        let err = client
-            .request(&ScheduleRequest::asm("add %o0, %o1, %o2"))
-            .expect_err("a cancelled request must not succeed");
-        assert!(
-            started.elapsed() < Duration::from_secs(3),
-            "cancel must interrupt the blocked read, not wait out a timeout"
-        );
-        assert!(
-            matches!(err, ClientError::Io(_) | ClientError::Frame(_)),
-            "cancellation surfaces as transport breakage: {err}"
-        );
-        canceller.join().unwrap();
-        hold.join().unwrap();
         let _ = std::fs::remove_file(&path);
     }
 

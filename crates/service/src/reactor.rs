@@ -53,6 +53,10 @@ use crate::proto::{write_frame, ErrorCode, ErrorReply, FrameAssembler, FrameKind
 /// at least this often.
 const POLL_TICK: Duration = Duration::from_millis(25);
 
+/// Where there is no `poll(2)`, readiness is found by sleeping this
+/// long and retrying nonblocking operations.
+pub const NO_POLL_TICK: Duration = Duration::from_millis(5);
+
 /// Cap on `read(2)` calls per connection per wakeup, so one firehose
 /// peer cannot starve the rest of the loop.
 const MAX_READS_PER_WAKEUP: usize = 4;
@@ -117,8 +121,10 @@ pub fn install_sigterm_handler() {}
 // poll(2) FFI
 // ---------------------------------------------------------------------
 
+/// The `poll(2)` binding, exported so the router's forwarding workers
+/// wait on their shard connections with the same call.
 #[cfg(unix)]
-mod sys {
+pub mod sys {
     use std::io;
 
     /// `struct pollfd` — identical layout on every unix libc.
@@ -164,7 +170,9 @@ mod sys {
 // Transport
 // ---------------------------------------------------------------------
 
-/// One accepted connection (either transport), always nonblocking.
+/// One connection (either transport). The reactor keeps accepted ones
+/// nonblocking; the blocking [`crate::client::Client`] dials the same
+/// type.
 pub enum Stream {
     /// TCP.
     Tcp(TcpStream),
@@ -197,6 +205,32 @@ impl Write for Stream {
             Stream::Tcp(s) => s.flush(),
             #[cfg(unix)]
             Stream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+impl Stream {
+    /// Switch the socket between blocking and nonblocking mode.
+    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    /// Apply one read and write timeout to a blocking socket.
+    pub fn set_timeouts(&self, timeout: Option<Duration>) {
+        match self {
+            Stream::Tcp(s) => {
+                let _ = s.set_read_timeout(timeout);
+                let _ = s.set_write_timeout(timeout);
+            }
+            #[cfg(unix)]
+            Stream::Unix(s) => {
+                let _ = s.set_read_timeout(timeout);
+                let _ = s.set_write_timeout(timeout);
+            }
         }
     }
 }
@@ -769,7 +803,7 @@ impl Reactor {
     /// WouldBlock) but busier — acceptable on platforms CI never runs.
     #[cfg(not(unix))]
     fn poll_once(&mut self) {
-        std::thread::sleep(Duration::from_millis(5));
+        std::thread::sleep(NO_POLL_TICK);
     }
 
     fn apply_completions(&mut self) {
@@ -801,13 +835,7 @@ impl Reactor {
             let draining = force_drain || self.drain.load(Ordering::SeqCst);
             match self.listener.accept() {
                 Ok(sock) => {
-                    if let Stream::Tcp(s) = &sock {
-                        let _ = s.set_nonblocking(true);
-                    }
-                    #[cfg(unix)]
-                    if let Stream::Unix(s) = &sock {
-                        let _ = s.set_nonblocking(true);
-                    }
+                    let _ = sock.set_nonblocking(true);
                     handler.on_accept();
                     let now = Instant::now();
                     let mut state = ConnState::new(sock, self.config.max_frame, now);

@@ -101,15 +101,6 @@ struct Options {
     /// `route`: consecutive half-open probe successes before an open
     /// breaker closes and the shard rejoins the ring.
     revive_threshold: Option<u32>,
-    /// `route`: disable hedged requests (race a stuck primary against
-    /// the next replica).
-    no_hedge: bool,
-    /// `route`: per-shard forward-latency quantile a request must
-    /// outlive before the hedge launches.
-    hedge_quantile: Option<f64>,
-    /// `route`: clamps on the hedge delay, milliseconds.
-    hedge_min_ms: Option<u64>,
-    hedge_max_ms: Option<u64>,
     /// `netchaos`: the endpoint the proxy relays to.
     upstream: Option<String>,
     /// `netchaos`: per-mille fraction of connections drawing a fault.
@@ -382,20 +373,14 @@ fn cmd_route(opts: &Options) {
         handle_sigterm: true,
         fail_threshold: opts.fail_threshold.unwrap_or(defaults.fail_threshold),
         revive_threshold: opts.revive_threshold.unwrap_or(defaults.revive_threshold),
-        hedge: !opts.no_hedge,
-        hedge_quantile: opts.hedge_quantile.unwrap_or(defaults.hedge_quantile),
-        hedge_min_ms: opts.hedge_min_ms.unwrap_or(defaults.hedge_min_ms),
-        hedge_max_ms: opts.hedge_max_ms.unwrap_or(defaults.hedge_max_ms),
         ..defaults
     };
-    let hedging = config.hedge;
     let handle = serve_router(listen, config).unwrap_or_else(|e| die(&format!("route: {e}")));
     eprintln!(
-        "dagsched: routing on {} over {} shard(s), R={}, hedging {}",
+        "dagsched: routing on {} over {} shard(s), R={}",
         handle.endpoint(),
         opts.shards.len(),
         opts.replicas,
-        if hedging { "on" } else { "off" }
     );
     for shard in &opts.shards {
         eprintln!("dagsched:   shard {shard}");
@@ -743,10 +728,6 @@ fn parse_args() -> Result<Options, String> {
         replicas: 2,
         fail_threshold: None,
         revive_threshold: None,
-        no_hedge: false,
-        hedge_quantile: None,
-        hedge_min_ms: None,
-        hedge_max_ms: None,
         upstream: None,
         fault_rate: 100,
         minutes: 2.0,
@@ -915,30 +896,6 @@ fn parse_args() -> Result<Options, String> {
                         .ok_or("--revive-threshold needs a positive success count")?,
                 );
             }
-            "--no-hedge" => opts.no_hedge = true,
-            "--hedge-quantile" => {
-                opts.hedge_quantile = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&q: &f64| q > 0.0 && q < 1.0)
-                        .ok_or("--hedge-quantile needs a fraction in (0, 1)")?,
-                );
-            }
-            "--hedge-min-ms" => {
-                opts.hedge_min_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--hedge-min-ms needs a millisecond count")?,
-                );
-            }
-            "--hedge-max-ms" => {
-                opts.hedge_max_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &u64| n > 0)
-                        .ok_or("--hedge-max-ms needs a positive millisecond count")?,
-                );
-            }
             "--upstream" => {
                 opts.upstream = Some(args.next().ok_or("--upstream needs an endpoint")?);
             }
@@ -1019,9 +976,8 @@ fn usage(err: &str) -> ! {
          \x20 --replicas N replica-set size per key (default 2)\n\
          \x20 --fail-threshold N    consecutive failures before a shard's breaker opens (default 3)\n\
          \x20 --revive-threshold N  consecutive half-open probe successes before it closes (default 3)\n\
-         \x20 --no-hedge   never race a stuck primary against the next replica\n\
-         \x20 --hedge-quantile Q    launch the hedge past this forward-latency quantile (default 0.95)\n\
-         \x20 --hedge-min-ms N / --hedge-max-ms N  clamps on the hedge delay (default 10 / 400)\n\
+         \x20 A forward to a key's primary that outlives the shard's 95th-percentile\n\
+         \x20 forward latency (clamped to 10-400 ms) is hedged to the next replica.\n\
          \n\
          netchaos options (a fault-injecting wire proxy for drills):\n\
          \x20 --listen EP    endpoint to listen on\n\
