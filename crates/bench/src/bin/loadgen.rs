@@ -93,7 +93,8 @@
 //!
 //! N child shards (RAM only) behind an in-process router. Two passes
 //! fill and warm the caches, the paced load runs (with `--kill-shard`,
-//! shard 0 is SIGKILLed once a third of it is in), and a final pass
+//! the shard that is ring primary for the most programs is SIGKILLed
+//! once a third of it is in), and a final pass
 //! measures the post-failover hit rate. Gates, all outcome:
 //! `bit_identical`, `no_client_errors`, `all_terminal`,
 //! `graceful_shutdown`, and with `--kill-shard` `warm_failover` (the
@@ -155,7 +156,7 @@ use std::time::{Duration, Instant};
 use dagsched_driver::{schedule_program_batch, DriverConfig, Limits, NoCache};
 use dagsched_isa::MachineModel;
 use dagsched_netchaos::{serve_proxy, ChaosConfig, Direction, ProxyHandle};
-use dagsched_router::{serve_router, RouterConfig};
+use dagsched_router::{routing_key, serve_router, Ring, RouterConfig};
 use dagsched_sched::{Scheduler, SchedulerKind};
 use dagsched_service::json::Json;
 use dagsched_service::server::{serve, Listen, ServerConfig};
@@ -235,7 +236,8 @@ struct Options {
     serve_child: bool,
     /// Cluster: spawn this many shard daemons behind a router.
     cluster: Option<usize>,
-    /// Cluster: SIGKILL shard 0 once a third of the load is in.
+    /// Cluster: SIGKILL the busiest primary shard once a third of the
+    /// load is in.
     kill_shard: bool,
     netchaos: bool,
     /// Soak gate: achieved QPS must reach this floor.
@@ -1637,6 +1639,12 @@ fn crash_loop(opts: Options) -> ! {
             Err(e) => fsck.push(format!("fsck: {e}")),
         }
     }
+    // A state root the audit made for itself goes once it is checked,
+    // as the cluster audit's does; one named by `--state-dir` is the
+    // caller's to keep.
+    if opts.state_dir.is_none() {
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     let fsck_issues = fsck.iter().map(|i| Json::from(i.as_str())).collect();
     // A gate on the final life that an earlier failure kept from
@@ -1747,6 +1755,27 @@ fn breaker_of(metrics: &Json, ep: &str) -> String {
     breaker.unwrap_or_default().to_string()
 }
 
+/// The shard `--kill-shard` kills: the ring primary of the most
+/// working-set programs (the lowest index on a tie), so the kill always
+/// moves programs onto their replicas whichever shards the ring's
+/// hashes favour.
+fn busiest_primary(opts: &Options, members: &[String]) -> usize {
+    let ring = Ring::with_members(members.iter().cloned());
+    let mut owned = vec![0usize; members.len()];
+    for k in 0..opts.profiles.len() * opts.seeds as usize {
+        let key = routing_key(&request_for(opts, k)).1;
+        if let Some(i) = ring
+            .primary(key)
+            .and_then(|p| members.iter().position(|m| m == p))
+        {
+            owned[i] += 1;
+        }
+    }
+    (0..members.len())
+        .max_by_key(|&i| (owned[i], std::cmp::Reverse(i)))
+        .unwrap_or(0)
+}
+
 fn cluster(opts: Options) -> ! {
     let shards = opts.cluster.expect("dispatched on --cluster");
     let (mode, seed) = if opts.netchaos {
@@ -1754,7 +1783,12 @@ fn cluster(opts: Options) -> ! {
     } else {
         ("cluster", PAPER_SEED)
     };
-    let root = std::env::temp_dir().join(format!("dagsched-cluster-{}", std::process::id()));
+    // The router's ring hashes the shard (or link) socket paths, so the
+    // root is named by the mode and seed rather than the process id:
+    // every run of one command places each program on the same shards.
+    // A copy left by a run that died is cleared first.
+    let root = std::env::temp_dir().join(format!("dagsched-{mode}-{seed}"));
+    let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root)
         .unwrap_or_else(|e| fatal(format!("creating {}: {e}", root.display())));
     let working = opts.profiles.len() * opts.seeds as usize;
@@ -1842,15 +1876,16 @@ fn cluster(opts: Options) -> ! {
     let pre = warm.hit_rate();
     passes.merge(warm);
 
-    // The paced load. Once a third of it is in, shard 0 is SIGKILLed
-    // (--kill-shard), or link 0's request direction is blackholed
-    // (--netchaos): replies still flow, so the link looks half alive,
-    // the case binary health checks cannot see.
+    // The paced load. Once a third of it is in, the shard owning the
+    // most programs is SIGKILLed (--kill-shard), or link 0's request
+    // direction is blackholed (--netchaos): replies still flow, so the
+    // link looks half alive, the case binary health checks cannot see.
     let at = (opts.requests / 3).max(1);
+    let kill_target = busiest_primary(&opts, &router_shards);
     let trigger = if opts.kill_shard {
         Some(Trigger::new(at, || {
-            let _ = children[0].lock().expect("child lock").kill();
-            eprintln!("loadgen: SIGKILLed shard 0 after ~{at} requests");
+            let _ = children[kill_target].lock().expect("child lock").kill();
+            eprintln!("loadgen: SIGKILLed shard {kill_target} after ~{at} requests");
         }))
     } else if opts.netchaos {
         Some(Trigger::new(at, || {
@@ -1866,7 +1901,7 @@ fn cluster(opts: Options) -> ! {
     };
     let (tally, elapsed) = paced_mix(&opts, link, &check, trigger);
     if opts.kill_shard {
-        let _ = children[0].lock().expect("child lock").wait();
+        let _ = children[kill_target].lock().expect("child lock").wait();
     }
 
     let mut gates = Vec::new();
@@ -1939,7 +1974,7 @@ fn cluster(opts: Options) -> ! {
     }
     let mut shutdown = Vec::new();
     for (i, ep) in shard_eps.iter().enumerate() {
-        if opts.kill_shard && i == 0 {
+        if opts.kill_shard && i == kill_target {
             continue; // already SIGKILLed and reaped
         }
         match Client::connect(ep).and_then(|mut c| c.shutdown_server()) {

@@ -1,8 +1,8 @@
 //! A minimal JSON value, parser and writer.
 //!
 //! The workspace is dependency-free by policy (the container is
-//! offline), so the wire payloads are carried by this ~300-line module
-//! instead of serde. It supports exactly what the protocol needs:
+//! offline), so the wire payloads are carried by this module instead of
+//! serde. It supports exactly what the protocol needs:
 //!
 //! * the full JSON value grammar (objects keep insertion order),
 //! * a recursive-descent parser with a nesting-depth limit so a hostile
@@ -10,8 +10,19 @@
 //! * `\uXXXX` escapes (surrogate pairs included) both ways,
 //! * typed accessors that return `Option` — malformed requests surface
 //!   as protocol errors, never as panics.
+//!
+//! Two codecs share this file's one tokenizer (`Parser`) and one
+//! escaper. The [`Json`] tree carries admin, metrics and error frames,
+//! whose shapes are open or rare. `Request` and `Response` payloads
+//! are read and written by the direct codec in the crate root, which
+//! builds no tree: it walks objects and arrays with the same
+//! `items`/`fields` walkers the tree parser uses, skips what it does
+//! not need with `skip_value`, and writes through `ObjectWriter`. On
+//! those payloads the tree remains as the reference the differential
+//! tests compare the direct codec against, and for perfbench's
+//! in-process replay.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by [`Json::parse`].
 const MAX_DEPTH: usize = 64;
@@ -39,17 +50,10 @@ impl Json {
     /// Parse `text` as a single JSON value (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after value"));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -178,18 +182,109 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
+/// Where [`Parser::string_into`] puts a decoded string: the tree's
+/// `String`, a fixed-size key buffer, or nowhere.
+trait Sink {
+    /// Append a run of decoded text.
+    fn push_str(&mut self, s: &str);
+    /// Append one decoded character.
+    fn push(&mut self, c: char);
+    /// Forget everything appended so far.
+    fn clear(&mut self);
+}
+
+impl Sink for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+    fn push(&mut self, c: char) {
+        String::push(self, c);
+    }
+    fn clear(&mut self) {
+        String::clear(self);
+    }
+}
+
+/// A sink that validates and keeps nothing (see [`Parser::skip_value`]).
+struct Discard;
+
+impl Sink for Discard {
+    fn push_str(&mut self, _: &str) {}
+    fn push(&mut self, _: char) {}
+    fn clear(&mut self) {}
+}
+
+/// An object key decoded on the stack: the typed readers compare keys
+/// against their field names without allocating. A key longer than the
+/// buffer matches no field name.
+#[derive(Default)]
+pub(crate) struct KeyBuf {
+    bytes: [u8; 32],
+    len: usize,
+    overflow: bool,
+}
+
+impl KeyBuf {
+    /// The decoded key, `""` when it did not fit (no field name is that
+    /// long, and none is empty).
+    pub(crate) fn as_str(&self) -> &str {
+        if self.overflow {
+            return "";
+        }
+        // Only whole `&str`s and whole chars are ever appended.
+        std::str::from_utf8(&self.bytes[..self.len]).unwrap_or("")
+    }
+}
+
+impl Sink for KeyBuf {
+    fn push_str(&mut self, s: &str) {
+        match self.bytes.get_mut(self.len..self.len + s.len()) {
+            Some(slot) if !self.overflow => {
+                slot.copy_from_slice(s.as_bytes());
+                self.len += s.len();
+            }
+            _ => self.overflow = true,
+        }
+    }
+    fn push(&mut self, c: char) {
+        self.push_str(c.encode_utf8(&mut [0; 4]));
+    }
+    fn clear(&mut self) {
+        self.len = 0;
+        self.overflow = false;
+    }
+}
+
+/// The tokenizer behind [`Json::parse`] and the typed payload readers
+/// in the crate root. The walkers ([`Parser::items`],
+/// [`Parser::fields`]) own the punctuation, so a reader that builds
+/// nothing fails on exactly the byte, with exactly the message, that
+/// the tree parser fails on.
+pub(crate) struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             at: self.pos,
             message: msg.to_string(),
         }
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
 
     fn peek(&self) -> Option<u8> {
@@ -204,10 +299,19 @@ impl<'a> Parser<'a> {
         b
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// After the top-level value: only whitespace may follow.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -219,10 +323,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{word}`")))
         }
@@ -233,66 +337,116 @@ impl<'a> Parser<'a> {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'"') => {
+                let mut s = String::new();
+                self.string_into(&mut s)?;
+                Ok(Json::Str(s))
+            }
+            Some(b'[') => {
+                let mut out = Vec::new();
+                self.items(depth, |p, depth| {
+                    out.push(p.value(depth)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(out))
+            }
+            Some(b'{') => {
+                let mut out = Vec::new();
+                self.fields(depth, &mut String::new(), |p, key, depth| {
+                    let value = p.value(depth)?;
+                    out.push((std::mem::take(key), value));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(out))
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Validate one value at `depth` exactly as [`Json::parse`] would,
+    /// building nothing.
+    pub(crate) fn skip_value(&mut self, depth: usize) -> Result<(), JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => self.string_into(&mut Discard),
+            Some(b'[') => self.items(depth, |p, depth| p.skip_value(depth)),
+            Some(b'{') => self.fields(depth, &mut Discard, |p, _, depth| p.skip_value(depth)),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Walk the array at `depth`, calling `item` on each element with
+    /// the parser at its first byte and the element's depth.
+    fn items(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(out));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            out.push(self.value(depth + 1)?);
+            item(self, depth + 1)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(out)),
+                Some(b']') => return Ok(()),
                 _ => return Err(self.err("expected `,` or `]`")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Walk the object at `depth`, decoding each key into `key` and
+    /// calling `field` with the parser at the first byte of the value
+    /// and the value's depth.
+    fn fields<K: Sink>(
+        &mut self,
+        depth: usize,
+        key: &mut K,
+        mut field: impl FnMut(&mut Self, &mut K, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(out));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            key.clear();
+            self.string_into(key)?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            out.push((key, value));
+            field(self, key, depth + 1)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(out)),
+                Some(b'}') => return Ok(()),
                 _ => return Err(self.err("expected `,` or `}`")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Decode one string literal, appending its text to `out`.
+    fn string_into<S: Sink>(&mut self, out: &mut S) -> Result<(), JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
             // Copy the run of characters that need no decoding in one
             // go. It ends at an ASCII byte, so both ends are character
@@ -304,7 +458,7 @@ impl<'a> Parser<'a> {
             out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
+                Some(b'"') => return Ok(()),
                 Some(b'\\') => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
@@ -369,7 +523,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -380,34 +534,166 @@ impl<'a> Parser<'a> {
                 .map_err(|_| self.err("integer out of range"))
         }
     }
+
+    /// Read the value at `depth` if it is a string (into `out`, which
+    /// must be empty), else validate and skip it. Returns whether a
+    /// string was read: [`Json::as_str`] over a parsed value.
+    pub(crate) fn str_or_skip(
+        &mut self,
+        depth: usize,
+        out: &mut String,
+    ) -> Result<bool, JsonError> {
+        if depth <= MAX_DEPTH && self.peek() == Some(b'"') {
+            self.string_into(out)?;
+            return Ok(true);
+        }
+        self.skip_value(depth).map(|()| false)
+    }
+
+    /// The value at `depth` as [`Json::as_u64`] reads it (a float or a
+    /// negative integer is `None`); anything else is validated and
+    /// skipped as `None`.
+    pub(crate) fn u64_or_skip(&mut self, depth: usize) -> Result<Option<u64>, JsonError> {
+        if depth <= MAX_DEPTH && matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return self.number().map(|n| n.as_u64());
+        }
+        self.skip_value(depth).map(|()| None)
+    }
+
+    /// The value at `depth` as [`Json::as_bool`] reads it; anything
+    /// else is validated and skipped as `None`.
+    pub(crate) fn bool_or_skip(&mut self, depth: usize) -> Result<Option<bool>, JsonError> {
+        if depth <= MAX_DEPTH {
+            match self.peek() {
+                Some(b't') => return self.literal("true").map(|()| Some(true)),
+                Some(b'f') => return self.literal("false").map(|()| Some(false)),
+                _ => {}
+            }
+        }
+        self.skip_value(depth).map(|()| None)
+    }
+
+    /// Walk the object at `depth` if the value is one, else validate and
+    /// skip it. Returns whether it was an object.
+    pub(crate) fn fields_or_skip(
+        &mut self,
+        depth: usize,
+        field: impl FnMut(&mut Self, &mut KeyBuf, usize) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if depth <= MAX_DEPTH && self.peek() == Some(b'{') {
+            self.fields(depth, &mut KeyBuf::default(), field)?;
+            return Ok(true);
+        }
+        self.skip_value(depth).map(|()| false)
+    }
+
+    /// Walk the array at `depth` if the value is one, else validate and
+    /// skip it. Returns whether it was an array.
+    pub(crate) fn items_or_skip(
+        &mut self,
+        depth: usize,
+        item: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if depth <= MAX_DEPTH && self.peek() == Some(b'[') {
+            self.items(depth, item)?;
+            return Ok(true);
+        }
+        self.skip_value(depth).map(|()| false)
+    }
 }
 
-/// Write `s` as a JSON string literal, each run of characters that
-/// needs no escaping with one `write_str`.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let short = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0..=0x1f => None,
-            _ => continue,
-        };
-        // Every escaped character is ASCII, so `i` and `i + 1` are
-        // character boundaries.
-        f.write_str(&s[run..i])?;
-        match short {
-            Some(escape) => f.write_str(escape)?,
-            None => write!(f, "\\u{b:04x}")?,
+/// Escapes everything written through it as JSON string content, each
+/// run of characters that needs no escaping with one `write_str`.
+/// Escaping is per byte, so text written in pieces comes out as if
+/// written whole.
+struct Escaper<'a, W: fmt::Write + ?Sized>(&'a mut W);
+
+impl<W: fmt::Write + ?Sized> fmt::Write for Escaper<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let short = match b {
+                b'"' => Some("\\\""),
+                b'\\' => Some("\\\\"),
+                b'\n' => Some("\\n"),
+                b'\r' => Some("\\r"),
+                b'\t' => Some("\\t"),
+                0..=0x1f => None,
+                _ => continue,
+            };
+            // Every escaped character is ASCII, so `i` and `i + 1` are
+            // character boundaries.
+            self.0.write_str(&s[run..i])?;
+            match short {
+                Some(escape) => self.0.write_str(escape)?,
+                None => write!(self.0, "\\u{b:04x}")?,
+            }
+            run = i + 1;
         }
-        run = i + 1;
+        self.0.write_str(&s[run..])
     }
-    f.write_str(&s[run..])?;
-    f.write_str("\"")
+}
+
+/// Write `s` as a JSON string literal.
+pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(w: &mut W, s: &str) -> fmt::Result {
+    w.write_str("\"")?;
+    fmt::Write::write_str(&mut Escaper(w), s)?;
+    w.write_str("\"")
+}
+
+/// Write the `Display` rendering of `item` as a JSON string literal,
+/// with no intermediate `String`.
+pub(crate) fn write_escaped_display<W: fmt::Write + ?Sized>(
+    w: &mut W,
+    item: &impl fmt::Display,
+) -> fmt::Result {
+    w.write_str("\"")?;
+    write!(Escaper(w), "{item}")?;
+    w.write_str("\"")
+}
+
+/// Writes one JSON object into a `String`, field by field, in the bytes
+/// `Json::Obj`'s `Display` produces for the same fields.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    pub(crate) fn open(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Start the field `key`; the caller writes its value into the
+    /// returned string.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        let _ = write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn str(&mut self, key: &str, value: &str) {
+        let _ = write_escaped(self.key(key), value);
+    }
+
+    /// An integer written as `Json::from(u64)` writes it: above
+    /// `i64::MAX` it comes out as a float.
+    pub(crate) fn u64(&mut self, key: &str, value: u64) {
+        let _ = write!(self.key(key), "{}", Json::from(value));
+    }
+
+    pub(crate) fn bool(&mut self, key: &str, value: bool) {
+        self.key(key).push_str(if value { "true" } else { "false" });
+    }
+
+    pub(crate) fn close(self) {
+        self.out.push('}');
+    }
 }
 
 impl fmt::Display for Json {

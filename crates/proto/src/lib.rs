@@ -33,7 +33,15 @@
 //!
 //! Request/response payloads are plain JSON objects (see
 //! [`ScheduleRequest`] / [`ScheduleResponse`]); unknown fields are
-//! ignored so old clients keep working against newer servers.
+//! ignored so old clients keep working against newer servers. Every
+//! product path reads and writes them with the direct codec
+//! ([`ScheduleRequest::decode`] / [`ScheduleRequest::write_json`],
+//! [`ScheduleResponse::parse`] / [`write_response_json`], and
+//! [`response_cache_misses`] for the router), which builds no JSON tree
+//! and agrees with the tree codec (`to_json` / `from_json` over
+//! [`json::Json`]) byte for byte and error for error. The tree codec
+//! stays as that agreement's reference and for in-process replays; the
+//! [`json::Json`] tree carries the admin, metrics and error frames.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -43,8 +51,10 @@ use dagsched_driver::{DriverConfig, LimitError};
 use dagsched_isa::MachineModel;
 use dagsched_sched::{Scheduler, SchedulerKind};
 
+mod codec;
 pub mod json;
 
+pub use crate::codec::{response_cache_misses, write_response_json};
 use crate::json::Json;
 
 /// Protocol magic: the first two bytes of every frame.
@@ -687,9 +697,14 @@ impl ScheduleRequest {
     /// FNV-1a, and persisted quarantine facts and shard placement
     /// depend on the bytes staying the same.
     pub fn canonical_json(&self) -> String {
-        self.to_json_with_attempt(0).to_string()
+        let mut out = String::new();
+        self.write_json(0, &mut out);
+        out
     }
 
+    /// The tree form of the wire payload with `attempt` stamped in: the
+    /// specification [`ScheduleRequest::write_json`] matches byte for
+    /// byte (field order, and which defaults are left out).
     fn to_json_with_attempt(&self, attempt: u64) -> Json {
         let mut fields = vec![];
         match &self.input {
@@ -740,10 +755,7 @@ impl ScheduleRequest {
                 seed: v.get("seed").and_then(Json::as_u64).unwrap_or(1991),
             }
         } else {
-            return Err(ErrorReply::new(
-                ErrorCode::BadRequest,
-                "request needs an `asm` or `profile` field",
-            ));
+            return Err(codec::missing_input());
         };
         let s = |key: &str, default: &str| -> String {
             v.get(key)
@@ -751,23 +763,7 @@ impl ScheduleRequest {
                 .unwrap_or(default)
                 .to_string()
         };
-        // `jobs` crosses a u64 → usize boundary: a hostile peer can send
-        // any 64-bit value, and `as usize` would silently truncate it on
-        // a 32-bit host (e.g. 2^32 + 1 → 1 worker). Reject anything that
-        // does not fit, or that exceeds the sanity cap, as a typed
-        // bad-request instead of guessing.
-        let jobs = match v.get("jobs").and_then(Json::as_u64) {
-            None => 0,
-            Some(raw) => match usize::try_from(raw) {
-                Ok(n) if n <= MAX_REQUEST_JOBS => n,
-                _ => {
-                    return Err(ErrorReply::new(
-                        ErrorCode::BadRequest,
-                        format!("`jobs` value {raw} is out of range (max {MAX_REQUEST_JOBS})"),
-                    ))
-                }
-            },
-        };
+        let jobs = codec::checked_jobs(v.get("jobs").and_then(Json::as_u64))?;
         Ok(ScheduleRequest {
             input,
             machine: s("machine", "sparc2"),

@@ -22,8 +22,11 @@
 //! complete reply frame has arrived. No thread is spawned per request.
 //! The client's payload goes out as it arrived unless a `deadline_ms`
 //! must be rewritten, and the shard's `Response` payload comes back to
-//! the client byte for byte; the router parses it only to read
-//! `stats.cache_misses` for the replication rule.
+//! the client byte for byte. The router decodes the request once with
+//! the direct reader ([`ScheduleRequest::decode`]), writes any
+//! rewritten request with the direct writer, and reads only
+//! `stats.cache_misses` out of a reply, for the replication rule
+//! ([`dagsched_proto::response_cache_misses`], which builds nothing).
 //!
 //! # Failover ladder
 //!
@@ -123,8 +126,8 @@ use std::time::{Duration, Instant};
 
 use dagsched_proto::json::Json;
 use dagsched_proto::{
-    hex_decode, remaining_deadline_ms, write_frame, AdminCommand, ErrorCode, ErrorReply, FrameKind,
-    ScheduleRequest, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
+    hex_decode, remaining_deadline_ms, response_cache_misses, write_frame, AdminCommand, ErrorCode,
+    ErrorReply, FrameKind, ScheduleRequest, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
 };
 use dagsched_service::client::{decode_error, Client, ClientError, RetryBudget, RetryPolicy};
 use dagsched_service::pipeline::{PushError, StageQueue, BUSY_RETRY_MS};
@@ -762,10 +765,7 @@ fn replicate(
     };
     let job = ReplJob {
         target: successor.endpoint.clone(),
-        frame: encode_frame(
-            FrameKind::Request,
-            canonical.to_json().to_string().as_bytes(),
-        ),
+        frame: request_frame(&canonical),
     };
     if repl_tx.try_send(job).is_err() {
         RouterMetrics::bump(&shared.metrics.replication_dropped);
@@ -815,6 +815,14 @@ fn estimated_queue_delay_ms(shard: &ShardState) -> u64 {
     shard.ewma_us().saturating_mul(depth) / 1000
 }
 
+/// A `Request` frame for `req`, written by the direct writer with the
+/// request's own `attempt`.
+fn request_frame(req: &ScheduleRequest) -> Vec<u8> {
+    let mut payload = String::new();
+    req.write_json(req.attempt, &mut payload);
+    encode_frame(FrameKind::Request, payload.as_bytes())
+}
+
 /// Walk the failover ladder for one request; returns the shard's
 /// `Response` payload to relay as it arrived.
 fn forward_request(
@@ -824,11 +832,7 @@ fn forward_request(
     payload: &[u8],
     arrival: Instant,
 ) -> Result<Vec<u8>, ErrorReply> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ErrorReply::new(ErrorCode::ParseError, "request payload is not UTF-8"))?;
-    let value = Json::parse(text)
-        .map_err(|e| ErrorReply::new(ErrorCode::ParseError, format!("request is not JSON: {e}")))?;
-    let mut req = ScheduleRequest::from_json(&value)?;
+    let mut req = ScheduleRequest::decode(payload)?;
     let key = ring_key(&req);
 
     // Deadline propagation: bill the queue time this frame already
@@ -839,7 +843,7 @@ fn forward_request(
     // Without a deadline to rewrite, the client's bytes go out as they
     // arrived.
     let mut frame = match budget {
-        Some(_) => encode_frame(FrameKind::Request, req.to_json().to_string().as_bytes()),
+        Some(_) => request_frame(&req),
         None => encode_frame(FrameKind::Request, payload),
     };
 
@@ -928,7 +932,7 @@ fn forward_request(
             // Earlier rungs burned real time: re-derive the deadline
             // for this hop (and shed if nothing usable is left).
             if propagate_deadline(shared, &mut req, orig_deadline, arrival)?.is_some() {
-                frame = encode_frame(FrameKind::Request, req.to_json().to_string().as_bytes());
+                frame = request_frame(&req);
             }
         }
         attempted += 1;
@@ -1004,7 +1008,7 @@ fn settle(
     reply: Result<(FrameKind, Vec<u8>), ClientError>,
 ) -> Outcome {
     let err = match reply {
-        Ok((FrameKind::Response, payload)) => match response_misses(&payload) {
+        Ok((FrameKind::Response, payload)) => match response_cache_misses(&payload) {
             Some(misses) => {
                 note_success(shared, shard);
                 return Outcome::Answer { payload, misses };
@@ -1031,19 +1035,6 @@ fn settle(
             Outcome::Failed(rung_error(shard, err))
         }
     }
-}
-
-/// `stats.cache_misses` of a `Response` payload (absent reads as zero),
-/// or `None` when the payload is not JSON with a `stats` object.
-fn response_misses(payload: &[u8]) -> Option<u64> {
-    let value = Json::parse(std::str::from_utf8(payload).ok()?).ok()?;
-    let stats = value.get("stats")?;
-    Some(
-        stats
-            .get("cache_misses")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-    )
 }
 
 /// One copy of a request on the wire.
@@ -1518,6 +1509,42 @@ mod tests {
             1,
             "the ladder must not start at a primary that cannot make the deadline"
         );
+    }
+
+    /// A malformed request is refused before any shard sees it, with
+    /// the code and message the tree decoder produced (the messages are
+    /// pinned here as the daemon's test pins them).
+    #[test]
+    fn malformed_requests_are_refused_with_the_decoders_errors() {
+        let shared = test_shared(&[]);
+        let mut conns = ShardConns::default();
+        let (tx, _rx) = sync_channel::<ReplJob>(1);
+        for (payload, code, message) in [
+            (
+                &b"{\"asm\":"[..],
+                ErrorCode::ParseError,
+                "request is not JSON: json error at byte 7: unexpected end of input",
+            ),
+            (
+                b"\xff",
+                ErrorCode::ParseError,
+                "request payload is not UTF-8",
+            ),
+            (
+                b"{\"profile\":1}",
+                ErrorCode::BadRequest,
+                "request needs an `asm` or `profile` field",
+            ),
+            (
+                b"{\"asm\":\"nop\",\"jobs\":65537}",
+                ErrorCode::BadRequest,
+                "`jobs` value 65537 is out of range (max 65536)",
+            ),
+        ] {
+            let err = forward_request(&shared, &mut conns, &tx, payload, Instant::now())
+                .expect_err("malformed");
+            assert_eq!((err.code, err.message.as_str()), (code, message));
+        }
     }
 
     #[test]

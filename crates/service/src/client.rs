@@ -36,6 +36,11 @@
 //! caller that waits on several servers at once, like the router's
 //! hedged forwards, takes the socket with [`Client::into_stream`] and
 //! polls it itself.
+//!
+//! Request and response payloads go through the direct codec
+//! ([`ScheduleRequest::write_json`], [`ScheduleResponse::parse`]): no
+//! JSON tree is built for them. Admin and metrics payloads, which are
+//! rare and shapeless, are parsed into a [`Json`] tree.
 
 use std::fmt;
 use std::io;
@@ -295,6 +300,8 @@ pub struct Client {
     /// Set when a transport error leaves the stream mid-frame; the
     /// next retried attempt redials before sending anything.
     broken: bool,
+    /// Request payloads are written here, reused across calls.
+    wire: String,
 }
 
 impl Client {
@@ -308,6 +315,7 @@ impl Client {
             max_frame: DEFAULT_MAX_FRAME,
             endpoint: Some(listen),
             broken: false,
+            wire: String::new(),
         })
     }
 
@@ -346,6 +354,7 @@ impl Client {
                         max_frame: DEFAULT_MAX_FRAME,
                         endpoint: Some(listen),
                         broken: false,
+                        wire: String::new(),
                     };
                     return Ok((client, stats));
                 }
@@ -401,6 +410,7 @@ impl Client {
             max_frame: DEFAULT_MAX_FRAME,
             endpoint: None,
             broken: false,
+            wire: String::new(),
         }
     }
 
@@ -412,6 +422,7 @@ impl Client {
             max_frame: DEFAULT_MAX_FRAME,
             endpoint: Some(Listen::Unix(path.to_path_buf())),
             broken: false,
+            wire: String::new(),
         })
     }
 
@@ -431,15 +442,29 @@ impl Client {
 
     /// Schedule a program (exactly one attempt).
     pub fn request(&mut self, req: &ScheduleRequest) -> Result<ScheduleResponse, ClientError> {
-        let payload = req.to_json().to_string();
-        let (kind, payload) = self.roundtrip(FrameKind::Request, payload.as_bytes())?;
+        self.request_attempt(req, req.attempt)
+    }
+
+    /// [`Client::request`] with `attempt` stamped on the wire instead of
+    /// `req.attempt`.
+    fn request_attempt(
+        &mut self,
+        req: &ScheduleRequest,
+        attempt: u64,
+    ) -> Result<ScheduleResponse, ClientError> {
+        let mut wire = std::mem::take(&mut self.wire);
+        wire.clear();
+        req.write_json(attempt, &mut wire);
+        let sent = self.roundtrip(FrameKind::Request, wire.as_bytes());
+        self.wire = wire;
+        let (kind, payload) = sent?;
         if kind != FrameKind::Response {
             return Err(ClientError::Protocol(format!(
                 "expected a response frame, got {kind:?}"
             )));
         }
-        let value = decode_json(&payload)?;
-        ScheduleResponse::from_json(&value)
+        ScheduleResponse::parse(payload_text(&payload)?)
+            .map_err(|e| ClientError::Protocol(format!("payload is not JSON: {e}")))?
             .ok_or_else(|| ClientError::Protocol("undecodable response".to_string()))
     }
 
@@ -468,7 +493,6 @@ impl Client {
         let started = Instant::now();
         let mut rng = policy.jitter_seed;
         let mut stats = RetryStats::default();
-        let mut attempt_req = req.clone();
         let mut last_err: Option<ClientError> = None;
 
         for attempt in 0..=policy.max_retries {
@@ -517,16 +541,15 @@ impl Client {
             }
 
             self.stream.set_timeouts(policy.per_attempt_timeout);
-            // Tag the wire request with the attempt number: servers
-            // count retries, and operators can spot retry storms. The
-            // tag is excluded from cache and quarantine keys.
-            attempt_req.attempt = u64::from(attempt);
             stats.attempts += 1;
             if attempt > 0 {
                 stats.retries += 1;
             }
 
-            match self.request(&attempt_req) {
+            // Tag the wire request with the attempt number: servers
+            // count retries, and operators can spot retry storms. The
+            // tag is excluded from cache and quarantine keys.
+            match self.request_attempt(req, u64::from(attempt)) {
                 Ok(resp) => {
                     if let Some(b) = budget {
                         b.record_success();
@@ -643,10 +666,14 @@ impl Client {
     }
 }
 
+fn payload_text(payload: &[u8]) -> Result<&str, ClientError> {
+    std::str::from_utf8(payload)
+        .map_err(|_| ClientError::Protocol("payload is not UTF-8".to_string()))
+}
+
 fn decode_json(payload: &[u8]) -> Result<Json, ClientError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ClientError::Protocol("payload is not UTF-8".to_string()))?;
-    Json::parse(text).map_err(|e| ClientError::Protocol(format!("payload is not JSON: {e}")))
+    Json::parse(payload_text(payload)?)
+        .map_err(|e| ClientError::Protocol(format!("payload is not JSON: {e}")))
 }
 
 /// Decode the payload of an `Error` frame.

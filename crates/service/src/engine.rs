@@ -1,6 +1,11 @@
 //! Request execution: turn a [`ScheduleRequest`] into a
 //! [`ScheduleResponse`] (or a typed [`ErrorReply`]).
 //!
+//! The daemon's compile workers stop one step short of that: they take
+//! the [`Compiled`] schedule and write the reply payload straight from
+//! it (`Compiled::write_json`), so no `Vec<String>` of rendered
+//! instructions, and no JSON tree, is built for a reply.
+//!
 //! This is the only place where a request's strings become programs,
 //! configurations and limits, so the daemon and any embedded caller
 //! (the load generator drives this directly when measuring the
@@ -9,9 +14,10 @@
 
 use std::time::{Duration, Instant};
 
-use dagsched_core::Scratch;
+use dagsched_core::{PhaseStats, Scratch};
 use dagsched_driver::{
-    schedule_program_batch, schedule_program_batch_scratch, DegradePolicy, Limits,
+    schedule_program_batch, schedule_program_batch_scratch, BlockReport, DegradePolicy, Limits,
+    ScheduledProgram,
 };
 use dagsched_isa::Program;
 use dagsched_pipesim::{simulate, SimOptions};
@@ -19,8 +25,8 @@ use dagsched_workloads::{generate, parse_asm, BenchmarkProfile};
 
 use crate::cache::ScheduleCache;
 use crate::proto::{
-    build_driver_config, BlockSummary, ErrorCode, ErrorReply, RequestInput, ScheduleRequest,
-    ScheduleResponse,
+    build_driver_config, write_response_json, BlockSummary, ErrorCode, ErrorReply, RequestInput,
+    ScheduleRequest, ScheduleResponse,
 };
 
 /// Cap on the debug `linger_ms` knob, so a hostile request cannot park
@@ -89,6 +95,67 @@ pub fn execute_at(
     scratch: &mut Scratch,
     arrival: Instant,
 ) -> Result<ScheduleResponse, ErrorReply> {
+    compile_at(req, limits, cache, scratch, arrival).map(Compiled::into_response)
+}
+
+/// A request's schedule before it is rendered for the wire: what a
+/// daemon compile worker holds between compiling and replying.
+pub struct Compiled {
+    scheduled: ScheduledProgram,
+    stats: PhaseStats,
+    cycles: Option<(u64, u64)>,
+}
+
+fn summary(b: &BlockReport) -> BlockSummary {
+    BlockSummary {
+        block: b.block,
+        len: b.len,
+        original_makespan: b.original_makespan,
+        scheduled_makespan: b.scheduled_makespan,
+    }
+}
+
+impl Compiled {
+    /// Whether any block was compiled on a degraded rung.
+    pub fn degraded(&self) -> bool {
+        self.stats.degraded_blocks > 0
+    }
+
+    /// Write the `Response` payload, rendering each emitted instruction
+    /// straight into `out`: the bytes of
+    /// `self.into_response().to_json().to_string()`.
+    pub fn write_json(&self, out: &mut String) {
+        write_response_json(
+            out,
+            &self.scheduled.insns,
+            self.scheduled.blocks.iter().map(summary),
+            &self.stats,
+            self.cycles,
+            self.degraded(),
+        );
+    }
+
+    /// The response [`execute_at`] returns for this schedule.
+    pub fn into_response(self) -> ScheduleResponse {
+        ScheduleResponse {
+            insns: self.scheduled.insns.iter().map(|i| i.to_string()).collect(),
+            blocks: self.scheduled.blocks.iter().map(summary).collect(),
+            degraded: self.degraded(),
+            stats: self.stats,
+            cycles: self.cycles,
+        }
+    }
+}
+
+/// Compile `req` with the deadline anchored at `arrival`: everything
+/// [`execute_at`] does except building the [`ScheduleResponse`].
+pub fn compile_at(
+    req: &ScheduleRequest,
+    limits: &EngineLimits,
+    cache: &ScheduleCache,
+    scratch: &mut Scratch,
+    arrival: Instant,
+) -> Result<Compiled, ErrorReply> {
     if req.debug_panic {
         // Test-only chaos knob: blow up inside the worker so integration
         // tests can watch the supervisor catch the panic, reply with a
@@ -135,19 +202,8 @@ pub fn execute_at(
         std::thread::sleep(Duration::from_millis(req.linger_ms.min(MAX_LINGER_MS)));
     }
 
-    Ok(ScheduleResponse {
-        insns: scheduled.insns.iter().map(|i| i.to_string()).collect(),
-        blocks: scheduled
-            .blocks
-            .iter()
-            .map(|b| BlockSummary {
-                block: b.block,
-                len: b.len,
-                original_makespan: b.original_makespan,
-                scheduled_makespan: b.scheduled_makespan,
-            })
-            .collect(),
-        degraded: stats.degraded_blocks > 0,
+    Ok(Compiled {
+        scheduled,
         stats,
         cycles,
     })

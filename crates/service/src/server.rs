@@ -9,9 +9,10 @@
 //! request to an identical in-flight compile (single-flight
 //! coalescing) or enqueues a new [`CompileJob`]. Compile workers pop
 //! one job at a time, execute it under panic containment with the
-//! deadline anchored at arrival time, encode the reply once, and fan
-//! it out to the leader plus every coalesced follower through the
-//! reactor's completion queue.
+//! deadline anchored at arrival time, write the reply payload once —
+//! straight from the schedule into the worker's reused buffer, with no
+//! JSON tree — and fan it out to the leader plus every coalesced
+//! follower through the reactor's completion queue.
 //!
 //! Screening stays on the reactor for two reasons. It costs tens of
 //! microseconds, less than handing the request to another thread and
@@ -75,7 +76,7 @@ use dagsched_isa::fnv64;
 use crate::faultinject::{Fault, FaultConfig};
 
 use crate::cache::{CacheConfig, ScheduleCache};
-use crate::engine::{execute_at, EngineLimits};
+use crate::engine::{compile_at, Compiled, EngineLimits};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::persist::{
@@ -85,7 +86,7 @@ use crate::persist::{
 use crate::pipeline::{FlightOutcome, PushError, SingleFlight, StageQueue, BUSY_RETRY_MS};
 use crate::proto::{
     hex_encode, write_frame, AdminCommand, ErrorCode, ErrorReply, FrameKind, ScheduleRequest,
-    ScheduleResponse, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
+    DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
 };
 use crate::reactor::{
     install_sigterm_handler, Completion, Completions, ConnId, Ctx, Handler, Listener, Reactor,
@@ -102,6 +103,11 @@ const QUARANTINE_CAPACITY: usize = 64;
 /// Retry hint attached to `draining` rejections (a replacement server
 /// is typically seconds away in a rolling restart).
 const DRAIN_RETRY_MS: u64 = 500;
+
+/// A compile worker keeps its reply buffer between requests; past this
+/// capacity (left by an unusually large reply) it gives the memory
+/// back.
+const REPLY_BUFFER_KEEP: usize = 1 << 20;
 
 /// Crash bookkeeping for poison-payload detection. Bounded: a hostile
 /// client cannot grow it without also crashing workers, and even then
@@ -425,6 +431,7 @@ fn finish_response(
 /// containment, fan the reply out to the whole flight.
 fn compile_loop(pipe: Pipeline) {
     let mut scratch = Scratch::new();
+    let mut body = String::new();
     let default_deadline = pipe.shared.limits.default_deadline_ms;
     // EWMA (α = 1/8) of this worker's recent compile times, in µs. A
     // job whose remaining budget cannot absorb an expected compile is
@@ -453,7 +460,7 @@ fn compile_loop(pipe: Pipeline) {
             shed_expired_job(&pipe, job);
         } else {
             let started = Instant::now();
-            compile_one(&pipe, &mut scratch, job);
+            compile_one(&pipe, &mut scratch, &mut body, job);
             let spent_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             svc_ewma_us = svc_ewma_us.saturating_sub(svc_ewma_us / 8) + spent_us / 8;
         }
@@ -483,7 +490,9 @@ fn shed_expired_job(pipe: &Pipeline, job: CompileJob) {
     }
 }
 
-fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, job: CompileJob) {
+/// Compile one leader and answer its flight, writing the reply payload
+/// into the worker's `body` buffer.
+fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, body: &mut String, job: CompileJob) {
     let outcome = run_compile(
         &pipe.shared,
         scratch,
@@ -504,13 +513,14 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, job: CompileJob) {
         .fold(job.charge, |sum, f| sum.saturating_add(f.charge));
     pipe.shared.release_bytes(flight_charge);
     match outcome {
-        Ok(response) => {
-            let degraded = response.degraded;
-            let body = response.to_json().to_string();
+        Ok(compiled) => {
+            let degraded = compiled.degraded();
+            body.clear();
+            compiled.write_json(body);
             finish_response(
                 pipe,
                 job.conn,
-                &body,
+                body,
                 degraded,
                 #[cfg(feature = "fault-injection")]
                 job.fault,
@@ -519,11 +529,14 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, job: CompileJob) {
                 finish_response(
                     pipe,
                     f.conn,
-                    &body,
+                    body,
                     degraded,
                     #[cfg(feature = "fault-injection")]
                     f.fault,
                 );
+            }
+            if body.capacity() > REPLY_BUFFER_KEEP {
+                *body = String::new();
             }
         }
         Err(reply) => {
@@ -535,20 +548,17 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, job: CompileJob) {
     }
 }
 
-/// Screen a raw request payload on the reactor thread: UTF-8, JSON,
-/// [`ScheduleRequest`], then the quarantine. Returns the request with
-/// its canonical key ([`ScheduleRequest::canonical_json`]) and that
-/// key's hash. Every failure is a typed reply, because a panic here
-/// would stop the reactor, not one request.
+/// Screen a raw request payload on the reactor thread: decode it in
+/// one pass ([`ScheduleRequest::decode`]: UTF-8, JSON, fields), then
+/// check the quarantine. Returns the request with its canonical key
+/// ([`ScheduleRequest::canonical_json`]) and that key's hash. Every
+/// failure is a typed reply, because a panic here would stop the
+/// reactor, not one request.
 fn screen_request(
     shared: &Shared,
     payload: &[u8],
 ) -> Result<(ScheduleRequest, String, u64), ErrorReply> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ErrorReply::new(ErrorCode::ParseError, "request payload is not UTF-8"))?;
-    let value = Json::parse(text)
-        .map_err(|e| ErrorReply::new(ErrorCode::ParseError, format!("request is not JSON: {e}")))?;
-    let request = ScheduleRequest::from_json(&value)?;
+    let request = ScheduleRequest::decode(payload)?;
     if request.attempt > 0 {
         Metrics::bump(&shared.metrics.retries_attempted);
     }
@@ -583,7 +593,7 @@ fn run_compile(
     key_hash: u64,
     arrival: Instant,
     #[cfg(feature = "fault-injection")] injected: Fault,
-) -> Result<ScheduleResponse, ErrorReply> {
+) -> Result<Compiled, ErrorReply> {
     // Panic containment: a crash anywhere in the pipeline becomes a
     // typed reply. The scratch arena may hold half-mutated state after
     // an unwind, so it is rebuilt — the logical equivalent of
@@ -598,7 +608,7 @@ fn run_compile(
             Fault::Slow(ms) => std::thread::sleep(Duration::from_millis(ms)),
             _ => {}
         }
-        execute_at(request, &shared.limits, &shared.cache, scratch, arrival)
+        compile_at(request, &shared.limits, &shared.cache, scratch, arrival)
     }));
     match outcome {
         Ok(result) => result,
@@ -632,7 +642,7 @@ fn run_request(
     scratch: &mut Scratch,
     payload: &[u8],
     #[cfg(feature = "fault-injection")] injected: Fault,
-) -> Result<ScheduleResponse, ErrorReply> {
+) -> Result<crate::proto::ScheduleResponse, ErrorReply> {
     let (request, _key, key_hash) = screen_request(shared, payload)?;
     let result = run_compile(
         shared,
@@ -643,10 +653,10 @@ fn run_request(
         #[cfg(feature = "fault-injection")]
         injected,
     );
-    if matches!(&result, Ok(resp) if resp.degraded) {
+    if matches!(&result, Ok(compiled) if compiled.degraded()) {
         Metrics::bump(&shared.metrics.degraded_replies);
     }
-    result
+    result.map(Compiled::into_response)
 }
 
 /// Build a deliberately damaged response frame, or none at all.
@@ -1221,7 +1231,7 @@ mod tests {
         shared: &Shared,
         scratch: &mut Scratch,
         payload: &[u8],
-    ) -> Result<ScheduleResponse, ErrorReply> {
+    ) -> Result<crate::proto::ScheduleResponse, ErrorReply> {
         #[cfg(feature = "fault-injection")]
         return run_request(shared, scratch, payload, Fault::None);
         #[cfg(not(feature = "fault-injection"))]

@@ -9,7 +9,10 @@ use std::time::Duration;
 use dagsched_driver::{schedule_program_batch, DriverConfig, Limits, NoCache};
 use dagsched_isa::MachineModel;
 use dagsched_sched::{Scheduler, SchedulerKind};
-use dagsched_service::proto::{read_frame, write_frame, ErrorReply, FrameKind};
+use dagsched_service::json::Json;
+use dagsched_service::proto::{
+    read_frame, write_frame, ErrorReply, FrameKind, ScheduleResponse, DEFAULT_MAX_FRAME,
+};
 use dagsched_service::server::{serve, Listen, ServerConfig};
 use dagsched_service::{CacheConfig, Client, ClientError, ErrorCode, ScheduleRequest};
 use dagsched_workloads::{generate, BenchmarkProfile, PAPER_SEED};
@@ -111,7 +114,7 @@ fn expect_error_frame(stream: &mut TcpStream) -> ErrorReply {
     let (kind, payload) = read_frame(stream, 1 << 20).expect("server reply frame");
     assert_eq!(kind, FrameKind::Error, "expected an error frame");
     let text = std::str::from_utf8(&payload).expect("error payload is UTF-8");
-    let value = dagsched_service::json::Json::parse(text).expect("error payload is JSON");
+    let value = Json::parse(text).expect("error payload is JSON");
     ErrorReply::from_json(&value).expect("decodable error reply")
 }
 
@@ -701,5 +704,75 @@ fn unix_socket_roundtrip_and_cleanup() {
     handle.begin_drain();
     handle.join();
     assert!(!path.exists(), "socket file is unlinked on shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The compile workers write each reply straight from the schedule: for
+/// a miss, a hit and a `sim` request the raw `Response` payload is
+/// exactly what the tree writer emits for the decoded response. And a
+/// malformed request is refused with the code and message the tree
+/// decoder's path produced.
+#[cfg(unix)]
+#[test]
+fn reply_payloads_are_the_tree_writers_bytes() {
+    use std::os::unix::net::UnixStream;
+    let dir = std::env::temp_dir().join(format!("dagsched-payload-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("payload.sock");
+    let handle = serve(Listen::Unix(path.clone()), ServerConfig::default()).expect("bind unix");
+    let mut stream = UnixStream::connect(&path).expect("connect unix");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let mut sim = ScheduleRequest::profile("regex", 3);
+    sim.sim = true;
+    let grep = ScheduleRequest::profile("grep", 3);
+    for (label, req) in [("miss", grep.clone()), ("hit", grep), ("sim", sim)] {
+        write_frame(
+            &mut stream,
+            FrameKind::Request,
+            req.to_json().to_string().as_bytes(),
+        )
+        .unwrap();
+        let (kind, payload) = read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("reply");
+        assert_eq!(kind, FrameKind::Response, "{label}");
+        let text = std::str::from_utf8(&payload).expect("UTF-8 payload");
+        let resp = ScheduleResponse::from_json(&Json::parse(text).expect("JSON payload"))
+            .expect("decodable response");
+        assert_eq!(text, resp.to_json().to_string(), "{label}");
+        match label {
+            "miss" => assert!(resp.stats.cache_misses > 0),
+            "hit" => {
+                assert_eq!(resp.stats.cache_misses, 0);
+                assert!(resp.stats.cache_hits > 0);
+            }
+            _ => assert!(resp.cycles.is_some()),
+        }
+    }
+
+    for (payload, message) in [
+        (
+            &b"{\"asm\":"[..],
+            "request is not JSON: json error at byte 7: unexpected end of input",
+        ),
+        (
+            b"{\"asm\":\"nop\"} x",
+            "request is not JSON: json error at byte 14: trailing characters after value",
+        ),
+        (b"\xff", "request payload is not UTF-8"),
+        (b"{\"asm\":1}", "request needs an `asm` or `profile` field"),
+    ] {
+        write_frame(&mut stream, FrameKind::Request, payload).unwrap();
+        let (kind, reply) = read_frame(&mut stream, DEFAULT_MAX_FRAME).expect("reply");
+        assert_eq!(kind, FrameKind::Error);
+        let reply =
+            ErrorReply::from_json(&Json::parse(std::str::from_utf8(&reply).unwrap()).unwrap())
+                .expect("decodable error reply");
+        assert_eq!(reply.message, message);
+    }
+
+    handle.begin_drain();
+    handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

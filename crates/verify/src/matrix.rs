@@ -32,7 +32,8 @@ use dagsched_pipesim::interp::{run, MachineState};
 use dagsched_sched::{BranchAndBound, OptimalResult, Schedule, Scheduler, SchedulerKind};
 use dagsched_service::json::Json;
 use dagsched_service::proto::{
-    read_frame, write_frame, FrameKind, ScheduleRequest, ScheduleResponse, DEFAULT_MAX_FRAME,
+    read_frame, response_cache_misses, write_frame, FrameKind, ScheduleRequest, ScheduleResponse,
+    DEFAULT_MAX_FRAME,
 };
 use dagsched_service::{execute, CacheConfig, EngineLimits, ScheduleCache};
 use dagsched_workloads::parse_asm;
@@ -696,9 +697,12 @@ fn first_line_diff(a: &[String], b: &[String]) -> String {
     format!("lengths differ: {} vs {}", a.len(), b.len())
 }
 
-/// Wire round-trips: JSON and binary framing for requests and the
-/// response produced by actually executing one.
+/// Wire round-trips: JSON and binary framing for requests and for the
+/// responses produced by actually executing one, through the tree codec
+/// and through the direct codec every product path runs, which must
+/// write the tree's bytes and read back the tree's values.
 fn check_wire(text: &str, cfg: &MatrixConfig) -> Result<(), Disagreement> {
+    let wire = |check: String, detail: String| Disagreement::new(CheckKind::Wire, check, detail);
     let mut varied = ScheduleRequest::asm(text);
     varied.scheduler = "gm".to_string();
     varied.algo = "table-backward".to_string();
@@ -706,6 +710,7 @@ fn check_wire(text: &str, cfg: &MatrixConfig) -> Result<(), Disagreement> {
     varied.jobs = 3;
     varied.deadline_ms = Some(10_000);
     varied.sim = true;
+    varied.attempt = 2;
     let profile_req = ScheduleRequest::profile("grep", text.len() as u64);
     for (label, req) in [
         ("default request", ScheduleRequest::asm(text)),
@@ -715,90 +720,134 @@ fn check_wire(text: &str, cfg: &MatrixConfig) -> Result<(), Disagreement> {
         // JSON round-trip.
         let json_text = req.to_json().to_string();
         let parsed = Json::parse(&json_text).map_err(|e| {
-            Disagreement::new(
-                CheckKind::Wire,
+            wire(
                 format!("{label}: writer vs parser"),
                 format!("emitted JSON no longer parses: {e}"),
             )
         })?;
         let back = ScheduleRequest::from_json(&parsed).map_err(|e| {
-            Disagreement::new(
-                CheckKind::Wire,
+            wire(
                 format!("{label}: to_json vs from_json"),
                 format!("round-tripped request rejected: {e}"),
             )
         })?;
         if back != req {
-            return Err(Disagreement::new(
-                CheckKind::Wire,
+            return Err(wire(
                 format!("{label}: to_json vs from_json"),
                 format!("request changed across the round-trip:\n  sent {req:?}\n  got  {back:?}"),
             ));
         }
+        // The direct codec: the tree's bytes out, the tree's value in.
+        let mut direct = String::new();
+        req.write_json(req.attempt, &mut direct);
+        if direct != json_text {
+            return Err(wire(
+                format!("{label}: write_json vs to_json"),
+                format!("direct writer emitted\n  {direct}\nthe tree writer\n  {json_text}"),
+            ));
+        }
+        let zeroed = ScheduleRequest {
+            attempt: 0,
+            ..req.clone()
+        };
+        if req.canonical_json() != zeroed.to_json().to_string() {
+            return Err(wire(
+                format!("{label}: canonical_json vs to_json"),
+                "the canonical form is not the tree rendering with `attempt` zeroed".to_string(),
+            ));
+        }
+        match ScheduleRequest::decode(json_text.as_bytes()) {
+            Ok(decoded) if decoded == back => {}
+            other => {
+                return Err(wire(
+                    format!("{label}: decode vs from_json"),
+                    format!("direct reader returned {other:?}, the tree {back:?}"),
+                ))
+            }
+        }
         // Binary frame round-trip.
         let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, json_text.as_bytes()).map_err(|e| {
-            Disagreement::new(
-                CheckKind::Wire,
-                format!("{label}: write_frame"),
-                e.to_string(),
-            )
-        })?;
-        let (kind, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).map_err(|e| {
-            Disagreement::new(
-                CheckKind::Wire,
-                format!("{label}: write_frame vs read_frame"),
-                e.to_string(),
-            )
-        })?;
+        write_frame(&mut buf, FrameKind::Request, json_text.as_bytes())
+            .map_err(|e| wire(format!("{label}: write_frame"), e.to_string()))?;
+        let (kind, payload) = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME)
+            .map_err(|e| wire(format!("{label}: write_frame vs read_frame"), e.to_string()))?;
         if kind != FrameKind::Request || payload != json_text.as_bytes() {
-            return Err(Disagreement::new(
-                CheckKind::Wire,
+            return Err(wire(
                 format!("{label}: write_frame vs read_frame"),
                 "frame payload changed across the round-trip".to_string(),
             ));
         }
     }
 
-    // A real response, from the same engine the daemon runs.
-    let req = ScheduleRequest::asm(text);
-    let cache = ScheduleCache::new(CacheConfig {
-        max_entries: 16,
-        ..CacheConfig::default()
-    });
-    let mut scratch = Scratch::new();
-    let resp = execute(&req, &EngineLimits::default(), &cache, &mut scratch).map_err(|e| {
-        Disagreement::new(
-            CheckKind::Wire,
-            "engine vs request",
-            format!("engine rejected a parseable program: {e}"),
-        )
-    })?;
-    let json_text = resp.to_json().to_string();
-    let parsed = Json::parse(&json_text).map_err(|e| {
-        Disagreement::new(
-            CheckKind::Wire,
-            "response writer vs parser",
-            format!("emitted JSON no longer parses: {e}"),
-        )
-    })?;
-    match ScheduleResponse::from_json(&parsed) {
-        Some(back) if back == resp => {}
-        Some(back) => {
-            return Err(Disagreement::new(
-                CheckKind::Wire,
-                "response to_json vs from_json",
-                format!(
-                    "response changed across the round-trip:\n  sent {resp:?}\n  got  {back:?}"
-                ),
-            ))
+    // Real responses, from the same engine the daemon runs; the `sim`
+    // one carries `cycles`.
+    let mut sim = ScheduleRequest::asm(text);
+    sim.sim = true;
+    for (label, req) in [
+        ("response", ScheduleRequest::asm(text)),
+        ("sim response", sim),
+    ] {
+        let cache = ScheduleCache::new(CacheConfig {
+            max_entries: 16,
+            ..CacheConfig::default()
+        });
+        let mut scratch = Scratch::new();
+        let resp = execute(&req, &EngineLimits::default(), &cache, &mut scratch).map_err(|e| {
+            wire(
+                format!("engine vs {label}"),
+                format!("engine rejected a parseable program: {e}"),
+            )
+        })?;
+        let json_text = resp.to_json().to_string();
+        let parsed = Json::parse(&json_text).map_err(|e| {
+            wire(
+                format!("{label} writer vs parser"),
+                format!("emitted JSON no longer parses: {e}"),
+            )
+        })?;
+        match ScheduleResponse::from_json(&parsed) {
+            Some(back) if back == resp => {}
+            Some(back) => {
+                return Err(wire(
+                    format!("{label} to_json vs from_json"),
+                    format!(
+                        "response changed across the round-trip:\n  sent {resp:?}\n  got  {back:?}"
+                    ),
+                ))
+            }
+            None => {
+                return Err(wire(
+                    format!("{label} to_json vs from_json"),
+                    "round-tripped response rejected".to_string(),
+                ))
+            }
         }
-        None => {
-            return Err(Disagreement::new(
-                CheckKind::Wire,
-                "response to_json vs from_json",
-                "round-tripped response rejected".to_string(),
-            ))
+        let mut direct = String::new();
+        resp.write_json(&mut direct);
+        if direct != json_text {
+            return Err(wire(
+                format!("{label} write_json vs to_json"),
+                format!("direct writer emitted\n  {direct}\nthe tree writer\n  {json_text}"),
+            ));
+        }
+        match ScheduleResponse::parse(&json_text) {
+            Ok(Some(back)) if back == resp => {}
+            other => {
+                return Err(wire(
+                    format!("{label} parse vs from_json"),
+                    format!("direct reader returned {other:?}, the tree {resp:?}"),
+                ))
+            }
+        }
+        let misses = response_cache_misses(json_text.as_bytes());
+        if misses != Some(resp.stats.cache_misses) {
+            return Err(wire(
+                format!("{label} response_cache_misses vs stats"),
+                format!(
+                    "read {misses:?}, the reply holds {}",
+                    resp.stats.cache_misses
+                ),
+            ));
         }
     }
     let _ = cfg;

@@ -8,6 +8,13 @@
 //! each request goes through the stages below `ROUNDS` times; the table
 //! gives the median and mean microseconds per request.
 //!
+//! Each stage runs the code the product path runs: the client writes
+//! and reads payloads with the direct codec, the daemon decodes and
+//! keys the request as its reactor does, and the response is written
+//! straight from the schedule, as a compile worker writes it. The last
+//! row is a worker's whole share, decode to reply payload. The example
+//! panics if a block misses the cache, so a broken hit path fails it.
+//!
 //! ```text
 //! cargo run --release --example hit_path [SEED] [ROUNDS]
 //! ```
@@ -17,23 +24,23 @@ use std::time::Instant;
 use dagsched::batch::{schedule_program_batch_scratch, Limits};
 use dagsched::core::Scratch;
 use dagsched::isa::splitmix64;
-use dagsched::proto::json::Json;
 use dagsched::proto::{
-    build_driver_config, BlockSummary, RequestInput, ScheduleRequest, ScheduleResponse,
+    build_driver_config, write_response_json, BlockSummary, RequestInput, ScheduleRequest,
+    ScheduleResponse,
 };
+use dagsched::service::engine::compile_at;
 use dagsched::service::{execute, CacheConfig, EngineLimits, ScheduleCache};
 use dagsched::workloads::{generate, parse_asm, BenchmarkProfile};
 
-const STAGES: [&str; 9] = [
+const STAGES: [&str; 8] = [
     "client encode",
     "decode",
     "canonical key",
     "parse",
     "warm batch",
-    "response render",
-    "response encode",
+    "response write",
     "client decode",
-    "execute (total)",
+    "worker (total)",
 ];
 
 /// The request texts: each program cut into 32–128-block functions.
@@ -76,6 +83,9 @@ fn main() {
     }
 
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); STAGES.len()];
+    // The client's and the worker's buffers, reused across requests as
+    // theirs are.
+    let (mut payload, mut body) = (String::new(), String::new());
     for _ in 0..rounds {
         for req in &reqs {
             let mut last = Instant::now();
@@ -84,14 +94,13 @@ fn main() {
                 samples[stage].push((now - last).as_secs_f64() * 1e6);
                 last = now;
             };
-            let payload = req.to_json().to_string();
+            payload.clear();
+            req.write_json(req.attempt, &mut payload);
             lap(0);
-            let decoded = ScheduleRequest::from_json(&Json::parse(&payload).unwrap()).unwrap();
+            let decoded = ScheduleRequest::decode(payload.as_bytes()).unwrap();
             lap(1);
             // The daemon's single-flight and quarantine key.
-            let mut canonical = decoded.clone();
-            canonical.attempt = 0;
-            let key = canonical.to_json().to_string();
+            let key = decoded.canonical_json();
             lap(2);
             let RequestInput::Asm(text) = &decoded.input else {
                 unreachable!("asm requests only")
@@ -109,31 +118,33 @@ fn main() {
             .unwrap();
             assert_eq!(stats.cache_misses, 0, "every block hits");
             lap(4);
-            let resp = ScheduleResponse {
-                insns: scheduled.insns.iter().map(|i| i.to_string()).collect(),
-                blocks: scheduled
-                    .blocks
-                    .iter()
-                    .map(|b| BlockSummary {
-                        block: b.block,
-                        len: b.len,
-                        original_makespan: b.original_makespan,
-                        scheduled_makespan: b.scheduled_makespan,
-                    })
-                    .collect(),
-                degraded: false,
-                stats,
-                cycles: None,
-            };
+            body.clear();
+            write_response_json(
+                &mut body,
+                &scheduled.insns,
+                scheduled.blocks.iter().map(|b| BlockSummary {
+                    block: b.block,
+                    len: b.len,
+                    original_makespan: b.original_makespan,
+                    scheduled_makespan: b.scheduled_makespan,
+                }),
+                &stats,
+                None,
+                false,
+            );
             lap(5);
-            let body = resp.to_json().to_string();
+            let back = ScheduleResponse::parse(&body).unwrap().unwrap();
             lap(6);
-            let back = ScheduleResponse::from_json(&Json::parse(&body).unwrap()).unwrap();
+            // Decode to reply payload, as the reactor and a compile
+            // worker run it between them.
+            let decoded = ScheduleRequest::decode(payload.as_bytes()).unwrap();
+            let key_again = decoded.canonical_json();
+            let compiled = compile_at(&decoded, &limits, &cache, &mut scratch, Instant::now())
+                .expect("warm request");
+            body.clear();
+            compiled.write_json(&mut body);
             lap(7);
-            // Decode-to-response in one call, as a daemon worker runs it.
-            let whole = execute(&decoded, &limits, &cache, &mut scratch).unwrap();
-            lap(8);
-            std::hint::black_box((key, back, whole));
+            std::hint::black_box((key, key_again, back));
         }
     }
 
