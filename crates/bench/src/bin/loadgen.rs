@@ -48,15 +48,28 @@
 //!
 //! # Chaos (`--chaos`, chaos build)
 //!
-//! The in-process daemon injects seeded faults: 10% worker panics, 10%
-//! slow replies, 4% each of truncated, corrupted and reset reply frames
-//! at the default `--faults 100`. Clients dial once and retry each
-//! request under a fixed policy. Gates, all outcome: `daemon_alive` (it
-//! answers a ping after the run), `all_terminal` (every request ends in
-//! a reply, a typed error, or a transport failure once its retries ran
-//! out), `no_dial_failures` (no client fails to dial or redial),
-//! `bit_identical`, and `degraded_valid`. The same `--seed` replays the
-//! same fault stream.
+//! The in-process daemon injects seeded faults a wire cannot: 10%
+//! worker panics and 10% slow replies at the default `--faults 100`. A
+//! slow reply sleeps ⅘ of `--deadline-ms` (20 ms without one) before it
+//! compiles, so it comes back degraded. The clients reach the daemon
+//! through a netchaos proxy seeded from `--seed` that resets
+//! connections and corrupts bytes, each on `5 × --faults` ‰ of
+//! connections (capped at half). Clients dial once and retry each
+//! request under a fixed policy; a corrupted request comes back as a
+//! typed `malformed-frame` (or `idle-timeout` / `oversized-frame` when
+//! the header was hit), a terminal outcome counted by code. The harness
+//! pings the daemon and reads its metrics directly. Gates:
+//!
+//! - outcome: `daemon_alive` (it answers a ping after the run),
+//!   `all_terminal` (every request ends in a reply, a typed error, or a
+//!   transport failure once its retries ran out), `no_dial_failures`
+//!   (no client fails to dial or redial), `bit_identical`, and
+//!   `degraded_valid`;
+//! - firing: `proxy_resets` and `proxy_corruptions` (the proxy reset at
+//!   least one connection and corrupted at least one byte) and, with
+//!   `--deadline-ms`, `degraded_replies` (at least one degraded reply).
+//!
+//! The same `--seed` replays the same fault streams.
 //!
 //! ```text
 //! loadgen --chaos --seed 1991 --deadline-ms 200 --requests 300 --qps 300 \
@@ -167,7 +180,7 @@ use dagsched_stats::percentile;
 use dagsched_verify::check_reordering_text;
 use dagsched_workloads::{generate, BenchmarkProfile, PAPER_SEED};
 
-/// Delay of an injected slow reply (chaos).
+/// Delay of an injected slow reply when no deadline is set (chaos).
 const SLOW_MS: u64 = 20;
 /// Retries per request for chaos clients.
 const CHAOS_RETRIES: u32 = 4;
@@ -222,8 +235,9 @@ struct Options {
     /// Seed for the injected faults (chaos, crash-loop, netchaos) and
     /// the chaos clients' retry jitter.
     chaos_seed: u64,
-    /// Base injection rate in ‰: chaos panics and slow replies (frame
-    /// faults run at 40% of it), or netchaos link faults.
+    /// Base injection rate in ‰: chaos panics and slow replies (the
+    /// chaos proxy's link faults are derived from it), or netchaos link
+    /// faults.
     fault_per_mille: u16,
     /// Per-request deadline tagged on every request, if any.
     deadline_ms: Option<u64>,
@@ -1394,25 +1408,31 @@ fn chaos(opts: Options) -> ! {
         opts.requests, opts.qps, opts.clients, opts.deadline_ms
     );
     let refs = references(&opts).unwrap_or_else(|e| fatal(format!("serial references: {e}")));
-    // Panics and slow replies at the base rate, each frame fault at
-    // 40% of it.
-    let (base, frame) = (opts.fault_per_mille, opts.fault_per_mille * 2 / 5);
+    let base = opts.fault_per_mille;
+    // A slow reply starts compiling with a fifth of its budget left,
+    // under the degradation ladder's first rung (a quarter).
+    let slow_ms = opts.deadline_ms.map_or(SLOW_MS, |ms| ms * 4 / 5);
     let config = ServerConfig {
         #[cfg(feature = "chaos")]
         faults: Some(dagsched_service::FaultConfig {
             seed,
             panic_per_mille: base,
             slow_per_mille: base,
-            slow_ms: SLOW_MS,
-            truncate_per_mille: frame,
-            corrupt_per_mille: frame,
-            reset_per_mille: frame,
+            slow_ms,
         }),
         ..server_config(&opts)
     };
     let handle = serve(listen_for(&opts), config)
         .unwrap_or_else(|e| fatal(format!("in-process server: {e}")));
     let endpoint = handle.endpoint();
+    // Wire faults come from a netchaos proxy in front of the daemon.
+    let link_faults = chaos_link_faults(seed, base);
+    let proxy_listen = match &opts.unix {
+        Some(path) => format!("unix:{path}.proxy"),
+        None => "tcp:127.0.0.1:0".to_string(),
+    };
+    let proxy = serve_proxy(&proxy_listen, &endpoint, link_faults)
+        .unwrap_or_else(|e| fatal(format!("netchaos proxy: {e}")));
     let check = Check::against(&refs, true, seed);
     let link = |idx: usize| {
         let policy = RetryPolicy {
@@ -1421,16 +1441,19 @@ fn chaos(opts: Options) -> ! {
             jitter_seed: seed ^ (idx as u64).wrapping_mul(0x9E37_79B9),
             ..RetryPolicy::default()
         };
-        Link::new(&endpoint, ONE_SHOT, policy)
+        Link::new(proxy.endpoint(), ONE_SHOT, policy)
     };
     let (tally, elapsed) = paced_mix(&opts, link, &check, None);
+    // The daemon is asked directly: the proxy would fault these too.
     let alive = answers_ping(&endpoint);
     let server = server_metrics(&endpoint);
+    let wire = proxy.metrics();
+    proxy.shutdown();
     handle.begin_drain();
     handle.join();
 
     let oracle = "0 degraded replies fail the validity oracle";
-    let gates = vec![
+    let mut gates = vec![
         alive_gate("daemon_alive", alive),
         terminal_gate(&tally, opts.requests),
         dial_gate(&tally),
@@ -1442,19 +1465,41 @@ fn chaos(opts: Options) -> ! {
             tally.invalid.clone(),
         ),
     ];
+    // With no faults, or no deadline to degrade under, a firing gate
+    // has nothing to check.
+    let faulting = base > 0;
+    let firing = [
+        (faulting, fired("proxy_resets", Some(wire.resets))),
+        (
+            faulting,
+            fired("proxy_corruptions", Some(wire.corrupted_bytes)),
+        ),
+        (
+            faulting && opts.deadline_ms.is_some(),
+            fired("degraded_replies", Some(tally.degraded)),
+        ),
+    ];
+    gates.extend(firing.map(|(on, gate)| if on { gate } else { gate.skip() }));
     let per_mille = |n: u16| Json::from(u64::from(n));
     let mut extra = vec![
         (
             "fault_per_mille",
+            Json::obj(vec![("panic", per_mille(base)), ("slow", per_mille(base))]),
+        ),
+        ("slow_ms", Json::from(slow_ms)),
+        (
+            "proxy",
             Json::obj(vec![
-                ("panic", per_mille(base)),
-                ("slow", per_mille(base)),
-                ("truncate", per_mille(frame)),
-                ("corrupt", per_mille(frame)),
-                ("reset", per_mille(frame)),
+                ("reset_per_mille", per_mille(link_faults.reset_per_mille)),
+                (
+                    "corrupt_per_mille",
+                    per_mille(link_faults.corrupt_per_mille),
+                ),
+                ("connections", Json::from(wire.connections)),
+                ("resets", Json::from(wire.resets)),
+                ("corrupted_bytes", Json::from(wire.corrupted_bytes)),
             ]),
         ),
-        ("slow_ms", Json::from(SLOW_MS)),
         (
             "deadline_ms",
             opts.deadline_ms.map_or(Json::Null, Json::from),
@@ -1475,6 +1520,21 @@ fn chaos(opts: Options) -> ! {
     extra.extend(server.map(|m| ("server", m)));
     let run = Run::new("chaos", seed, &opts);
     finish(&opts, run, &tally, elapsed, extra, gates)
+}
+
+/// The chaos proxy's plan: resets and corruption only, the link-level
+/// forms of a reply cut off, damaged or never sent. A client keeps its
+/// connection until a fault breaks it, so a fault that rides one
+/// connection must be drawn for nearly every connection to reach a
+/// share of requests near the base rate: each class gets five times
+/// the base rate (all of them, half each, at the default 100‰).
+fn chaos_link_faults(seed: u64, base: u16) -> ChaosConfig {
+    let per_class = base.saturating_mul(5).min(500);
+    ChaosConfig {
+        reset_per_mille: per_class,
+        corrupt_per_mille: per_class,
+        ..ChaosConfig::quiet(seed)
+    }
 }
 
 fn crash_loop(opts: Options) -> ! {
@@ -2416,7 +2476,6 @@ fn overload_main(opts: Options) -> ! {
     let admitted = |p| Json::from(percentile(&a.admitted_ns, p) as f64 / 1e6);
     let p99_bound_ms = deadline_ms + overload::P99_SLACK_MS;
     let recovered = a.recovered_after_s.map_or(Json::Null, Json::from);
-    let shed_mem_budget = counter(server.as_ref(), "shed_mem_budget").unwrap_or(0);
     let profiles = plan.mix.iter().map(|p| Json::from(p.as_str()));
     let mut extra = vec![
         ("capacity_qps", Json::from(capacity)),
@@ -2438,7 +2497,6 @@ fn overload_main(opts: Options) -> ! {
         ("p99_bound_ms", Json::from(p99_bound_ms)),
         ("recovered_after_s", recovered),
         ("shed_expired", Json::from(shed_expired)),
-        ("shed_mem_budget", Json::from(shed_mem_budget)),
         ("daemon_alive_after_run", Json::from(alive)),
     ];
 

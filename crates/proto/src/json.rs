@@ -36,6 +36,9 @@ pub enum Json {
     Bool(bool),
     /// A number without a fractional part or exponent.
     Int(i64),
+    /// An integer above `i64::MAX` (a `u64` counter or seed); every
+    /// smaller integer is an [`Json::Int`].
+    UInt(u64),
     /// Any other number.
     Float(f64),
     /// A string.
@@ -85,6 +88,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(i) if *i >= 0 => Some(*i as u64),
+            Json::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -101,6 +105,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Float(f) => Some(*f),
             _ => None,
         }
@@ -133,10 +138,9 @@ impl From<&str> for Json {
 
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        if v <= i64::MAX as u64 {
-            Json::Int(v as i64)
-        } else {
-            Json::Float(v as f64)
+        match i64::try_from(v) {
+            Ok(i) => Json::Int(i),
+            Err(_) => Json::UInt(v),
         }
     }
 }
@@ -528,9 +532,12 @@ impl<'a> Parser<'a> {
             text.parse::<f64>()
                 .map(Json::Float)
                 .map_err(|_| self.err("invalid number"))
+        } else if let Ok(i) = text.parse::<i64>() {
+            Ok(Json::Int(i))
         } else {
-            text.parse::<i64>()
-                .map(Json::Int)
+            // Above `i64::MAX` only a `u64` is in range.
+            text.parse::<u64>()
+                .map(Json::UInt)
                 .map_err(|_| self.err("integer out of range"))
         }
     }
@@ -681,8 +688,7 @@ impl<'a> ObjectWriter<'a> {
         let _ = write_escaped(self.key(key), value);
     }
 
-    /// An integer written as `Json::from(u64)` writes it: above
-    /// `i64::MAX` it comes out as a float.
+    /// An integer, in exact digits as `Json::from(u64)` writes it.
     pub(crate) fn u64(&mut self, key: &str, value: u64) {
         let _ = write!(self.key(key), "{}", Json::from(value));
     }
@@ -702,6 +708,7 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Int(i) => write!(f, "{i}"),
+            Json::UInt(u) => write!(f, "{u}"),
             Json::Float(v) => {
                 if v.is_finite() {
                     write!(f, "{v}")
@@ -756,6 +763,28 @@ mod tests {
         assert_eq!(v.as_str(), Some("é😀"));
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn u64_values_round_trip_in_exact_digits() {
+        for v in [0, 7, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let text = Json::from(v).to_string();
+            assert_eq!(text, v.to_string());
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(v), "{text}");
+        }
+        assert_eq!(
+            Json::parse("9223372036854775807").unwrap(),
+            Json::Int(i64::MAX)
+        );
+        assert_eq!(
+            Json::parse("-9223372036854775808").unwrap(),
+            Json::Int(i64::MIN)
+        );
+        // Past either end of the integers a peer can write: out of range.
+        for text in ["18446744073709551616", "-9223372036854775809"] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.message, "integer out of range", "{text}");
+        }
     }
 
     #[test]

@@ -1382,15 +1382,16 @@ mod tests {
             (MAX_REQUEST_JOBS as u64 + 1).to_string(),
             (u32::MAX as u64 + 1).to_string(), // → 1 worker after a 32-bit `as usize`
             i64::MAX.to_string(),
+            u64::MAX.to_string(),
         ] {
             let v = Json::parse(&format!(r#"{{"asm":"nop","jobs":{raw}}}"#)).unwrap();
             let err = ScheduleRequest::from_json(&v).unwrap_err();
             assert_eq!(err.code, ErrorCode::BadRequest, "jobs={raw}");
             assert!(err.message.contains("jobs"), "{}", err.message);
         }
-        // Values beyond i64 don't even parse: the JSON layer rejects
+        // Values beyond u64 don't even parse: the JSON layer rejects
         // them before decode, so no cast is reachable at all.
-        assert!(Json::parse(&format!(r#"{{"jobs":{}}}"#, u64::MAX)).is_err());
+        assert!(Json::parse(r#"{"jobs":18446744073709551616}"#).is_err());
         // Negative numbers never read as u64, so they take the default.
         let v = Json::parse(r#"{"asm":"nop","jobs":-3}"#).unwrap();
         assert_eq!(ScheduleRequest::from_json(&v).unwrap().jobs, 0);

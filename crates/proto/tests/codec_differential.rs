@@ -131,9 +131,8 @@ impl Rng {
             .collect()
     }
 
-    /// Mostly values that parse back, sometimes one around or above
-    /// `i64::MAX` (above it the writers emit a float that
-    /// `Json::parse` rejects as an out-of-range integer).
+    /// Mostly small values, sometimes one around or above `i64::MAX`,
+    /// where the tree's integer type changes from `Int` to `UInt`.
     fn u64(&mut self) -> u64 {
         match self.below(60) {
             0 => i64::MAX as u64 - 2 + self.next() % 5,
@@ -218,6 +217,7 @@ enum V {
     Null,
     Bool(bool),
     Int(i64),
+    UInt(u64),
     Float(f64),
     Raw(&'static str),
     Str(String),
@@ -231,6 +231,7 @@ impl V {
             Json::Null => V::Null,
             Json::Bool(b) => V::Bool(*b),
             Json::Int(i) => V::Int(*i),
+            Json::UInt(u) => V::UInt(*u),
             Json::Float(f) => V::Float(*f),
             Json::Str(s) => V::Str(s.clone()),
             Json::Arr(items) => V::Arr(items.iter().map(V::of).collect()),
@@ -323,6 +324,7 @@ fn render(v: &V, rng: &mut Rng, ws: bool, escapes: bool, out: &mut String) {
         V::Null => out.push_str("null"),
         V::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         V::Int(i) => out.push_str(&i.to_string()),
+        V::UInt(u) => out.push_str(&u.to_string()),
         V::Float(f) => out.push_str(&f.to_string()),
         V::Raw(text) => out.push_str(text),
         V::Str(s) => string(s, rng, out),
@@ -388,7 +390,7 @@ fn mutate(fields: &mut Vec<(String, V)>, rng: &mut Rng) {
         // An integer as a float, a negative, or out of range.
         4 => {
             let ints: Vec<usize> = (0..fields.len())
-                .filter(|&i| matches!(fields[i].1, V::Int(_) | V::Float(_)))
+                .filter(|&i| matches!(fields[i].1, V::Int(_) | V::UInt(_) | V::Float(_)))
                 .collect();
             if let Some(&i) = ints.get(rng.below(ints.len().max(1))) {
                 fields[i].1 = match rng.below(4) {
@@ -517,6 +519,32 @@ fn writers_emit_the_tree_bytes() {
     }
 }
 
+/// Every generated request whose `jobs` is in range, large `u64`
+/// values included, decodes back to itself through both readers.
+#[test]
+fn requests_round_trip_through_both_readers() {
+    let mut rng = Rng(0x0B16_u64);
+    let mut large = 0;
+    for _ in 0..2000 {
+        let mut req = gen_request(&mut rng);
+        req.jobs %= MAX_REQUEST_JOBS + 1;
+        let mut wire = String::new();
+        req.write_json(req.attempt, &mut wire);
+        assert_eq!(
+            ScheduleRequest::decode(wire.as_bytes()),
+            Ok(req.clone()),
+            "{wire}"
+        );
+        assert_eq!(tree_request(wire.as_bytes()), Ok(req.clone()), "{wire}");
+        let values = [req.deadline_ms.unwrap_or(0), req.linger_ms, req.attempt];
+        large += usize::from(values.iter().any(|&v| v > i64::MAX as u64));
+    }
+    assert!(
+        large > 20,
+        "only {large} requests carried a value above i64::MAX"
+    );
+}
+
 #[test]
 fn readers_agree_with_the_tree_on_hostile_payloads() {
     let mut rng = Rng(0x0DD_BA11);
@@ -602,43 +630,11 @@ fn hand_written_edge_cases_agree() {
     }
 }
 
-/// A reply every value of which parses: the writers emit a `u64`
-/// above `i64::MAX` as a float, and `Json::parse` rejects a float that
-/// has no fraction or exponent as an out-of-range integer.
-fn parseable(mut resp: ScheduleResponse) -> ScheduleResponse {
-    let tame = |v: u64| v % (i64::MAX as u64);
-    for b in &mut resp.blocks {
-        b.block = tame(b.block as u64) as usize;
-        b.len = tame(b.len as u64) as usize;
-        b.original_makespan = tame(b.original_makespan);
-        b.scheduled_makespan = tame(b.scheduled_makespan);
-    }
-    let s = &mut resp.stats;
-    for v in [
-        &mut s.blocks,
-        &mut s.nodes,
-        &mut s.arcs_added,
-        &mut s.arcs_suppressed,
-        &mut s.table_probes,
-        &mut s.comparisons,
-        &mut s.construct_ns,
-        &mut s.heur_ns,
-        &mut s.sched_ns,
-        &mut s.cache_hits,
-        &mut s.cache_misses,
-        &mut s.degraded_blocks,
-    ] {
-        *v = tame(*v);
-    }
-    resp.cycles = resp.cycles.map(|(a, b)| (tame(a), tame(b)));
-    resp
-}
-
 #[test]
 fn the_misses_read_allocates_nothing_on_a_well_formed_reply() {
     let mut rng = Rng(0xA110C);
     for _ in 0..200 {
-        let resp = parseable(gen_response(&mut rng));
+        let resp = gen_response(&mut rng);
         let payload = resp.to_json().to_string();
         let before = ALLOCATIONS.with(Cell::get);
         let misses = response_cache_misses(payload.as_bytes());

@@ -153,6 +153,20 @@ const DRAIN_RETRY_MS: u64 = 500;
 /// prober).
 const PROBE_TIMEOUT: Duration = Duration::from_millis(2000);
 
+/// Slow-loris bound: a client stalled inside a frame (or that never
+/// completed one) this long gets a typed `idle-timeout` error.
+const FIRST_FRAME_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Bounded replication-queue depth; past it, jobs are dropped and
+/// counted.
+const REPLICATION_QUEUE: usize = 256;
+
+/// Forwarding worker threads (each owns its shard connections).
+const WORKERS: usize = 4;
+
+/// Bounded forwarding-queue depth; beyond it clients get `busy`.
+const QUEUE: usize = 256;
+
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -168,26 +182,12 @@ pub struct RouterConfig {
     pub revive_threshold: u32,
     /// Milliseconds between health-probe sweeps.
     pub health_check_ms: u64,
-    /// Largest accepted frame payload (client side and shard side).
-    pub max_frame: usize,
-    /// Per-connection read timeout for idle clients (silent close
-    /// between frames).
-    pub read_timeout_ms: u64,
-    /// Slow-loris bound: a connection stalled inside a frame (or that
-    /// never completed one) gets a typed `idle-timeout` error.
-    pub first_frame_timeout_ms: u64,
     /// Install a SIGTERM handler that triggers a graceful drain.
     pub handle_sigterm: bool,
     /// Shard dials retry under this policy; its `per_attempt_timeout`
     /// bounds how long one forward may go without progress. A rung
     /// never resends to the same shard.
     pub shard_retry: RetryPolicy,
-    /// Bounded replication-queue depth.
-    pub replication_queue: usize,
-    /// Forwarding worker threads (each owns its shard connections).
-    pub workers: usize,
-    /// Bounded forwarding-queue depth; beyond it clients get `busy`.
-    pub queue: usize,
 }
 
 impl Default for RouterConfig {
@@ -198,9 +198,6 @@ impl Default for RouterConfig {
             fail_threshold: 3,
             revive_threshold: 3,
             health_check_ms: 500,
-            max_frame: DEFAULT_MAX_FRAME,
-            read_timeout_ms: 10_000,
-            first_frame_timeout_ms: 2_000,
             handle_sigterm: false,
             shard_retry: RetryPolicy {
                 max_retries: 2,
@@ -210,9 +207,6 @@ impl Default for RouterConfig {
                 overall_timeout: Some(Duration::from_secs(30)),
                 jitter_seed: 0x0C1A_57E2,
             },
-            replication_queue: 256,
-            workers: 4,
-            queue: 256,
         }
     }
 }
@@ -454,7 +448,6 @@ fn worker_loop(
         completions.push(Completion {
             conn: job.conn,
             bytes,
-            close: false,
         });
         inflight.fetch_sub(1, Ordering::SeqCst);
     }
@@ -609,9 +602,8 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
     let reactor = Reactor::new(
         listener,
         ReactorConfig {
-            max_frame: config.max_frame,
-            idle_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
-            first_frame_timeout: Duration::from_millis(config.first_frame_timeout_ms.max(1)),
+            max_frame: DEFAULT_MAX_FRAME,
+            first_frame_timeout: FIRST_FRAME_TIMEOUT,
             drain_message: "router is draining",
             drain_retry_ms: DRAIN_RETRY_MS,
         },
@@ -619,7 +611,7 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
     )?;
     let completions = reactor.completions();
 
-    let (repl_tx, repl_rx) = sync_channel::<ReplJob>(config.replication_queue.max(1));
+    let (repl_tx, repl_rx) = sync_channel::<ReplJob>(REPLICATION_QUEUE);
     let repl_shared = Arc::clone(&shared);
     let replicator = std::thread::Builder::new()
         .name("dagsched-replicator".to_string())
@@ -630,12 +622,11 @@ pub fn serve_router(listen: Listen, config: RouterConfig) -> io::Result<RouterHa
         .name("dagsched-prober".to_string())
         .spawn(move || probe_loop(probe_shared))?;
 
-    let worker_count = config.workers.max(1);
-    let queue = Arc::new(StageQueue::<RouterJob>::new(config.queue));
+    let queue = Arc::new(StageQueue::<RouterJob>::new(QUEUE));
     let inflight = Arc::new(AtomicU64::new(0));
     let mut workers = Vec::new();
     let mut spawn_all = || -> io::Result<()> {
-        for i in 0..worker_count {
+        for i in 0..WORKERS {
             let s = Arc::clone(&shared);
             let q = Arc::clone(&queue);
             let c = Arc::clone(&completions);
@@ -1554,9 +1545,11 @@ mod tests {
         assert!(cfg.fail_threshold >= 1);
         assert!(cfg.revive_threshold >= 1, "half-open revive by default");
         assert!(cfg.shard_retry.max_retries >= 1);
-        assert!(cfg.replication_queue > 0);
-        assert!(cfg.workers >= 1);
-        assert!(cfg.queue >= 1);
+        const {
+            assert!(REPLICATION_QUEUE > 0);
+            assert!(WORKERS >= 1);
+            assert!(QUEUE >= 1);
+        }
     }
 
     #[test]

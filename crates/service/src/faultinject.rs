@@ -12,15 +12,14 @@
 //!
 //! * **worker panic** — thrown inside the panic-containment boundary,
 //!   exercising catch-unwind, arena respawn, and quarantine strikes;
-//! * **slow reply** — the worker sleeps before answering, exercising
-//!   client per-attempt timeouts and queue backpressure;
-//! * **truncated frame** — only a prefix of the response frame is
-//!   written before the connection closes, exercising the client's
-//!   frame-decode error path and redial;
-//! * **corrupt frame** — response payload bytes are flipped,
-//!   exercising the undecodable-payload path;
-//! * **connection reset** — the socket closes before any response
-//!   byte, exercising EOF handling and retry.
+//! * **slow reply** — the worker sleeps before compiling, exercising
+//!   client per-attempt timeouts, queue backpressure and, under a
+//!   deadline, the degradation ladder.
+//!
+//! Both strike inside the worker, where no wire can reach. Faults on
+//! the wire itself — resets, corrupted and cut-off frames — are a
+//! link's business: `dagsched-netchaos` injects them on any link, and
+//! the chaos audit runs one of its proxies in front of the daemon.
 //!
 //! Rates are expressed per mille (‰) so a whole-percent grid and finer
 //! rates both encode exactly. The decision function lays the rates on
@@ -40,12 +39,6 @@ pub struct FaultConfig {
     pub slow_per_mille: u16,
     /// Injected delay for slow replies, in milliseconds.
     pub slow_ms: u64,
-    /// ‰ of responses truncated mid-frame.
-    pub truncate_per_mille: u16,
-    /// ‰ of responses with corrupted payload bytes.
-    pub corrupt_per_mille: u16,
-    /// ‰ of responses dropped before any byte is written.
-    pub reset_per_mille: u16,
 }
 
 /// One request's drawn fault.
@@ -57,23 +50,13 @@ pub enum Fault {
     Panic,
     /// Sleep this many milliseconds before answering.
     Slow(u64),
-    /// Write only a prefix of the response frame, then close.
-    TruncateFrame,
-    /// Flip payload bytes in the response frame, then close.
-    CorruptFrame,
-    /// Close the connection without writing the response.
-    ResetConnection,
 }
 
 impl FaultConfig {
     /// Sum of all configured rates (may exceed 1000; excess rates are
     /// effectively clipped by the cumulative layout).
     pub fn total_per_mille(&self) -> u32 {
-        u32::from(self.panic_per_mille)
-            + u32::from(self.slow_per_mille)
-            + u32::from(self.truncate_per_mille)
-            + u32::from(self.corrupt_per_mille)
-            + u32::from(self.reset_per_mille)
+        u32::from(self.panic_per_mille) + u32::from(self.slow_per_mille)
     }
 
     /// The deterministic fault for request number `seq`.
@@ -86,18 +69,6 @@ impl FaultConfig {
         bound += u64::from(self.slow_per_mille);
         if draw < bound {
             return Fault::Slow(self.slow_ms);
-        }
-        bound += u64::from(self.truncate_per_mille);
-        if draw < bound {
-            return Fault::TruncateFrame;
-        }
-        bound += u64::from(self.corrupt_per_mille);
-        if draw < bound {
-            return Fault::CorruptFrame;
-        }
-        bound += u64::from(self.reset_per_mille);
-        if draw < bound {
-            return Fault::ResetConnection;
         }
         Fault::None
     }
@@ -113,9 +84,6 @@ mod tests {
             panic_per_mille: 100,
             slow_per_mille: 100,
             slow_ms: 5,
-            truncate_per_mille: 50,
-            corrupt_per_mille: 50,
-            reset_per_mille: 50,
         }
     }
 
@@ -135,7 +103,7 @@ mod tests {
     fn empirical_rates_track_configured_rates() {
         let cfg = chaos();
         let n = 100_000u64;
-        let mut counts = [0u64; 6];
+        let mut counts = [0u64; 3];
         for seq in 0..n {
             let idx = match cfg.decide(seq) {
                 Fault::None => 0,
@@ -144,19 +112,13 @@ mod tests {
                     assert_eq!(ms, cfg.slow_ms);
                     2
                 }
-                Fault::TruncateFrame => 3,
-                Fault::CorruptFrame => 4,
-                Fault::ResetConnection => 5,
             };
             counts[idx] += 1;
         }
-        // 10% ± 1 point for the two big rates, 5% ± 1 for the rest.
+        // 10% ± 1 point for each rate.
         let pct = |c: u64| c as f64 / n as f64 * 1000.0;
         assert!((pct(counts[1]) - 100.0).abs() < 10.0, "panic {:?}", counts);
         assert!((pct(counts[2]) - 100.0).abs() < 10.0, "slow {:?}", counts);
-        assert!((pct(counts[3]) - 50.0).abs() < 10.0, "trunc {:?}", counts);
-        assert!((pct(counts[4]) - 50.0).abs() < 10.0, "corrupt {:?}", counts);
-        assert!((pct(counts[5]) - 50.0).abs() < 10.0, "reset {:?}", counts);
         assert_eq!(counts.iter().sum::<u64>(), n);
     }
 

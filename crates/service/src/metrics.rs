@@ -60,9 +60,6 @@ pub struct Metrics {
     /// Queued requests shed with `deadline-expired` instead of being
     /// compiled after their deadline had already passed.
     pub shed_expired: AtomicU64,
-    /// Requests shed with `busy` by the byte-accounted admission gate
-    /// (in-flight payloads + cache bytes would exceed `--mem-budget`).
-    pub shed_mem_budget: AtomicU64,
 }
 
 /// NaN-safe ratio: `0.0` when the denominator is zero.
@@ -120,7 +117,6 @@ impl Metrics {
             ("batches_dispatched", g(&self.batches_dispatched)),
             ("batched_requests", g(&self.batched_requests)),
             ("shed_expired", g(&self.shed_expired)),
-            ("shed_mem_budget", g(&self.shed_mem_budget)),
             ("store", store_json),
             (
                 "panic_rate",
@@ -263,7 +259,6 @@ mod tests {
             "batches_dispatched",
             "batched_requests",
             "shed_expired",
-            "shed_mem_budget",
         ] {
             assert_eq!(snap.get(key).unwrap().as_u64(), Some(0), "{key}");
         }

@@ -246,13 +246,30 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
+    /// A test's state directory, removed when the test ends (also when
+    /// it panics).
+    struct TestDir(PathBuf);
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp(name: &str) -> TestDir {
         let dir = std::env::temp_dir().join(format!(
             "dagsched-persist-test-{}-{name}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TestDir(dir)
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   defence — under the blocking core such a peer occupied a worker's
 //!   blocking read with no first-frame deadline at all.
 //! * **Keep-alive idle timeout**: a peer idle *between* frames is
-//!   closed silently after [`ReactorConfig::idle_timeout`], matching
-//!   the old read-timeout behaviour. Connections with a reply still in
+//!   closed silently after `IDLE_TIMEOUT` (10 s), matching the old
+//!   read-timeout behaviour. Connections with a reply still in
 //!   flight are exempt from both clocks.
 
 use std::collections::{HashMap, VecDeque};
@@ -56,6 +56,10 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 /// Where there is no `poll(2)`, readiness is found by sleeping this
 /// long and retrying nonblocking operations.
 pub const NO_POLL_TICK: Duration = Duration::from_millis(5);
+
+/// Keep-alive idle timeout: a peer idle between frames this long is
+/// closed silently.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Cap on `read(2)` calls per connection per wakeup, so one firehose
 /// peer cannot starve the rest of the loop.
@@ -391,15 +395,13 @@ fn wake_pair() -> io::Result<(WakeTx, WakeRx)> {
     }
 }
 
-/// A finished piece of offloaded work: a pre-encoded frame (possibly
-/// empty, e.g. an injected connection reset) headed for one connection.
+/// A finished piece of offloaded work: a pre-encoded frame headed for
+/// one connection.
 pub struct Completion {
     /// Which connection the bytes belong to.
     pub conn: ConnId,
-    /// The fully encoded frame(s) to enqueue; empty sends nothing.
+    /// The fully encoded frame to enqueue.
     pub bytes: Vec<u8>,
-    /// Close the connection once its outbox drains.
-    pub close: bool,
 }
 
 /// The channel worker threads use to hand finished replies back to the
@@ -571,8 +573,6 @@ impl ConnState {
 pub struct ReactorConfig {
     /// Largest accepted frame payload.
     pub max_frame: usize,
-    /// Silent close for a peer idle *between* frames.
-    pub idle_timeout: Duration,
     /// Typed `idle-timeout` close for a peer stalled *inside* a frame
     /// (or that never completed one) — the slow-loris bound.
     pub first_frame_timeout: Duration,
@@ -817,12 +817,7 @@ impl Reactor {
             };
             c.pending = c.pending.saturating_sub(1);
             c.last_progress = Instant::now();
-            if !done.bytes.is_empty() {
-                c.outbox.push_back(done.bytes);
-            }
-            if done.close {
-                c.close_after_flush = true;
-            }
+            c.outbox.push_back(done.bytes);
         }
     }
 
@@ -1009,7 +1004,7 @@ impl Reactor {
             } else if (!c.got_frame || c.asm.mid_frame()) && idle >= self.config.first_frame_timeout
             {
                 expired.push((id, true)); // slow loris: typed error
-            } else if idle >= self.config.idle_timeout {
+            } else if idle >= IDLE_TIMEOUT {
                 expired.push((id, false)); // idle keep-alive: silent
             }
         }
@@ -1098,7 +1093,6 @@ mod tests {
         completions.push(Completion {
             conn: 1,
             bytes: vec![1, 2, 3],
-            close: false,
         });
         let mut out = Vec::new();
         completions.take(&mut out);

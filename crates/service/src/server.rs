@@ -223,9 +223,6 @@ pub struct ServerConfig {
     pub default_deadline_ms: Option<u64>,
     /// Cap on per-request `jobs`.
     pub max_jobs: usize,
-    /// Idle timeout between frames (an idle keep-alive client is
-    /// disconnected silently, as under the old blocking read timeout).
-    pub read_timeout_ms: u64,
     /// Slow-loris bound: a connection that has never completed a frame
     /// (or stalls mid-frame) is answered with a typed `idle-timeout`
     /// error and closed after this long.
@@ -240,11 +237,6 @@ pub struct ServerConfig {
     /// Fsync batching for the WAL: one fsync per this many appends
     /// (`0` = only on quarantine facts, compaction and drain).
     pub fsync_every: u64,
-    /// Byte-accounted admission budget: when in-flight request
-    /// payloads plus cache bytes would exceed this, new requests are
-    /// shed with `busy` *before* their payload is admitted to the
-    /// pipeline (`None` = unbounded).
-    pub mem_budget: Option<u64>,
     /// Deterministic fault injection (chaos testing only).
     #[cfg(feature = "fault-injection")]
     pub faults: Option<FaultConfig>,
@@ -260,13 +252,11 @@ impl Default for ServerConfig {
             max_block: None,
             default_deadline_ms: None,
             max_jobs: 8,
-            read_timeout_ms: 10_000,
             first_frame_timeout_ms: 2_000,
             handle_sigterm: false,
             state_dir: None,
             wal_snapshot_threshold: DEFAULT_WAL_SNAPSHOT_THRESHOLD,
             fsync_every: DEFAULT_FSYNC_EVERY,
-            mem_budget: None,
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -283,10 +273,6 @@ struct Shared {
     quarantine: Quarantine,
     /// The crash-safe store (present when `state_dir` was configured).
     persist: Option<Arc<Persistence>>,
-    /// Admission budget for in-flight payload + cache bytes.
-    mem_budget: Option<u64>,
-    /// Bytes of request payloads admitted but not yet answered.
-    inflight_bytes: AtomicU64,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultConfig>,
     #[cfg(feature = "fault-injection")]
@@ -305,13 +291,6 @@ impl Shared {
 }
 
 impl Shared {
-    /// Return an admitted payload's bytes to the admission gate.
-    fn release_bytes(&self, charge: u64) {
-        if charge > 0 {
-            self.inflight_bytes.fetch_sub(charge, Ordering::Relaxed);
-        }
-    }
-
     /// Metrics snapshot including (when persistent) store health.
     fn metrics_snapshot(&self) -> Json {
         self.metrics.snapshot(
@@ -351,21 +330,8 @@ struct CompileJob {
     key_hash: u64,
     /// When the frame completed on the wire; the deadline anchors here.
     arrival: Instant,
-    /// Bytes charged against the admission gate on entry; released
-    /// exactly once, when this request's reply is finished.
-    charge: u64,
-    #[cfg(feature = "fault-injection")]
-    fault: Fault,
-}
-
-/// A coalesced follower awaiting the leader's reply.
-struct Recipient {
-    conn: ConnId,
-    /// Admission-gate bytes for this follower's own payload.
-    charge: u64,
-    /// Followers still draw their own *frame* fault (reset / truncate /
-    /// corrupt applies per recipient); a follower's panic/slow draw is
-    /// intentionally unused — the leader's compile is the only compile.
+    /// The leader's drawn fault. A follower's draw goes unused: the
+    /// leader's compile is the only compile.
     #[cfg(feature = "fault-injection")]
     fault: Fault,
 }
@@ -375,7 +341,8 @@ struct Recipient {
 struct Pipeline {
     shared: Arc<Shared>,
     compile_q: Arc<StageQueue<CompileJob>>,
-    flights: Arc<SingleFlight<Recipient>>,
+    /// Each flight's followers: the connections awaiting its reply.
+    flights: Arc<SingleFlight<ConnId>>,
     completions: Arc<Completions>,
     /// Requests accepted into the pipeline whose reply has not yet been
     /// pushed as a completion; the drain waits for zero.
@@ -399,7 +366,6 @@ fn finish_error(pipe: &Pipeline, conn: ConnId, reply: &ErrorReply) {
     pipe.completions.push(Completion {
         conn,
         bytes: encode_frame(FrameKind::Error, payload.as_bytes()),
-        close: false,
     });
     // Decrement only after the completion is queued: the drain may not
     // observe "idle" while a reply exists nowhere but this stack frame.
@@ -407,23 +373,14 @@ fn finish_error(pipe: &Pipeline, conn: ConnId, reply: &ErrorReply) {
 }
 
 /// Finish one pipeline request with (a copy of) a successful response
-/// body, applying any injected frame fault for this recipient.
-fn finish_response(
-    pipe: &Pipeline,
-    conn: ConnId,
-    body: &str,
-    degraded: bool,
-    #[cfg(feature = "fault-injection")] fault: Fault,
-) {
+/// body.
+fn finish_response(pipe: &Pipeline, conn: ConnId, body: &str, degraded: bool) {
     Metrics::bump(&pipe.shared.metrics.responses);
     if degraded {
         Metrics::bump(&pipe.shared.metrics.degraded_replies);
     }
-    #[cfg(feature = "fault-injection")]
-    let (bytes, close) = apply_response_fault(fault, body);
-    #[cfg(not(feature = "fault-injection"))]
-    let (bytes, close) = (encode_frame(FrameKind::Response, body.as_bytes()), false);
-    pipe.completions.push(Completion { conn, bytes, close });
+    let bytes = encode_frame(FrameKind::Response, body.as_bytes());
+    pipe.completions.push(Completion { conn, bytes });
     pipe.inflight.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -482,11 +439,9 @@ fn shed_expired_job(pipe: &Pipeline, job: CompileJob) {
          it was shed without compiling",
     );
     let followers = pipe.flights.finish(&job.key);
-    pipe.shared.release_bytes(job.charge);
     finish_error(pipe, job.conn, &reply);
-    for f in followers {
-        pipe.shared.release_bytes(f.charge);
-        finish_error(pipe, f.conn, &reply);
+    for conn in followers {
+        finish_error(pipe, conn, &reply);
     }
 }
 
@@ -506,34 +461,14 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, body: &mut String, job: C
     // compile are collected here; later arrivals open a fresh flight
     // and hit the now-warm cache.
     let followers = pipe.flights.finish(&job.key);
-    // The flight is answered: every member's payload leaves the
-    // admission gate.
-    let flight_charge = followers
-        .iter()
-        .fold(job.charge, |sum, f| sum.saturating_add(f.charge));
-    pipe.shared.release_bytes(flight_charge);
     match outcome {
         Ok(compiled) => {
             let degraded = compiled.degraded();
             body.clear();
             compiled.write_json(body);
-            finish_response(
-                pipe,
-                job.conn,
-                body,
-                degraded,
-                #[cfg(feature = "fault-injection")]
-                job.fault,
-            );
-            for f in followers {
-                finish_response(
-                    pipe,
-                    f.conn,
-                    body,
-                    degraded,
-                    #[cfg(feature = "fault-injection")]
-                    f.fault,
-                );
+            finish_response(pipe, job.conn, body, degraded);
+            for conn in followers {
+                finish_response(pipe, conn, body, degraded);
             }
             if body.capacity() > REPLY_BUFFER_KEEP {
                 *body = String::new();
@@ -541,8 +476,8 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, body: &mut String, job: C
         }
         Err(reply) => {
             finish_error(pipe, job.conn, &reply);
-            for f in followers {
-                finish_error(pipe, f.conn, &reply);
+            for conn in followers {
+                finish_error(pipe, conn, &reply);
             }
         }
     }
@@ -606,7 +541,7 @@ fn run_compile(
         match injected {
             Fault::Panic => panic!("injected fault: worker panic"),
             Fault::Slow(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            _ => {}
+            Fault::None => {}
         }
         compile_at(request, &shared.limits, &shared.cache, scratch, arrival)
     }));
@@ -659,35 +594,6 @@ fn run_request(
     result.map(Compiled::into_response)
 }
 
-/// Build a deliberately damaged response frame, or none at all.
-/// Returns the bytes to deliver plus whether the connection must close
-/// once they flush.
-#[cfg(feature = "fault-injection")]
-fn apply_response_fault(fault: Fault, body: &str) -> (Vec<u8>, bool) {
-    match fault {
-        Fault::ResetConnection => (Vec::new(), true), // close without a byte
-        Fault::TruncateFrame => {
-            // Encode the whole frame, then deliver only a prefix: the
-            // client sees a header promising more bytes than arrive.
-            let frame = encode_frame(FrameKind::Response, body.as_bytes());
-            let cut = (frame.len() / 2).clamp(1, frame.len());
-            (frame[..cut].to_vec(), true)
-        }
-        Fault::CorruptFrame => {
-            // Flip bits in the payload (frame header stays valid): the
-            // client reads a well-formed frame of undecodable JSON.
-            let mut payload = body.as_bytes().to_vec();
-            for b in payload.iter_mut() {
-                *b ^= 0x55;
-            }
-            (encode_frame(FrameKind::Response, &payload), true)
-        }
-        Fault::None | Fault::Panic | Fault::Slow(_) => {
-            (encode_frame(FrameKind::Response, body.as_bytes()), false)
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // The reactor handler
 // ---------------------------------------------------------------------
@@ -717,30 +623,6 @@ impl ServeHandler {
             return;
         }
         ctx.note_request(conn);
-        // Byte-accounted admission: when a memory budget is configured,
-        // the request's payload is only admitted if in-flight payloads
-        // plus cache growth still fit — shedding happens *before* the
-        // payload is even parsed, never as an OOM later.
-        let charge = u64::try_from(payload.len()).unwrap_or(u64::MAX);
-        if let Some(budget) = shared.mem_budget {
-            let projected = shared
-                .inflight_bytes
-                .load(Ordering::Relaxed)
-                .saturating_add(charge)
-                .saturating_add(u64::try_from(shared.cache.stats().bytes).unwrap_or(u64::MAX));
-            if projected > budget {
-                Metrics::bump(&shared.metrics.shed_mem_budget);
-                Metrics::bump(&shared.metrics.busy_rejections);
-                Metrics::bump(&shared.metrics.shed_with_retry_after);
-                Metrics::bump(&shared.metrics.errors);
-                ctx.send_error(
-                    conn,
-                    &ErrorReply::new(ErrorCode::Busy, "memory budget exhausted; retry later")
-                        .with_retry_after_ms(BUSY_RETRY_MS),
-                );
-                return;
-            }
-        }
         #[cfg(feature = "fault-injection")]
         let fault = shared.next_fault();
         let (request, key, key_hash) = match screen_request(shared, &payload) {
@@ -756,30 +638,22 @@ impl ServeHandler {
         // since a compile worker may finish the flight before
         // `join_or_open` returns; exactly one completion comes back
         // (reply, coalesced reply, or typed shed) unless it is refused.
-        shared.inflight_bytes.fetch_add(charge, Ordering::Relaxed);
         pipe.inflight.fetch_add(1, Ordering::SeqCst);
         // Single-flight: attach to an identical in-flight compile, or
         // open a new flight by enqueueing the leader. The enqueue runs
         // under the flight-table lock, so the leader cannot finish (and
         // remove the flight) before the table knows the flight exists.
-        let follower = Recipient {
-            conn,
-            charge,
-            #[cfg(feature = "fault-injection")]
-            fault,
-        };
         // The refusal path hands the whole `CompileJob` back so nothing
         // is lost on a full queue; that makes the closure's `Err` as big
         // as a job, which is the point, not a problem.
         #[allow(clippy::result_large_err)]
-        let outcome = pipe.flights.join_or_open(&key, follower, || {
+        let outcome = pipe.flights.join_or_open(&key, conn, || {
             pipe.compile_q.try_push(CompileJob {
                 conn,
                 request,
                 key: key.clone(),
                 key_hash,
                 arrival,
-                charge,
                 #[cfg(feature = "fault-injection")]
                 fault,
             })
@@ -809,7 +683,6 @@ impl ServeHandler {
             }
         };
         pipe.inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.release_bytes(charge);
         Metrics::bump(&shared.metrics.shed_with_retry_after);
         Metrics::bump(&shared.metrics.errors);
         ctx.send_error(conn, &reply);
@@ -1016,8 +889,6 @@ pub fn serve(listen: Listen, config: ServerConfig) -> io::Result<ServerHandle> {
         max_frame: config.max_frame,
         quarantine,
         persist,
-        mem_budget: config.mem_budget,
-        inflight_bytes: AtomicU64::new(0),
         #[cfg(feature = "fault-injection")]
         faults: config.faults,
         #[cfg(feature = "fault-injection")]
@@ -1028,7 +899,6 @@ pub fn serve(listen: Listen, config: ServerConfig) -> io::Result<ServerHandle> {
         listener,
         ReactorConfig {
             max_frame: shared.max_frame,
-            idle_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
             first_frame_timeout: Duration::from_millis(config.first_frame_timeout_ms.max(1)),
             drain_message: "server is draining",
             drain_retry_ms: DRAIN_RETRY_MS,
@@ -1217,8 +1087,6 @@ mod tests {
             max_frame: DEFAULT_MAX_FRAME,
             quarantine: Quarantine::default(),
             persist: None,
-            mem_budget: None,
-            inflight_bytes: AtomicU64::new(0),
             #[cfg(feature = "fault-injection")]
             faults: None,
             #[cfg(feature = "fault-injection")]
@@ -1359,16 +1227,5 @@ mod tests {
         }
         let reply = ErrorReply::new(ErrorCode::Busy, "x").with_retry_after_ms(BUSY_RETRY_MS);
         assert_eq!(reply.retry_after_ms, Some(BUSY_RETRY_MS));
-    }
-
-    #[test]
-    fn admission_charges_balance_across_release() {
-        let shared = test_shared();
-        shared.inflight_bytes.fetch_add(4096, Ordering::Relaxed);
-        shared.release_bytes(4096);
-        assert_eq!(shared.inflight_bytes.load(Ordering::Relaxed), 0);
-        // Zero charges are free and never underflow.
-        shared.release_bytes(0);
-        assert_eq!(shared.inflight_bytes.load(Ordering::Relaxed), 0);
     }
 }

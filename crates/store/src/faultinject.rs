@@ -179,15 +179,14 @@ pub fn inject(dir: &Path, seed: u64, cycle: u64) -> io::Result<Option<InjectedFa
 mod tests {
     use super::*;
     use crate::store::Store;
-    use std::path::PathBuf;
+    use crate::test_dir::TestDir;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> TestDir {
         let dir = std::env::temp_dir().join(format!(
             "dagsched-storefault-test-{}-{name}",
             std::process::id()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TestDir::new(dir)
     }
 
     #[test]

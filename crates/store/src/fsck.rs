@@ -100,13 +100,12 @@ pub fn repair(dir: &Path, fingerprint: u64) -> io::Result<FsckReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use crate::test_dir::TestDir;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> TestDir {
         let dir =
             std::env::temp_dir().join(format!("dagsched-fsck-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TestDir::new(dir)
     }
 
     fn build_store(dir: &Path) {

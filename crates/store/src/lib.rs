@@ -47,3 +47,33 @@ pub use record::{CorruptKind, Decoded, Record};
 pub use ship::{ShipDecodeError, Shipment};
 pub use store::{RecoveryReport, Store, StoreHealth};
 pub use wal::{Wal, WalReplay};
+
+#[cfg(test)]
+pub(crate) mod test_dir {
+    use std::path::{Path, PathBuf};
+
+    /// A test's scratch directory: any stale copy is removed first, and
+    /// the directory is removed when the guard drops, also when the
+    /// test panics.
+    pub(crate) struct TestDir(PathBuf);
+
+    impl TestDir {
+        pub(crate) fn new(path: PathBuf) -> TestDir {
+            let _ = std::fs::remove_dir_all(&path);
+            TestDir(path)
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

@@ -255,12 +255,13 @@ pub fn remove_tmp_files(dir: &Path) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> TestDir {
         let dir =
             std::env::temp_dir().join(format!("dagsched-snap-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new(dir);
+        std::fs::create_dir_all(&*dir).unwrap();
         dir
     }
 

@@ -328,12 +328,12 @@ pub fn inspect(dir: &Path, fingerprint: Option<u64>) -> io::Result<RecoveryRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> TestDir {
         let dir =
             std::env::temp_dir().join(format!("dagsched-store-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TestDir::new(dir)
     }
 
     #[test]

@@ -283,18 +283,21 @@ pub fn inspect(path: &Path, fingerprint: Option<u64>) -> io::Result<WalReplay> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
 
-    fn tmp(name: &str) -> PathBuf {
+    /// A fresh directory and the WAL path inside it.
+    fn tmp(name: &str) -> (TestDir, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("dagsched-wal-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+        let dir = TestDir::new(dir);
+        std::fs::create_dir_all(&*dir).unwrap();
+        let path = dir.join("wal.log");
+        (dir, path)
     }
 
     #[test]
     fn append_then_replay_round_trips() {
-        let path = tmp("roundtrip");
+        let (_dir, path) = tmp("roundtrip");
         let mut wal = Wal::create(&path, 0xFEED, 0).unwrap();
         for i in 0..10u8 {
             wal.append(1, &[i; 3]).unwrap();
@@ -312,7 +315,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_appends_continue_cleanly() {
-        let path = tmp("torn");
+        let (_dir, path) = tmp("torn");
         let mut wal = Wal::create(&path, 7, 0).unwrap();
         for i in 0..5u8 {
             wal.append(1, &[i; 8]).unwrap();
@@ -343,7 +346,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_discards_the_log() {
-        let path = tmp("stale");
+        let (_dir, path) = tmp("stale");
         let mut wal = Wal::create(&path, 1, 0).unwrap();
         wal.append(1, b"old world").unwrap();
         wal.sync().unwrap();
@@ -358,7 +361,7 @@ mod tests {
 
     #[test]
     fn bit_flip_mid_log_truncates_from_the_flip() {
-        let path = tmp("flip");
+        let (_dir, path) = tmp("flip");
         let mut wal = Wal::create(&path, 7, 0).unwrap();
         for i in 0..6u8 {
             wal.append(1, &[i; 16]).unwrap();
@@ -378,7 +381,7 @@ mod tests {
 
     #[test]
     fn fsync_batching_counts_syncs() {
-        let path = tmp("fsync");
+        let (_dir, path) = tmp("fsync");
         let mut wal = Wal::create(&path, 7, 2).unwrap();
         let base = wal.fsync_count();
         for _ in 0..5 {
@@ -392,7 +395,7 @@ mod tests {
 
     #[test]
     fn inspect_does_not_modify_the_file() {
-        let path = tmp("inspect");
+        let (_dir, path) = tmp("inspect");
         let mut wal = Wal::create(&path, 7, 0).unwrap();
         wal.append(1, b"abc").unwrap();
         wal.sync().unwrap();

@@ -14,7 +14,7 @@
 //! * **Duplicated-tail dedup** — re-appending an already-durable WAL
 //!   suffix (a crashed copy/restore, a doubled write) replays once.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dagsched_store::wal::{Wal, WAL_HEADER};
@@ -24,8 +24,25 @@ use proptest::prelude::*;
 
 const FP: u64 = 0xD165_C0DE;
 
+/// A proptest case's scratch directory, removed when the case ends
+/// (also when it fails).
+struct TestDir(PathBuf);
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Fresh scratch directory per proptest case.
-fn tmp(name: &str) -> PathBuf {
+fn tmp(name: &str) -> TestDir {
     static CASE: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dagsched-store-props-{}-{name}-{}",
@@ -34,7 +51,7 @@ fn tmp(name: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TestDir(dir)
 }
 
 /// Random record payloads: small, occasionally empty.
