@@ -14,7 +14,7 @@
 
 use dagsched_core::{
     annotate_backward_cp, annotate_construction, map_blocks_with_scratch, BackwardOrder,
-    ConstructionAlgorithm, HeuristicSet, MemDepPolicy, PhaseStats, PreparedBlock, Scratch,
+    ConstructionAlgorithm, HeuristicSet, MemDepPolicy, PhaseStats, Scratch,
 };
 use dagsched_isa::{Instruction, MachineModel};
 use dagsched_sched::{
@@ -96,8 +96,13 @@ fn run_block(
     scheduler: &ListScheduler,
     scratch: &mut Scratch,
 ) -> Result<(DagStructure, usize, u64), PipelineError> {
-    // Pass 1 over the instructions: preparation + DAG construction.
-    let prepared = PreparedBlock::new(block_insns);
+    // Pass 1 over the instructions: preparation + DAG construction, in
+    // the lists and DAG columns the previous block handed back. Generated
+    // blocks are well-formed, so a malformed one panics as
+    // `PreparedBlock::new` would.
+    let prepared = scratch
+        .prepare(block_insns)
+        .unwrap_or_else(|e| panic!("{e}"));
     let dag = algo.run_with_scratch(&prepared, model, policy, scratch);
     // Pass 2: the intermediate heuristic calculation step.
     let t_heur = std::time::Instant::now();
@@ -118,6 +123,7 @@ fn run_block(
     }
     let mut structure = DagStructure::new();
     structure.add_dag(&dag);
+    scratch.recycle(prepared, dag);
     Ok((
         structure,
         block_insns.len(),

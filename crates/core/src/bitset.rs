@@ -193,6 +193,11 @@ impl BitMatrix {
         self.words.resize(rows * self.row_words, 0);
     }
 
+    /// Bytes of word storage held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

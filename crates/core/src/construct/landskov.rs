@@ -2,7 +2,7 @@
 
 use dagsched_isa::MachineModel;
 
-use crate::construct::n2::strongest_dep;
+use crate::construct::n2::{all_pairs, strongest_dep};
 use crate::dag::{Dag, NodeId};
 use crate::memdep::MemDepPolicy;
 use crate::prepare::PreparedBlock;
@@ -28,23 +28,28 @@ pub fn n2_forward_landskov(
     model: &MachineModel,
     policy: MemDepPolicy,
 ) -> Dag {
-    n2_forward_landskov_in(block, model, policy, &mut Scratch::new())
+    let mut dag = Dag::new(0);
+    n2_forward_landskov_in(block, model, policy, &mut dag, &mut Scratch::new());
+    dag
 }
 
-/// [`n2_forward_landskov`] against a reusable [`Scratch`] arena: the
-/// ancestor bitmaps are rows of the arena's bit matrix;
-/// `stats.comparisons` counts the pairwise comparisons actually made and
-/// `stats.arcs_suppressed` the pair comparisons pruned away (an upper
-/// bound on suppressed arcs — a pruned pair is never examined, so whether
-/// it would have carried a dependence is unknown by design).
+/// [`n2_forward_landskov`] into `dag` (reset to the block's nodes
+/// first) against a reusable [`Scratch`] arena: the ancestor bitmaps are
+/// rows of the arena's bit matrix; `stats.comparisons` counts the
+/// pairwise comparisons actually made (a mask test that rules the pair
+/// out included) and `stats.arcs_suppressed` the pair comparisons pruned
+/// away (an upper bound on suppressed arcs — a pruned pair is never
+/// examined, so whether it would have carried a dependence is unknown by
+/// design).
 pub(crate) fn n2_forward_landskov_in(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
     policy: MemDepPolicy,
+    dag: &mut Dag,
     scratch: &mut Scratch,
-) -> Dag {
+) {
     let n = block.len();
-    let mut dag = Dag::new(n);
+    dag.reset(n);
     let ancestors = reset_matrix(&mut scratch.matrix, n, false);
     let mut comparisons = 0u64;
     // Keeping the pairwise kernel out-of-line keeps the candidate scan
@@ -62,6 +67,7 @@ pub(crate) fn n2_forward_landskov_in(
         strongest_dep(block, model, policy, j, i)
     }
     for i in 0..n {
+        let later = block.masks[i];
         // Walk the *zero* bits of ancestor row `i` — the candidate
         // pairs — one word at a time, highest j first. Pruned pairs are
         // skipped 64 per word load instead of one probe each, which is
@@ -85,6 +91,9 @@ pub(crate) fn n2_forward_landskov_in(
                 zeros &= !(1u64 << b);
                 let j = wi * 64 + b;
                 comparisons += 1;
+                if !block.masks[j].may_depend(later) {
+                    continue;
+                }
                 if let Some((kind, lat)) = dep_kernel(block, model, policy, j, i) {
                     // Each (j, i) pair is examined at most once per block.
                     dag.push_arc_distinct(NodeId::new(j), NodeId::new(i), kind, lat);
@@ -98,10 +107,8 @@ pub(crate) fn n2_forward_landskov_in(
     dag.build_adjacency();
     // A pair is either examined (a comparison) or pruned; counting only
     // the examined ones keeps the hot scan free of a second counter.
-    let pairs = (n as u64) * (n.saturating_sub(1) as u64) / 2;
     scratch.stats.comparisons += comparisons;
-    scratch.stats.arcs_suppressed += pairs - comparisons;
-    dag
+    scratch.stats.arcs_suppressed += all_pairs(n) - comparisons;
 }
 
 #[cfg(test)]

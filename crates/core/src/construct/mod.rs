@@ -136,11 +136,12 @@ impl ConstructionAlgorithm {
     /// arena, accumulating per-phase counters into `scratch.stats`.
     ///
     /// The arena only changes *where* the algorithm's working storage
-    /// lives (definition/use tables, reachability bitmaps); the produced
-    /// DAG is identical to [`ConstructionAlgorithm::run`]. Counters
-    /// bumped here: `blocks`, `nodes`, `arcs_added`, `construct_ns`,
-    /// plus the per-algorithm `comparisons` / `table_probes` /
-    /// `arcs_suppressed`.
+    /// lives (definition/use tables, reachability bitmaps, and the DAG's
+    /// own columns when an earlier DAG was handed back with
+    /// [`Scratch::recycle`]); the produced DAG is identical to
+    /// [`ConstructionAlgorithm::run`]. Counters bumped here: `blocks`,
+    /// `nodes`, `arcs_added`, `construct_ns`, plus the per-algorithm
+    /// `comparisons` / `table_probes` / `arcs_suppressed`.
     pub fn run_with_scratch(
         self,
         block: &PreparedBlock<'_>,
@@ -149,26 +150,27 @@ impl ConstructionAlgorithm {
         scratch: &mut Scratch,
     ) -> Dag {
         let start = std::time::Instant::now();
-        let dag = match self {
+        let mut dag = scratch.take_dag();
+        match self {
             ConstructionAlgorithm::N2Forward => {
-                n2::n2_forward_in(block, model, policy, &mut scratch.stats)
+                n2::n2_forward_in(block, model, policy, &mut dag, &mut scratch.stats)
             }
             ConstructionAlgorithm::N2Backward => {
-                n2::n2_backward_in(block, model, policy, &mut scratch.stats)
+                n2::n2_backward_in(block, model, policy, &mut dag, &mut scratch.stats)
             }
             ConstructionAlgorithm::N2ForwardLandskov => {
-                landskov::n2_forward_landskov_in(block, model, policy, scratch)
+                landskov::n2_forward_landskov_in(block, model, policy, &mut dag, scratch)
             }
             ConstructionAlgorithm::TableForward => {
-                table::table_forward_in(block, model, policy, scratch)
+                table::table_forward_in(block, model, policy, &mut dag, scratch)
             }
             ConstructionAlgorithm::TableBackward => {
-                table::table_backward_in(block, model, policy, scratch)
+                table::table_backward_in(block, model, policy, &mut dag, scratch)
             }
             ConstructionAlgorithm::TableBackwardBitmap => {
-                table::table_backward_bitmap_in(block, model, policy, scratch)
+                table::table_backward_bitmap_in(block, model, policy, &mut dag, scratch)
             }
-        };
+        }
         scratch.stats.construct_ns += start.elapsed().as_nanos() as u64;
         scratch.stats.blocks += 1;
         scratch.stats.nodes += block.len() as u64;

@@ -13,8 +13,10 @@ use crate::scratch::PhaseStats;
 /// RAW > WAW > WAR.
 ///
 /// This is the pairwise kernel shared by [`n2_forward`] and the Landskov
-/// variant; it is also the ground-truth dependence test used by the
-/// verification utilities.
+/// variant, which call it only for pairs whose
+/// [`ResourceMasks`](crate::ResourceMasks) intersect; it is also the
+/// ground-truth dependence test used by the verification utilities, which
+/// call it for every pair.
 pub fn strongest_dep(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
@@ -100,22 +102,37 @@ fn rank(kind: DepKind) -> u8 {
 /// on large basic blocks (the paper recommends an instruction window of
 /// 300–400 instructions to keep it practical).
 pub fn n2_forward(block: &PreparedBlock<'_>, model: &MachineModel, policy: MemDepPolicy) -> Dag {
-    n2_forward_in(block, model, policy, &mut PhaseStats::default())
+    let mut dag = Dag::new(0);
+    n2_forward_in(block, model, policy, &mut dag, &mut PhaseStats::default());
+    dag
 }
 
-/// [`n2_forward`] with pairwise-comparison counting into `stats`.
+/// Every ordered pair of an `n`-instruction block: what the
+/// compare-against-all constructors count as comparisons. A pair whose
+/// [`ResourceMasks`](crate::ResourceMasks) rule a dependence out is
+/// still a comparison — the mask test is how the comparison is made —
+/// so the paper's Table 4 counts do not depend on it.
+pub(super) fn all_pairs(n: usize) -> u64 {
+    (n as u64) * (n.saturating_sub(1) as u64) / 2
+}
+
+/// [`n2_forward`] into `dag` (reset to the block's nodes first), with
+/// pairwise-comparison counting into `stats`.
 pub(crate) fn n2_forward_in(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
     policy: MemDepPolicy,
+    dag: &mut Dag,
     stats: &mut PhaseStats,
-) -> Dag {
+) {
     let n = block.len();
-    let mut dag = Dag::new(n);
-    let mut comparisons = 0u64;
+    dag.reset(n);
     for i in 0..n {
+        let later = block.masks[i];
         for j in 0..i {
-            comparisons += 1;
+            if !block.masks[j].may_depend(later) {
+                continue;
+            }
             if let Some((kind, lat)) = strongest_dep(block, model, policy, j, i) {
                 // Each ordered pair is compared exactly once, so the arc
                 // cannot duplicate an existing one.
@@ -124,8 +141,7 @@ pub(crate) fn n2_forward_in(
         }
     }
     dag.build_adjacency();
-    stats.comparisons += comparisons;
-    dag
+    stats.comparisons += all_pairs(n);
 }
 
 /// Compare-against-all DAG construction as a backward pass (Gibbons &
@@ -134,30 +150,35 @@ pub(crate) fn n2_forward_in(
 /// is compared against all *later* nodes while walking the block
 /// last-to-first).
 pub fn n2_backward(block: &PreparedBlock<'_>, model: &MachineModel, policy: MemDepPolicy) -> Dag {
-    n2_backward_in(block, model, policy, &mut PhaseStats::default())
+    let mut dag = Dag::new(0);
+    n2_backward_in(block, model, policy, &mut dag, &mut PhaseStats::default());
+    dag
 }
 
-/// [`n2_backward`] with pairwise-comparison counting into `stats`.
+/// [`n2_backward`] into `dag` (reset to the block's nodes first), with
+/// pairwise-comparison counting into `stats`.
 pub(crate) fn n2_backward_in(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
     policy: MemDepPolicy,
+    dag: &mut Dag,
     stats: &mut PhaseStats,
-) -> Dag {
+) {
     let n = block.len();
-    let mut dag = Dag::new(n);
-    let mut comparisons = 0u64;
+    dag.reset(n);
     for i in (0..n).rev() {
+        let earlier = block.masks[i];
         for j in i + 1..n {
-            comparisons += 1;
+            if !earlier.may_depend(block.masks[j]) {
+                continue;
+            }
             if let Some((kind, lat)) = strongest_dep(block, model, policy, i, j) {
                 dag.push_arc_distinct(NodeId::new(i), NodeId::new(j), kind, lat);
             }
         }
     }
     dag.build_adjacency();
-    stats.comparisons += comparisons;
-    dag
+    stats.comparisons += all_pairs(n);
 }
 
 #[cfg(test)]

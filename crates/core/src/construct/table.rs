@@ -81,27 +81,30 @@ pub fn table_backward(
     model: &MachineModel,
     policy: MemDepPolicy,
 ) -> Dag {
-    table_backward_in(block, model, policy, &mut Scratch::new())
+    let mut dag = Dag::new(0);
+    table_backward_in(block, model, policy, &mut dag, &mut Scratch::new());
+    dag
 }
 
-/// [`table_backward`] against a reusable [`Scratch`] arena: the
-/// definition/use tables come from (and are reset in) `scratch`, and
-/// `scratch.stats.table_probes` counts the table entries consulted.
+/// [`table_backward`] into `dag` (reset to the block's nodes first)
+/// against a reusable [`Scratch`] arena: the definition/use tables come
+/// from (and are reset in) `scratch`, and `scratch.stats.table_probes`
+/// counts the table entries consulted.
 pub(crate) fn table_backward_in(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
     policy: MemDepPolicy,
+    dag: &mut Dag,
     scratch: &mut Scratch,
-) -> Dag {
-    let mut dag = Dag::new(block.len());
+) {
+    dag.reset(block.len());
     let Scratch { tables, stats, .. } = scratch;
     let mut add =
         |dag: &mut Dag, batch: usize, from: NodeId, to: NodeId, kind: DepKind, lat: u32| {
             dag.merge_or_push_batch(batch, from, to, kind, lat);
         };
-    backward_core(block, model, policy, tables, stats, &mut dag, &mut add);
+    backward_core(block, model, policy, tables, stats, dag, &mut add);
     dag.build_adjacency();
-    dag
 }
 
 /// Backward table building with reachability-bitmap suppression of
@@ -116,21 +119,25 @@ pub fn table_backward_bitmap(
     model: &MachineModel,
     policy: MemDepPolicy,
 ) -> Dag {
-    table_backward_bitmap_in(block, model, policy, &mut Scratch::new())
+    let mut dag = Dag::new(0);
+    table_backward_bitmap_in(block, model, policy, &mut dag, &mut Scratch::new());
+    dag
 }
 
-/// [`table_backward_bitmap`] against a reusable [`Scratch`] arena: both
-/// the definition/use tables and the reachability-bitmap pool are reused,
-/// and `scratch.stats.arcs_suppressed` counts the transitive arcs the
-/// bitmaps absorbed.
+/// [`table_backward_bitmap`] into `dag` (reset to the block's nodes
+/// first) against a reusable [`Scratch`] arena: both the definition/use
+/// tables and the reachability-bitmap pool are reused, and
+/// `scratch.stats.arcs_suppressed` counts the transitive arcs the bitmaps
+/// absorbed.
 pub(crate) fn table_backward_bitmap_in(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
     policy: MemDepPolicy,
+    dag: &mut Dag,
     scratch: &mut Scratch,
-) -> Dag {
+) {
     let n = block.len();
-    let mut dag = Dag::new(n);
+    dag.reset(n);
     let Scratch {
         tables,
         matrix,
@@ -158,10 +165,9 @@ pub(crate) fn table_backward_bitmap_in(
                 suppressed += 1;
             }
         };
-    backward_core(block, model, policy, tables, stats, &mut dag, &mut add);
+    backward_core(block, model, policy, tables, stats, dag, &mut add);
     dag.build_adjacency();
     stats.arcs_suppressed += suppressed;
-    dag
 }
 
 /// Fold node `t`'s descendant row into node `f`'s and report whether the
@@ -308,18 +314,22 @@ fn backward_core(
 /// WAW arc from the recorded definition if there are none) and supersedes
 /// the entry.
 pub fn table_forward(block: &PreparedBlock<'_>, model: &MachineModel, policy: MemDepPolicy) -> Dag {
-    table_forward_in(block, model, policy, &mut Scratch::new())
+    let mut dag = Dag::new(0);
+    table_forward_in(block, model, policy, &mut dag, &mut Scratch::new());
+    dag
 }
 
-/// [`table_forward`] against a reusable [`Scratch`] arena.
+/// [`table_forward`] into `dag` (reset to the block's nodes first)
+/// against a reusable [`Scratch`] arena.
 pub(crate) fn table_forward_in(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
     policy: MemDepPolicy,
+    dag: &mut Dag,
     scratch: &mut Scratch,
-) -> Dag {
+) {
     let n = block.len();
-    let mut dag = Dag::new(n);
+    dag.reset(n);
     let t = &mut scratch.tables;
     t.reset();
     let mut probes = 0u64;
@@ -465,7 +475,6 @@ pub(crate) fn table_forward_in(
     }
     dag.build_adjacency();
     scratch.stats.table_probes += probes;
-    dag
 }
 
 #[cfg(test)]
@@ -773,27 +782,29 @@ mod tests {
                 .collect()
         };
         let mut scratch = Scratch::new();
+        // One DAG recycled through every call, as a worker's arena does.
+        let mut dag = Dag::new(0);
         for round in 0..2 {
             for (bi, insns) in blocks.iter().enumerate() {
                 let block = PreparedBlock::new(insns);
                 for policy in MemDepPolicy::ALL {
-                    let fwd = table_forward_in(&block, &model(), *policy, &mut scratch);
+                    table_forward_in(&block, &model(), *policy, &mut dag, &mut scratch);
                     assert_eq!(
-                        arcs(&fwd),
+                        arcs(&dag),
                         arcs(&table_forward(&block, &model(), *policy)),
                         "forward r{round} b{bi} {}",
                         policy.name()
                     );
-                    let bwd = table_backward_in(&block, &model(), *policy, &mut scratch);
+                    table_backward_in(&block, &model(), *policy, &mut dag, &mut scratch);
                     assert_eq!(
-                        arcs(&bwd),
+                        arcs(&dag),
                         arcs(&table_backward(&block, &model(), *policy)),
                         "backward r{round} b{bi} {}",
                         policy.name()
                     );
-                    let bmp = table_backward_bitmap_in(&block, &model(), *policy, &mut scratch);
+                    table_backward_bitmap_in(&block, &model(), *policy, &mut dag, &mut scratch);
                     assert_eq!(
-                        arcs(&bmp),
+                        arcs(&dag),
                         arcs(&table_backward_bitmap(&block, &model(), *policy)),
                         "bitmap r{round} b{bi} {}",
                         policy.name()

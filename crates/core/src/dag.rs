@@ -205,18 +205,60 @@ impl Dag {
         if n > MAX_NODES {
             return Err(ConstructError::TooManyNodes { nodes: n });
         }
-        Ok(Dag {
+        let mut dag = Dag {
             arc_from: Vec::new(),
             arc_to: Vec::new(),
             arc_kind: Vec::new(),
             arc_latency: Vec::new(),
-            out_off: vec![0; n + 1],
+            out_off: Vec::new(),
             out_ids: Vec::new(),
-            inc_off: vec![0; n + 1],
+            inc_off: Vec::new(),
             inc_ids: Vec::new(),
             to_sorted: true,
             from_rev_sorted: true,
-        })
+        };
+        dag.reset(n);
+        Ok(dag)
+    }
+
+    /// Empty this DAG into `n` isolated nodes, keeping the storage of
+    /// its columns: every constructor in this crate builds into a DAG
+    /// recycled from an earlier block this way (see
+    /// [`crate::Scratch::recycle`]), so construction allocates only when
+    /// a block needs more arcs than any before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > MAX_NODES` (callers check with
+    /// [`crate::PreparedBlock::try_new`] first).
+    pub(crate) fn reset(&mut self, n: usize) {
+        assert!(
+            n <= MAX_NODES,
+            "{}",
+            ConstructError::TooManyNodes { nodes: n }
+        );
+        self.arc_from.clear();
+        self.arc_to.clear();
+        self.arc_kind.clear();
+        self.arc_latency.clear();
+        self.out_off.clear();
+        self.out_off.resize(n + 1, 0);
+        self.out_ids.clear();
+        self.inc_off.clear();
+        self.inc_off.resize(n + 1, 0);
+        self.inc_ids.clear();
+        self.to_sorted = true;
+        self.from_rev_sorted = true;
+    }
+
+    /// Bytes of column and adjacency storage held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.arc_from.capacity() + self.arc_to.capacity()) * size_of::<NodeId>()
+            + self.arc_kind.capacity() * size_of::<DepKind>()
+            + self.arc_latency.capacity() * size_of::<u32>()
+            + (self.out_off.capacity() + self.inc_off.capacity()) * size_of::<u32>()
+            + (self.out_ids.capacity() + self.inc_ids.capacity()) * size_of::<ArcId>()
     }
 
     /// Number of nodes.

@@ -21,7 +21,7 @@ use crate::dag::{Dag, NodeId};
 ///   paper prescribes;
 /// * busy times for (unpipelined) floating point function units;
 /// * birthing-instruction priority adjustments (Tiemann).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DynState {
     /// Earliest cycle each node may execute.
     pub earliest_exec: Vec<u64>,
@@ -33,39 +33,51 @@ pub struct DynState {
     pub scheduled: Vec<bool>,
     /// The most recently scheduled node.
     pub last_scheduled: Option<NodeId>,
-    /// Busy-until cycle per function unit (unpipelined units only).
-    fpu_busy_until: [u64; 5],
+    /// Busy-until cycle per function unit (unpipelined units only),
+    /// indexed by [`FuncUnit::index`].
+    fpu_busy_until: [u64; FuncUnit::COUNT],
     /// Additive priority adjustment per node (birthing instruction).
     pub priority_adjust: Vec<i64>,
-}
-
-fn unit_index(u: FuncUnit) -> usize {
-    match u {
-        FuncUnit::IntAlu => 0,
-        FuncUnit::LoadStore => 1,
-        FuncUnit::FpAdd => 2,
-        FuncUnit::FpMul => 3,
-        FuncUnit::FpDiv => 4,
-    }
 }
 
 impl DynState {
     /// Fresh state for `dag`.
     pub fn new(dag: &Dag) -> DynState {
+        let mut state = DynState::default();
+        state.reset(dag);
+        state
+    }
+
+    /// Reset to the fresh state for `dag`, keeping the vectors' storage:
+    /// a state reused block after block (the one a
+    /// [`Scratch`](crate::Scratch) keeps) allocates only when a block is
+    /// larger than any before it. Every field is rewritten.
+    pub fn reset(&mut self, dag: &Dag) {
         let n = dag.node_count();
-        DynState {
-            earliest_exec: vec![0; n],
-            unscheduled_parents: (0..n)
-                .map(|i| dag.num_parents(NodeId::new(i)) as u32)
-                .collect(),
-            unscheduled_children: (0..n)
-                .map(|i| dag.num_children(NodeId::new(i)) as u32)
-                .collect(),
-            scheduled: vec![false; n],
-            last_scheduled: None,
-            fpu_busy_until: [0; 5],
-            priority_adjust: vec![0; n],
-        }
+        self.earliest_exec.clear();
+        self.earliest_exec.resize(n, 0);
+        self.unscheduled_parents.clear();
+        self.unscheduled_parents
+            .extend((0..n).map(|i| dag.num_parents(NodeId::new(i)) as u32));
+        self.unscheduled_children.clear();
+        self.unscheduled_children
+            .extend((0..n).map(|i| dag.num_children(NodeId::new(i)) as u32));
+        self.scheduled.clear();
+        self.scheduled.resize(n, false);
+        self.last_scheduled = None;
+        self.fpu_busy_until = [0; FuncUnit::COUNT];
+        self.priority_adjust.clear();
+        self.priority_adjust.resize(n, 0);
+    }
+
+    /// Bytes of vector storage this state holds.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.earliest_exec.capacity() * size_of::<u64>()
+            + self.unscheduled_parents.capacity() * size_of::<u32>()
+            + self.unscheduled_children.capacity() * size_of::<u32>()
+            + self.scheduled.capacity() * size_of::<bool>()
+            + self.priority_adjust.capacity() * size_of::<i64>()
     }
 
     /// Record that `node` issues at `time` in a *forward* schedule:
@@ -90,7 +102,7 @@ impl DynState {
         }
         let insn = &insns[node.index()];
         if !model.unit_pipelined(insn) {
-            let u = unit_index(model.unit_of(insn));
+            let u = model.unit_of(insn).index();
             self.fpu_busy_until[u] =
                 self.fpu_busy_until[u].max(time + model.exec_latency(insn) as u64);
         }
@@ -170,7 +182,7 @@ impl DynState {
         if model.unit_pipelined(insn) {
             time
         } else {
-            self.fpu_busy_until[unit_index(model.unit_of(insn))].max(time)
+            self.fpu_busy_until[model.unit_of(insn).index()].max(time)
         }
     }
 

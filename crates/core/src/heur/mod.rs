@@ -213,6 +213,57 @@ impl HeuristicSet {
         sum_exec_descendants.clear();
     }
 
+    /// Bytes of vector storage held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let HeuristicSet {
+            exec_time,
+            interlock_with_child,
+            num_children,
+            num_parents,
+            sum_delays_to_children,
+            max_delay_to_child,
+            sum_delays_from_parents,
+            max_delay_from_parent,
+            regs_born,
+            regs_killed,
+            liveness,
+            original_order,
+            max_path_from_root,
+            max_delay_from_root,
+            est,
+            max_path_to_leaf,
+            max_delay_to_leaf,
+            lst,
+            slack,
+            num_descendants,
+            sum_exec_descendants,
+        } = self;
+        bytes(exec_time)
+            + bytes(interlock_with_child)
+            + bytes(num_children)
+            + bytes(num_parents)
+            + bytes(sum_delays_to_children)
+            + bytes(max_delay_to_child)
+            + bytes(sum_delays_from_parents)
+            + bytes(max_delay_from_parent)
+            + bytes(regs_born)
+            + bytes(regs_killed)
+            + bytes(liveness)
+            + bytes(original_order)
+            + bytes(max_path_from_root)
+            + bytes(max_delay_from_root)
+            + bytes(est)
+            + bytes(max_path_to_leaf)
+            + bytes(max_delay_to_leaf)
+            + bytes(lst)
+            + bytes(slack)
+            + bytes(num_descendants)
+            + bytes(sum_exec_descendants)
+    }
+
     /// Number of nodes annotated.
     pub fn len(&self) -> usize {
         self.exec_time.len()

@@ -65,6 +65,11 @@ pub use heur::{
     HeuristicInfo, HeuristicSet, PassKind,
 };
 pub use memdep::{MemDepPolicy, MemKey, MemOp, StorageClass};
-pub use prepare::{reg_resource_id, PreparedBlock, RegDefs, RegUses, REG_RESOURCE_COUNT};
-pub use scratch::{default_jobs, map_blocks_with_scratch, PhaseStats, Scratch};
+pub use prepare::{
+    reg_resource_id, PreparedBlock, PreparedLists, RegDefs, RegUses, ResourceMasks, MEM_MASK_BIT,
+    REG_RESOURCE_COUNT,
+};
+pub use scratch::{
+    default_jobs, map_blocks_with_scratch, PhaseStats, SchedStorage, Scratch, SCRATCH_KEEP_BYTES,
+};
 pub use viz::{dump_annotations, to_dot};

@@ -28,14 +28,52 @@ pub type RegDefs = InlineList<Reg, MAX_DEFS>;
 /// An instruction's register uses, deduplicated, operand order kept.
 pub type RegUses = InlineList<Reg, MAX_USES>;
 
+/// The bit of a [`ResourceMasks`] that stands for memory, above the
+/// [`REG_RESOURCE_COUNT`] register bits.
+pub const MEM_MASK_BIT: u32 = 127;
+
+/// An instruction's definitions and uses as bit masks: bit
+/// [`reg_resource_id`]`(r)` for each register in its deduplicated
+/// definition or use list, and [`MEM_MASK_BIT`] for memory — a store
+/// defines it, a load uses it.
+///
+/// The compare-against-all constructors test a pair with
+/// [`ResourceMasks::may_depend`] before they run the full pairwise
+/// dependence test.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResourceMasks {
+    /// Resources defined.
+    pub defs: u128,
+    /// Resources used.
+    pub uses: u128,
+}
+
+impl ResourceMasks {
+    /// Whether an instruction with these masks can carry a dependence to
+    /// a *later* instruction with masks `later`: a resource defined by
+    /// the first and used or defined by the second (RAW, WAW), or used by
+    /// the first and defined by the second (WAR).
+    ///
+    /// A necessary condition for `strongest_dep` to find a dependence,
+    /// never a sufficient one: memory is a single bit, so two stores or a
+    /// store and a load intersect whatever the disambiguation policy
+    /// decides about their addresses. Two loads never intersect, and
+    /// `strongest_dep` never links them either.
+    #[inline]
+    pub fn may_depend(self, later: ResourceMasks) -> bool {
+        (self.defs & (later.uses | later.defs)) | (self.uses & later.defs) != 0
+    }
+}
+
 /// A basic block preprocessed for DAG construction: per-instruction
-/// register definition/use lists (deduplicated, `%g0` writes removed) and
-/// the memory operation, if any.
+/// register definition/use lists (deduplicated, `%g0` writes removed),
+/// the memory operation, if any, and the definition/use masks.
 ///
 /// Both the compare-against-all and the table-building algorithms consume
 /// this; building it is the common "first pass over the instructions".
 /// Each per-instruction list is stored inline, so preparing a block
-/// allocates three vectors, not two per instruction.
+/// fills four vectors, not two per instruction — and none at all once a
+/// [`Scratch`](crate::Scratch) recycles them ([`PreparedBlock::try_new_in`]).
 #[derive(Debug)]
 pub struct PreparedBlock<'a> {
     /// The block's instructions.
@@ -46,6 +84,30 @@ pub struct PreparedBlock<'a> {
     pub reg_uses: Vec<RegUses>,
     /// Memory operation per instruction.
     pub mem_ops: Vec<Option<MemOp>>,
+    /// Definition/use masks per instruction.
+    pub masks: Vec<ResourceMasks>,
+}
+
+/// The per-instruction vectors of a [`PreparedBlock`], detached from the
+/// block they described: storage a [`Scratch`](crate::Scratch) keeps
+/// from one block to the next.
+#[derive(Debug, Default)]
+pub struct PreparedLists {
+    reg_defs: Vec<RegDefs>,
+    reg_uses: Vec<RegUses>,
+    mem_ops: Vec<Option<MemOp>>,
+    masks: Vec<ResourceMasks>,
+}
+
+impl PreparedLists {
+    /// Bytes of vector storage held.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.reg_defs.capacity() * size_of::<RegDefs>()
+            + self.reg_uses.capacity() * size_of::<RegUses>()
+            + self.mem_ops.capacity() * size_of::<Option<MemOp>>()
+            + self.masks.capacity() * size_of::<ResourceMasks>()
+    }
 }
 
 impl<'a> PreparedBlock<'a> {
@@ -72,18 +134,43 @@ impl<'a> PreparedBlock<'a> {
     /// `bad-request` reply rather than a worker panic masked as
     /// `internal`.
     pub fn try_new(insns: &'a [Instruction]) -> Result<PreparedBlock<'a>, ConstructError> {
+        PreparedBlock::try_new_in(insns, PreparedLists::default())
+    }
+
+    /// [`PreparedBlock::try_new`] into `lists`, storage an earlier block
+    /// handed back with [`PreparedBlock::into_lists`]. The lists are
+    /// emptied and refilled, so the result is identical to `try_new`'s;
+    /// once the lists have grown to the largest block, preparing
+    /// allocates nothing.
+    pub fn try_new_in(
+        insns: &'a [Instruction],
+        lists: PreparedLists,
+    ) -> Result<PreparedBlock<'a>, ConstructError> {
         if insns.len() > MAX_NODES {
             return Err(ConstructError::TooManyNodes { nodes: insns.len() });
         }
-        let mut reg_defs = Vec::with_capacity(insns.len());
-        let mut reg_uses = Vec::with_capacity(insns.len());
-        let mut mem_ops = Vec::with_capacity(insns.len());
+        let PreparedLists {
+            mut reg_defs,
+            mut reg_uses,
+            mut mem_ops,
+            mut masks,
+        } = lists;
+        reg_defs.clear();
+        reg_uses.clear();
+        mem_ops.clear();
+        masks.clear();
+        reg_defs.reserve(insns.len());
+        reg_uses.reserve(insns.len());
+        mem_ops.reserve(insns.len());
+        masks.reserve(insns.len());
         for (i, insn) in insns.iter().enumerate() {
+            let mut mask = ResourceMasks::default();
             let mut defs = RegDefs::new();
             for res in insn.defs() {
                 if let Resource::Reg(r) = res {
                     if !defs.contains(&r) {
                         defs.push(r);
+                        mask.defs |= 1 << reg_resource_id(r);
                     }
                 }
             }
@@ -92,6 +179,7 @@ impl<'a> PreparedBlock<'a> {
                 if let Resource::Reg(r) = res {
                     if !uses.contains(&r) {
                         uses.push(r);
+                        mask.uses |= 1 << reg_resource_id(r);
                     }
                 }
             }
@@ -103,6 +191,10 @@ impl<'a> PreparedBlock<'a> {
                         index: i,
                         opcode: insn.opcode,
                     })?;
+                    match kind {
+                        MemAccessKind::Store => mask.defs |= 1 << MEM_MASK_BIT,
+                        MemAccessKind::Load => mask.uses |= 1 << MEM_MASK_BIT,
+                    }
                     Some(MemOp {
                         kind,
                         key: MemKey::of(mem),
@@ -110,13 +202,26 @@ impl<'a> PreparedBlock<'a> {
                 }
                 None => None,
             });
+            masks.push(mask);
         }
         Ok(PreparedBlock {
             insns,
             reg_defs,
             reg_uses,
             mem_ops,
+            masks,
         })
+    }
+
+    /// Detach the per-instruction vectors for the next block's
+    /// [`PreparedBlock::try_new_in`].
+    pub fn into_lists(self) -> PreparedLists {
+        PreparedLists {
+            reg_defs: self.reg_defs,
+            reg_uses: self.reg_uses,
+            mem_ops: self.mem_ops,
+            masks: self.masks,
+        }
     }
 
     /// The memory operation of instruction `i`, if it is one. The single
@@ -317,6 +422,57 @@ mod tests {
         assert!(p.mem_op(0).is_none());
         assert!(p.mem_key(0).is_none());
         assert!(p.mem_op(99).is_none());
+    }
+
+    #[test]
+    fn masks_mirror_the_lists_and_the_memory_kind() {
+        let mut pool = MemExprPool::new();
+        let e = pool.intern("[%fp-8]");
+        let insns = [
+            Instruction::int3(Opcode::Add, Reg::o(0), Reg::o(0), Reg::o(1)),
+            Instruction::load(Opcode::Ld, MemRef::base_offset(Reg::fp(), -8, e), Reg::l(0)),
+            Instruction::load(Opcode::Ld, MemRef::base_offset(Reg::fp(), -8, e), Reg::l(1)),
+            Instruction::store(Opcode::St, Reg::l(0), MemRef::base_offset(Reg::fp(), -8, e)),
+        ];
+        let p = PreparedBlock::new(&insns);
+        let bits = |regs: &[Reg]| regs.iter().fold(0u128, |m, &r| m | 1 << reg_resource_id(r));
+        let mem = 1u128 << MEM_MASK_BIT;
+        for (i, m) in p.masks.iter().enumerate() {
+            let (defs, uses) = (bits(&p.reg_defs[i]), bits(&p.reg_uses[i]));
+            let expected = match p.mem_op(i).map(|op| op.kind) {
+                Some(MemAccessKind::Store) => (defs | mem, uses),
+                Some(MemAccessKind::Load) => (defs, uses | mem),
+                None => (defs, uses),
+            };
+            assert_eq!((m.defs, m.uses), expected, "instruction {i}");
+        }
+        // The add feeds nothing below; two loads into different
+        // registers off one address cannot depend; the store depends on
+        // the first load (RAW on %l0, WAR on memory).
+        assert!(!p.masks[0].may_depend(p.masks[1]));
+        assert!(!p.masks[1].may_depend(p.masks[2]));
+        assert!(p.masks[1].may_depend(p.masks[3]));
+        assert!(p.masks[2].may_depend(p.masks[3]), "load -> store on memory");
+    }
+
+    #[test]
+    fn recycled_lists_prepare_like_fresh_ones() {
+        let long: Vec<Instruction> = (0..40)
+            .map(|i| Instruction::int3(Opcode::Add, Reg::o(i % 8), Reg::o(1), Reg::l(i % 8)))
+            .collect();
+        let short = [Instruction::int3(
+            Opcode::Sub,
+            Reg::i(0),
+            Reg::i(1),
+            Reg::i(2),
+        )];
+        let lists = PreparedBlock::new(&long).into_lists();
+        let reused = PreparedBlock::try_new_in(&short, lists).unwrap();
+        let fresh = PreparedBlock::new(&short);
+        assert_eq!(reused.reg_defs, fresh.reg_defs);
+        assert_eq!(reused.reg_uses, fresh.reg_uses);
+        assert_eq!(reused.mem_ops, fresh.mem_ops);
+        assert_eq!(reused.masks, fresh.masks);
     }
 
     #[test]

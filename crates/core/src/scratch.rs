@@ -10,13 +10,25 @@
 //! allocate `n` reachability bitmaps per block.
 //!
 //! [`Scratch`] owns those structures once per worker and resets them
-//! between blocks, together with the [`HeuristicSet`] the intermediate
-//! pass refills, so the per-block hot path allocates nothing after
-//! warm-up (beyond the output [`crate::Dag`] itself). [`PhaseStats`]
+//! between blocks. It also keeps every other vector one block's compile
+//! fills and the next block can refill: the [`PreparedBlock`] lists
+//! ([`Scratch::prepare`]), the [`Dag`]'s arc columns and adjacency
+//! (taken by [`ConstructionAlgorithm::run_with_scratch`], handed back
+//! with [`Scratch::recycle`]), the [`HeuristicSet`] the intermediate
+//! pass refills, and the scheduling pass's [`SchedStorage`]. A caller
+//! that hands everything back — the driver's `compile_block` does —
+//! allocates nothing per block after warm-up except what it keeps (the
+//! emitted instruction stream); the table builders still allocate a
+//! use list for each new memory-table entry. Storage a very large block
+//! grew is not kept: past [`SCRATCH_KEEP_BYTES`] the arena gives its
+//! per-block storage back to the allocator. [`PhaseStats`]
 //! threads per-phase work counters (nodes, arcs, table probes, pairwise
 //! comparisons, suppressed transitive arcs) and wall-clock nanoseconds
 //! through the pipeline so experiments can report *what* each phase did,
 //! not only how long it took.
+//!
+//! [`ConstructionAlgorithm::run_with_scratch`]:
+//!     crate::ConstructionAlgorithm::run_with_scratch
 //!
 //! [`map_blocks_with_scratch`] is the deterministic fan-out primitive:
 //! it shards a slice of work items across `jobs` scoped threads (worker
@@ -26,9 +38,23 @@
 //! serial loop — `Scratch` reuse is observationally identical to fresh
 //! allocation — results are bit-identical for every `jobs` value.
 
+use dagsched_isa::Instruction;
+
 use crate::bitset::BitMatrix;
 use crate::construct::table::DepTables;
-use crate::heur::HeuristicSet;
+use crate::dag::{ConstructError, Dag, NodeId};
+use crate::heur::{DynState, HeuristicSet};
+use crate::prepare::{PreparedBlock, PreparedLists};
+
+/// Per-block storage a [`Scratch`] keeps between blocks, in bytes of
+/// vector capacity ([`Scratch::retained_bytes`]). A block that leaves the
+/// arena holding more — a request with a 16k-instruction block compiled
+/// `n**2` can grow the DAG columns to hundreds of megabytes — makes
+/// [`Scratch::recycle`] release it all, so a worker's memory between
+/// blocks stays bounded by this figure whatever it has compiled. The
+/// Table 3 programs keep at most about 230 KB (tomcatv's 326-instruction
+/// block), so none of their blocks is released.
+pub const SCRATCH_KEEP_BYTES: usize = 1 << 20;
 
 /// Per-phase work counters and timings for a batch-compilation run.
 ///
@@ -50,7 +76,9 @@ pub struct PhaseStats {
     /// Definition/use table entries consulted by the table-building
     /// algorithms (register entries accessed + memory entries scanned).
     pub table_probes: u64,
-    /// Pairwise `strongest_dep` comparisons made by the `n**2` family.
+    /// Pairwise comparisons made by the `n**2` family: every pair it
+    /// examines, whether its definition/use masks rule a dependence out
+    /// or `strongest_dep` runs.
     pub comparisons: u64,
     /// Nanoseconds spent in DAG construction.
     pub construct_ns: u64,
@@ -145,14 +173,58 @@ impl std::fmt::Display for PhaseStats {
     }
 }
 
+/// Working storage of one list-scheduling pass, kept by a [`Scratch`]
+/// between blocks.
+///
+/// The sched crate's list scheduler resets and refills these vectors for
+/// each block (its `ListScheduler::run_in`), and a finished schedule's
+/// `order` and `issue_cycle` come back here for the next block. Nothing
+/// here carries over from one block to the next: every vector is emptied
+/// or rewritten before it is read.
+#[derive(Debug, Default)]
+pub struct SchedStorage {
+    /// The dynamic heuristic state ([`DynState::reset`] per block).
+    pub dyn_state: DynState,
+    /// The ready list.
+    pub ready: Vec<NodeId>,
+    /// The forward pass's candidate buffer, winnowed in place.
+    pub candidates: Vec<NodeId>,
+    /// Issue cycle per node, for in-order timing of an order.
+    pub issue_of: Vec<u64>,
+    /// Storage for the next schedule's issue order.
+    pub order: Vec<NodeId>,
+    /// Storage for the next schedule's issue cycles.
+    pub issue_cycle: Vec<u64>,
+}
+
+impl SchedStorage {
+    /// Bytes of vector storage held.
+    fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.dyn_state.capacity_bytes()
+            + (self.ready.capacity() + self.candidates.capacity() + self.order.capacity())
+                * size_of::<NodeId>()
+            + (self.issue_of.capacity() + self.issue_cycle.capacity()) * size_of::<u64>()
+    }
+}
+
 /// A reusable per-worker arena for the block-compilation hot path.
 ///
 /// One `Scratch` is owned by each pipeline worker (or by the single
 /// serial loop) and lives for the whole batch: the definition/use tables
 /// of the table-building algorithms, the reachability-bitmap pool of
-/// the avoidance variants and the heuristic vectors are reset — not
-/// reallocated — between blocks. The embedded [`PhaseStats`] accumulates
-/// per-phase counters for every block the worker compiles.
+/// the avoidance variants, the prepared-block lists, the DAG columns,
+/// the heuristic vectors and the scheduling pass's storage are reset —
+/// not reallocated — between blocks. The embedded [`PhaseStats`]
+/// accumulates per-phase counters for every block the worker compiles.
+///
+/// A block's compile goes through it in this order: [`Scratch::prepare`],
+/// [`ConstructionAlgorithm::run_with_scratch`], the heuristic passes into
+/// [`Scratch::heuristics`], a scheduling pass over [`Scratch::sched`],
+/// then [`Scratch::recycle`] with the prepared block and the DAG.
+///
+/// [`ConstructionAlgorithm::run_with_scratch`]:
+///     crate::ConstructionAlgorithm::run_with_scratch
 #[derive(Debug)]
 pub struct Scratch {
     /// Definition/use tables reused by the table-building algorithms.
@@ -165,6 +237,12 @@ pub struct Scratch {
     /// [`HeuristicSet::compute_critical_path_into`], which overwrite
     /// every field, before reading it.
     pub heuristics: HeuristicSet,
+    /// Storage for the scheduling pass.
+    pub sched: SchedStorage,
+    /// The last block's prepared lists, for [`Scratch::prepare`].
+    prepared: PreparedLists,
+    /// The last block's DAG, for the next constructor to reset.
+    dag: Option<Dag>,
     /// Accumulated per-phase counters.
     pub stats: PhaseStats,
 }
@@ -176,8 +254,55 @@ impl Scratch {
             tables: DepTables::new(),
             matrix: BitMatrix::new(0, 0),
             heuristics: HeuristicSet::default(),
+            sched: SchedStorage::default(),
+            prepared: PreparedLists::default(),
+            dag: None,
             stats: PhaseStats::default(),
         }
+    }
+
+    /// [`PreparedBlock::try_new`] into the lists the last
+    /// [`Scratch::recycle`] handed back.
+    pub fn prepare<'a>(
+        &mut self,
+        insns: &'a [Instruction],
+    ) -> Result<PreparedBlock<'a>, ConstructError> {
+        PreparedBlock::try_new_in(insns, std::mem::take(&mut self.prepared))
+    }
+
+    /// The DAG the last [`Scratch::recycle`] handed back, or a new one;
+    /// the constructor resets it.
+    pub(crate) fn take_dag(&mut self) -> Dag {
+        self.dag.take().unwrap_or_else(|| Dag::new(0))
+    }
+
+    /// Hand a compiled block's prepared lists and DAG back for the next
+    /// block. Call it once nothing reads them any more, after the
+    /// schedule's vectors have gone back to [`Scratch::sched`]. If the
+    /// arena now holds more than [`SCRATCH_KEEP_BYTES`], it releases all
+    /// of its per-block storage instead of keeping it.
+    pub fn recycle(&mut self, prepared: PreparedBlock<'_>, dag: Dag) {
+        self.prepared = prepared.into_lists();
+        self.dag = Some(dag);
+        if self.retained_bytes() > SCRATCH_KEEP_BYTES {
+            self.prepared = PreparedLists::default();
+            self.dag = None;
+            self.heuristics = HeuristicSet::default();
+            self.sched = SchedStorage::default();
+            self.matrix = BitMatrix::new(0, 0);
+        }
+    }
+
+    /// Bytes of per-block storage the arena holds: the prepared lists,
+    /// the recycled DAG, the heuristic vectors, the scheduling storage
+    /// and the reachability matrix. The table builders' definition/use
+    /// tables are not counted.
+    pub fn retained_bytes(&self) -> usize {
+        self.prepared.capacity_bytes()
+            + self.dag.as_ref().map_or(0, Dag::capacity_bytes)
+            + self.heuristics.capacity_bytes()
+            + self.sched.capacity_bytes()
+            + self.matrix.capacity_bytes()
     }
 }
 

@@ -1,12 +1,12 @@
 //! Whole-program scheduling driver: the paper's per-block machinery
 //! composed into the pass a compiler backend would actually run.
 
-use dagsched_core::{ConstructError, PhaseStats, PreparedBlock, Scratch};
+use dagsched_core::{ConstructError, PhaseStats, Scratch};
 use dagsched_isa::{Instruction, MachineModel, Program};
 use dagsched_pipesim::{simulate, SimOptions};
 use dagsched_sched::{
-    carry_out, entry_constraints, fill_branch_delay_slot, CarryOut, SchedDirection, Scheduler,
-    SchedulerKind, SlotFill,
+    carry_out, entry_constraints, fill_branch_delay_slot, CarryOut, SchedDirection, Schedule,
+    Scheduler, SchedulerKind, SlotFill,
 };
 
 use crate::batch::{schedule_program_batch, Limits, NoCache};
@@ -62,7 +62,7 @@ impl Default for DriverConfig {
 }
 
 /// Per-block outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockReport {
     /// Block index.
     pub block: usize,
@@ -124,9 +124,11 @@ pub struct BlockOutcome {
 /// `carry_in == None` blocks are independent and may be compiled in any
 /// order / on any thread.
 ///
-/// Working storage is drawn from `scratch`, and the per-phase counters
-/// (`construct_ns`, `heur_ns`, `sched_ns`, arc/probe/comparison counts)
-/// are accumulated into `scratch.stats`.
+/// Working storage is drawn from `scratch` and handed back to it once the
+/// block is emitted, so with a warm arena the only allocation on the
+/// default path is the emitted stream the outcome owns. The per-phase
+/// counters (`construct_ns`, `heur_ns`, `sched_ns`,
+/// arc/probe/comparison counts) are accumulated into `scratch.stats`.
 ///
 /// Malformed input — an oversized block or a memory-class opcode with no
 /// memory operand — surfaces as a typed [`ConstructError`] instead of a
@@ -140,7 +142,7 @@ pub fn compile_block(
     carry_in: Option<&CarryOut>,
     scratch: &mut Scratch,
 ) -> Result<BlockOutcome, ConstructError> {
-    let prepared = PreparedBlock::try_new(insns)?;
+    let prepared = scratch.prepare(insns)?;
     let dag = config.scheduler.construction.run_with_scratch(
         &prepared,
         model,
@@ -171,7 +173,9 @@ pub fn compile_block(
             s
         }
     } else {
-        config.scheduler.schedule_dag(&dag, insns, model, heur)
+        config
+            .scheduler
+            .schedule_dag_in(&dag, insns, model, heur, &mut scratch.sched)
     };
     scratch.stats.sched_ns += t_sched.elapsed().as_nanos() as u64;
     debug_assert!(schedule.verify(&dag).is_ok());
@@ -181,12 +185,8 @@ pub fn compile_block(
         None => CarryOut::default(),
     };
 
-    let original = dagsched_sched::Schedule::from_order(
-        (0..insns.len()).map(dagsched_core::NodeId::new).collect(),
-        &dag,
-        insns,
-        model,
-    );
+    let original_makespan =
+        Schedule::program_order_makespan(&dag, insns, model, &mut scratch.sched);
     let mut slot = None;
     let emitted = if config.fill_delay_slots {
         let (stream, fill) = fill_branch_delay_slot(&schedule, &dag, insns);
@@ -195,15 +195,18 @@ pub fn compile_block(
     } else {
         schedule.order.iter().map(|n| insns[n.index()]).collect()
     };
+    let report = BlockReport {
+        block: bi,
+        len: insns.len(),
+        original_makespan,
+        scheduled_makespan: schedule.makespan(insns, model),
+        slot,
+    };
+    schedule.recycle(&mut scratch.sched);
+    scratch.recycle(prepared, dag);
     Ok(BlockOutcome {
         emitted,
-        report: BlockReport {
-            block: bi,
-            len: insns.len(),
-            original_makespan: original.makespan(insns, model),
-            scheduled_makespan: schedule.makespan(insns, model),
-            slot,
-        },
+        report,
         carry,
     })
 }

@@ -53,6 +53,22 @@ impl FuncUnit {
         FuncUnit::FpDiv,
     ];
 
+    /// Number of function units: the length of a table indexed by
+    /// [`FuncUnit::index`].
+    pub const COUNT: usize = 5;
+
+    /// Dense index of this unit (`0..COUNT`, in [`FuncUnit::ALL`]
+    /// order), for per-unit tables such as busy-until times.
+    pub fn index(self) -> usize {
+        match self {
+            FuncUnit::IntAlu => 0,
+            FuncUnit::LoadStore => 1,
+            FuncUnit::FpAdd => 2,
+            FuncUnit::FpMul => 3,
+            FuncUnit::FpDiv => 4,
+        }
+    }
+
     /// The unit an instruction class executes on.
     pub fn for_class(class: InsnClass) -> FuncUnit {
         match class {

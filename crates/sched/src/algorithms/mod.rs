@@ -13,7 +13,9 @@
 //! | Tiemann (GCC) | table forward | backward | max delay to root, birthing instruction, original order (priority fn) |
 //! | Warren | `n**2` forward | forward | earliest time, alternate type, max delay to leaf, register liveness, #uncovered, original order |
 
-use dagsched_core::{ConstructionAlgorithm, Dag, HeuristicSet, MemDepPolicy, PreparedBlock};
+use dagsched_core::{
+    ConstructionAlgorithm, Dag, HeuristicSet, MemDepPolicy, PreparedBlock, SchedStorage,
+};
 use dagsched_isa::{Instruction, MachineModel};
 
 use crate::fixup::fixup_delay_slots;
@@ -280,9 +282,24 @@ impl Scheduler {
         model: &MachineModel,
         heur: &HeuristicSet,
     ) -> Schedule {
-        let schedule = self.list.run(dag, insns, model, heur);
+        self.schedule_dag_in(dag, insns, model, heur, &mut SchedStorage::default())
+    }
+
+    /// [`Scheduler::schedule_dag`] over `storage` kept from an earlier
+    /// block (see [`ListScheduler::run_in`]); hand the schedule's vectors
+    /// back with [`Schedule::recycle`].
+    pub fn schedule_dag_in(
+        &self,
+        dag: &Dag,
+        insns: &[Instruction],
+        model: &MachineModel,
+        heur: &HeuristicSet,
+        storage: &mut SchedStorage,
+    ) -> Schedule {
+        let schedule = self.list.run_in(dag, insns, model, heur, storage);
         if self.postpass_fixup {
             let (fixed, _moved) = fixup_delay_slots(&schedule, dag, insns, model);
+            schedule.recycle(storage);
             fixed
         } else {
             schedule

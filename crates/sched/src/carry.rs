@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use dagsched_core::{Dag, DynState, HeuristicSet};
+use dagsched_core::{Dag, HeuristicSet, SchedStorage};
 use dagsched_isa::{FuncUnit, Instruction, MachineModel, Resource};
 
 use crate::framework::{ListScheduler, SchedDirection};
@@ -147,11 +147,13 @@ impl ListScheduler {
             SchedDirection::Forward,
             "entry constraints require a forward pass"
         );
-        let mut seed = DynState::new(dag);
+        let mut storage = SchedStorage::default();
+        let seed = &mut storage.dyn_state;
+        seed.reset(dag);
         for &(i, t) in entry {
             seed.earliest_exec[i] = seed.earliest_exec[i].max(t);
         }
-        self.run_forward_seeded(dag, insns, model, heur, seed)
+        self.run_forward_in(dag, insns, model, heur, &mut storage)
     }
 }
 

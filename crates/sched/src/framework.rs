@@ -1,6 +1,6 @@
 //! The list-scheduling framework: forward and backward drivers.
 
-use dagsched_core::{Dag, DynState, HeuristicSet, NodeId};
+use dagsched_core::{Dag, HeuristicSet, NodeId, SchedStorage};
 use dagsched_isa::{Instruction, MachineModel};
 
 use crate::schedule::Schedule;
@@ -69,16 +69,31 @@ impl ListScheduler {
         model: &MachineModel,
         heur: &HeuristicSet,
     ) -> Schedule {
+        self.run_in(dag, insns, model, heur, &mut SchedStorage::default())
+    }
+
+    /// [`ListScheduler::run`] over `storage` kept from an earlier block
+    /// (a [`Scratch`](dagsched_core::Scratch)'s `sched`): the dynamic
+    /// state, ready list and candidate buffer are reset and refilled, and
+    /// the schedule's vectors are taken from `storage` — hand them back
+    /// with [`Schedule::recycle`]. The schedule is identical to `run`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heur` was not computed for `dag` (length mismatch).
+    pub fn run_in(
+        &self,
+        dag: &Dag,
+        insns: &[Instruction],
+        model: &MachineModel,
+        heur: &HeuristicSet,
+        storage: &mut SchedStorage,
+    ) -> Schedule {
         assert_eq!(heur.len(), dag.node_count(), "heuristics/DAG mismatch");
-        if dag.node_count() == 0 {
-            return Schedule {
-                order: Vec::new(),
-                issue_cycle: Vec::new(),
-            };
-        }
+        storage.dyn_state.reset(dag);
         match self.direction {
-            SchedDirection::Forward => self.run_forward(dag, insns, model, heur),
-            SchedDirection::Backward => self.run_backward(dag, insns, model, heur),
+            SchedDirection::Forward => self.run_forward_in(dag, insns, model, heur, storage),
+            SchedDirection::Backward => self.run_backward_in(dag, insns, model, heur, storage),
         }
     }
 
@@ -93,35 +108,40 @@ impl ListScheduler {
         insns[last].opcode.ends_block().then_some(last)
     }
 
-    fn run_forward(
+    /// Forward pass from the dynamic state in `storage`, reset for `dag`
+    /// and possibly seeded — the inter-block latency inheritance of
+    /// [`crate::carry`] raises earliest execution times first.
+    pub(crate) fn run_forward_in(
         &self,
         dag: &Dag,
         insns: &[Instruction],
         model: &MachineModel,
         heur: &HeuristicSet,
-    ) -> Schedule {
-        self.run_forward_seeded(dag, insns, model, heur, DynState::new(dag))
-    }
-
-    /// Forward pass from a pre-seeded dynamic state — entry point for the
-    /// inter-block latency inheritance of [`crate::carry`].
-    pub(crate) fn run_forward_seeded(
-        &self,
-        dag: &Dag,
-        insns: &[Instruction],
-        model: &MachineModel,
-        heur: &HeuristicSet,
-        mut dyn_state: DynState,
+        storage: &mut SchedStorage,
     ) -> Schedule {
         let n = dag.node_count();
         let pinned = self.pinned_terminator(insns);
-        let mut ready: Vec<NodeId> = dag.roots();
-        let mut order = Vec::with_capacity(n);
-        let mut issue_cycle = Vec::with_capacity(n);
+        let SchedStorage {
+            dyn_state,
+            ready,
+            candidates: selectable,
+            order,
+            issue_cycle,
+            ..
+        } = storage;
+        ready.clear();
+        ready.extend(dag.node_ids().filter(|&c| dag.num_parents(c) == 0));
+        let mut order = std::mem::take(order);
+        order.clear();
+        order.reserve(n);
+        let mut issue_cycle = std::mem::take(issue_cycle);
+        issue_cycle.clear();
+        issue_cycle.reserve(n);
         let mut time: u64 = 0;
         // One candidate buffer for the whole block: refilled from `ready`
         // at every step and winnowed in place by the selection.
-        let mut selectable: Vec<NodeId> = Vec::with_capacity(n);
+        selectable.clear();
+        selectable.reserve(n);
 
         while order.len() < n {
             selectable.clear();
@@ -167,11 +187,11 @@ impl ListScheduler {
                 insns,
                 model,
                 heur,
-                dyn_state: &dyn_state,
+                dyn_state,
                 time,
                 last_class: order.last().map(|&p: &NodeId| insns[p.index()].class()),
             };
-            let chosen = ctx.select_in(&self.strategy, &mut selectable);
+            let chosen = ctx.select_in(&self.strategy, selectable);
             // Issue time: under AllReady gating the machine may still have
             // to wait for operands; record the true earliest issue.
             let issue = time
@@ -192,37 +212,44 @@ impl ListScheduler {
         Schedule { order, issue_cycle }
     }
 
-    fn run_backward(
+    fn run_backward_in(
         &self,
         dag: &Dag,
         insns: &[Instruction],
         model: &MachineModel,
         heur: &HeuristicSet,
+        storage: &mut SchedStorage,
     ) -> Schedule {
         let n = dag.node_count();
-        let pinned = self.pinned_terminator(insns);
-        let mut dyn_state = DynState::new(dag);
-        let mut ready: Vec<NodeId> = dag.leaves();
-        let mut rev_order: Vec<NodeId> = Vec::with_capacity(n);
+        let pinned = self.pinned_terminator(insns).map(NodeId::new);
+        let SchedStorage {
+            dyn_state,
+            ready,
+            order,
+            ..
+        } = storage;
+        ready.clear();
+        ready.extend(dag.node_ids().filter(|&c| dag.num_children(c) == 0));
+        let mut rev_order = std::mem::take(order);
+        rev_order.clear();
+        rev_order.reserve(n);
 
         while rev_order.len() < n {
             // The pinned terminator must be FIRST in reverse order.
-            let selectable: Vec<NodeId> = match pinned {
-                Some(p) if rev_order.is_empty() && ready.contains(&NodeId::new(p)) => {
-                    vec![NodeId::new(p)]
-                }
-                _ => ready.clone(),
+            let selectable: &[NodeId] = match &pinned {
+                Some(p) if rev_order.is_empty() && ready.contains(p) => std::slice::from_ref(p),
+                _ => ready.as_slice(),
             };
             let ctx = SelectCtx {
                 dag,
                 insns,
                 model,
                 heur,
-                dyn_state: &dyn_state,
+                dyn_state,
                 time: 0,
                 last_class: rev_order.last().map(|&p| insns[p.index()].class()),
             };
-            let chosen = ctx.select(&self.strategy, &selectable);
+            let chosen = ctx.select(&self.strategy, selectable);
             dyn_state.on_schedule_backward(dag, chosen, self.birthing_boost);
             ready.retain(|&c| c != chosen);
             for arc in dag.in_arcs(chosen) {
@@ -234,7 +261,7 @@ impl ListScheduler {
             rev_order.push(chosen);
         }
         rev_order.reverse();
-        Schedule::from_order(rev_order, dag, insns, model)
+        Schedule::from_order_in(rev_order, dag, insns, model, storage)
     }
 }
 

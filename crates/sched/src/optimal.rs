@@ -67,16 +67,6 @@ struct Search<'a> {
     budget: u64,
 }
 
-fn unit_index(u: FuncUnit) -> usize {
-    match u {
-        FuncUnit::IntAlu => 0,
-        FuncUnit::LoadStore => 1,
-        FuncUnit::FpAdd => 2,
-        FuncUnit::FpMul => 3,
-        FuncUnit::FpDiv => 4,
-    }
-}
-
 impl BranchAndBound {
     /// Find a minimum-makespan topological order of `dag`.
     ///
@@ -129,9 +119,7 @@ impl BranchAndBound {
                 .collect(),
             tail: heur.max_delay_to_leaf.clone(),
             pipelined: (0..n).map(|i| model.unit_pipelined(&insns[i])).collect(),
-            unit: (0..n)
-                .map(|i| unit_index(model.unit_of(&insns[i])))
-                .collect(),
+            unit: (0..n).map(|i| model.unit_of(&insns[i]).index()).collect(),
             terminator,
             best_makespan: greedy.makespan(insns, model),
             best_order: greedy.order.clone(),
@@ -147,7 +135,7 @@ impl BranchAndBound {
             unscheduled_parents: (0..n)
                 .map(|i| dag.num_parents(NodeId::new(i)) as u32)
                 .collect(),
-            unit_busy: [0; 5],
+            unit_busy: [0; FuncUnit::COUNT],
             order: Vec::with_capacity(n),
         };
         let complete = search.dfs(&mut state);
@@ -168,7 +156,7 @@ struct State {
     makespan: u64,
     earliest: Vec<u64>,
     unscheduled_parents: Vec<u32>,
-    unit_busy: [u64; 5],
+    unit_busy: [u64; FuncUnit::COUNT],
     order: Vec<NodeId>,
 }
 

@@ -1,7 +1,7 @@
 //! Schedules and their validity/timing properties.
 
-use dagsched_core::{Dag, NodeId};
-use dagsched_isa::{Instruction, MachineModel};
+use dagsched_core::{Dag, NodeId, SchedStorage};
+use dagsched_isa::{FuncUnit, Instruction, MachineModel};
 
 /// The result of scheduling one basic block: a new instruction order plus
 /// the issue cycle assigned to each position.
@@ -25,30 +25,59 @@ impl Schedule {
         insns: &[Instruction],
         model: &MachineModel,
     ) -> Schedule {
-        let mut issue_of: Vec<u64> = vec![0; dag.node_count()];
-        let mut issue_cycle = Vec::with_capacity(order.len());
-        let mut unit_busy: std::collections::HashMap<dagsched_isa::FuncUnit, u64> =
-            std::collections::HashMap::new();
-        let mut time: u64 = 0;
-        for (pos, &n) in order.iter().enumerate() {
-            let mut t = if pos == 0 { 0 } else { time + 1 };
-            for arc in dag.in_arcs(n) {
-                t = t.max(issue_of[arc.from.index()] + arc.latency as u64);
-            }
-            let insn = &insns[n.index()];
-            if !model.unit_pipelined(insn) {
-                if let Some(&busy) = unit_busy.get(&model.unit_of(insn)) {
-                    t = t.max(busy);
-                }
-            }
-            issue_of[n.index()] = t;
-            issue_cycle.push(t);
-            if !model.unit_pipelined(insn) {
-                unit_busy.insert(model.unit_of(insn), t + model.exec_latency(insn) as u64);
-            }
-            time = t;
-        }
+        Schedule::from_order_in(order, dag, insns, model, &mut SchedStorage::default())
+    }
+
+    /// [`Schedule::from_order`] with the timing table and the
+    /// `issue_cycle` vector taken from `storage`.
+    pub(crate) fn from_order_in(
+        order: Vec<NodeId>,
+        dag: &Dag,
+        insns: &[Instruction],
+        model: &MachineModel,
+        storage: &mut SchedStorage,
+    ) -> Schedule {
+        let mut issue_cycle = std::mem::take(&mut storage.issue_cycle);
+        issue_cycle.clear();
+        issue_cycle.reserve(order.len());
+        in_order_timing(
+            order.iter().copied(),
+            dag,
+            insns,
+            model,
+            &mut storage.issue_of,
+            |_, t| issue_cycle.push(t),
+        );
         Schedule { order, issue_cycle }
+    }
+
+    /// The makespan of the block issued in program order: what
+    /// `Schedule::from_order(0..n)` followed by [`Schedule::makespan`]
+    /// returns, computed by the same timing loop without building the
+    /// schedule (the driver reports it for every block).
+    pub fn program_order_makespan(
+        dag: &Dag,
+        insns: &[Instruction],
+        model: &MachineModel,
+        storage: &mut SchedStorage,
+    ) -> u64 {
+        let mut makespan = 0;
+        in_order_timing(
+            dag.node_ids(),
+            dag,
+            insns,
+            model,
+            &mut storage.issue_of,
+            |n, t| makespan = makespan.max(t + model.exec_latency(&insns[n.index()]) as u64),
+        );
+        makespan
+    }
+
+    /// Hand this schedule's vectors back to `storage`, for the next
+    /// block's [`ListScheduler::run_in`](crate::ListScheduler::run_in).
+    pub fn recycle(self, storage: &mut SchedStorage) {
+        storage.order = self.order;
+        storage.issue_cycle = self.issue_cycle;
     }
 
     /// Number of scheduled instructions.
@@ -131,6 +160,42 @@ impl Schedule {
     }
 }
 
+/// In-order single-issue timing of `order` (see [`Schedule::from_order`]),
+/// reporting each node's issue cycle to `issued` in order. `issue_of` is
+/// the per-node issue table, resized and overwritten here; busy times of
+/// unpipelined units live in a table indexed by [`FuncUnit::index`].
+fn in_order_timing(
+    order: impl Iterator<Item = NodeId>,
+    dag: &Dag,
+    insns: &[Instruction],
+    model: &MachineModel,
+    issue_of: &mut Vec<u64>,
+    mut issued: impl FnMut(NodeId, u64),
+) {
+    issue_of.clear();
+    issue_of.resize(dag.node_count(), 0);
+    let mut unit_busy = [0u64; FuncUnit::COUNT];
+    let mut time: u64 = 0;
+    for (pos, n) in order.enumerate() {
+        let mut t = if pos == 0 { 0 } else { time + 1 };
+        for arc in dag.in_arcs(n) {
+            t = t.max(issue_of[arc.from.index()] + arc.latency as u64);
+        }
+        let insn = &insns[n.index()];
+        let unpipelined = !model.unit_pipelined(insn);
+        let unit = model.unit_of(insn).index();
+        if unpipelined {
+            t = t.max(unit_busy[unit]);
+        }
+        issue_of[n.index()] = t;
+        issued(n, t);
+        if unpipelined {
+            unit_busy[unit] = t + model.exec_latency(insn) as u64;
+        }
+        time = t;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +236,11 @@ mod tests {
         assert_eq!(s.makespan(&insns, &model), 24);
         assert_eq!(s.stall_cycles(), 18);
         assert!(s.verify(&dag).is_ok());
+        let mut storage = SchedStorage::default();
+        assert_eq!(
+            Schedule::program_order_makespan(&dag, &insns, &model, &mut storage),
+            24
+        );
     }
 
     #[test]
@@ -216,6 +286,11 @@ mod tests {
         let s = Schedule::from_order(vec![NodeId::new(0), NodeId::new(1)], &dag, &insns, &model);
         // The unpipelined divider keeps the second divide waiting.
         assert_eq!(s.issue_cycle, vec![0, 20]);
+        let mut storage = SchedStorage::default();
+        assert_eq!(
+            Schedule::program_order_makespan(&dag, &insns, &model, &mut storage),
+            s.makespan(&insns, &model)
+        );
     }
 
     #[test]

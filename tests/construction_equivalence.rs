@@ -5,7 +5,10 @@
 mod common;
 
 use common::{block_specs, build_block};
-use dagsched::core::{closure, ConstructionAlgorithm, MemDepPolicy, PreparedBlock};
+use dagsched::core::construct::strongest_dep;
+use dagsched::core::{
+    closure, ConstructionAlgorithm, DagArc, MemDepPolicy, NodeId, PreparedBlock, Scratch,
+};
 use dagsched::isa::MachineModel;
 use proptest::prelude::*;
 
@@ -26,6 +29,38 @@ proptest! {
             closure::closure_equals_ground_truth(&dag, &block, &model, policy)
                 .unwrap_or_else(|e| panic!("{algo} / {}: {e}", policy.name()));
         }
+    }
+
+    /// Forward `n**2` construction runs the pairwise test only where the
+    /// definition/use masks allow a dependence, yet its arcs are exactly
+    /// the brute-force relation — every arc, kind and latency, in the
+    /// same order — and every pair still counts as a comparison. (The
+    /// closure property alone would miss a dropped arc that another path
+    /// implies.)
+    #[test]
+    fn n2_forward_arcs_are_the_pairwise_relation(
+        specs in block_specs(24),
+        policy_ix in 0usize..4,
+    ) {
+        let prog = build_block(&specs, false);
+        let model = MachineModel::sparc2();
+        let block = PreparedBlock::new(&prog.insns);
+        let policy = MemDepPolicy::ALL[policy_ix];
+        let mut scratch = Scratch::new();
+        let dag = ConstructionAlgorithm::N2Forward
+            .run_with_scratch(&block, &model, policy, &mut scratch);
+        let n = block.len();
+        let mut expected = Vec::new();
+        for i in 0..n {
+            for j in 0..i {
+                if let Some((kind, latency)) = strongest_dep(&block, &model, policy, j, i) {
+                    let (from, to) = (NodeId::new(j), NodeId::new(i));
+                    expected.push(DagArc { from, to, kind, latency });
+                }
+            }
+        }
+        prop_assert_eq!(dag.arcs().collect::<Vec<_>>(), expected, "{}", policy.name());
+        prop_assert_eq!(scratch.stats.comparisons, (n * n.saturating_sub(1) / 2) as u64);
     }
 
     /// The non-avoiding algorithms preserve every direct dependence's

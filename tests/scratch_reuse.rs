@@ -1,19 +1,24 @@
 //! A reused [`Scratch`] must be observationally identical to a fresh
 //! one: nothing computed for one block may leak into the next.
 //!
-//! Heuristic vectors are refilled in place, so the dangerous order is a
-//! large block followed by smaller ones (a stale tail) and a full set
-//! followed by the critical-path subset (stale fields). Both are
-//! exercised here, then whole batches through the driver.
+//! Heuristic vectors, prepared lists, DAG columns and the scheduler's
+//! state are refilled in place, so the dangerous orders are a large block
+//! followed by smaller ones (a stale tail), a full set followed by the
+//! critical-path subset (stale fields), and one construction algorithm
+//! right after another in the same recycled DAG. All are exercised here,
+//! then whole batches through the driver, then the keep limit.
 
 use std::time::{Duration, Instant};
 
 use dagsched::batch::{schedule_program_batch_scratch, DegradePolicy, Limits, NoCache};
 use dagsched::core::closure::reference_heuristics;
-use dagsched::core::{ConstructionAlgorithm, HeuristicSet, MemDepPolicy, PreparedBlock, Scratch};
-use dagsched::driver::DriverConfig;
+use dagsched::core::{
+    ConstructionAlgorithm, HeuristicSet, MemDepPolicy, PreparedBlock, Scratch, SCRATCH_KEEP_BYTES,
+};
+use dagsched::driver::{compile_block, DriverConfig};
 use dagsched::isa::{Instruction, MachineModel, Program};
-use dagsched::workloads::{generate, BenchmarkProfile, PAPER_SEED};
+use dagsched::sched::{Scheduler, SchedulerKind};
+use dagsched::workloads::{generate, parse_asm, BenchmarkProfile, PAPER_SEED};
 
 fn program(name: &str) -> Program {
     generate(BenchmarkProfile::by_name(name).unwrap(), PAPER_SEED).program
@@ -169,4 +174,123 @@ fn a_reused_scratch_compiles_each_batch_like_a_fresh_one() {
         assert_eq!(stats.degraded_blocks, floor as u64 * stats.blocks, "{name}");
         assert_eq!(stats.degraded_blocks, fresh_stats.degraded_blocks, "{name}");
     }
+}
+
+/// The driver configurations the recycled-storage tests rotate through:
+/// every published scheduler, so each construction algorithm of the
+/// default path (`n**2` forward and backward, table forward) and both
+/// scheduling directions follow one another in the same arena — a
+/// table-building compile right after an `n**2` one included.
+fn rotation() -> Vec<DriverConfig> {
+    [
+        SchedulerKind::Warren,
+        SchedulerKind::Krishnamurthy,
+        SchedulerKind::GibbonsMuchnick,
+        SchedulerKind::Tiemann,
+        SchedulerKind::Schlansker,
+        SchedulerKind::ShiehPapachristou,
+    ]
+    .into_iter()
+    .map(|kind| DriverConfig {
+        scheduler: Scheduler::new(kind),
+        ..DriverConfig::default()
+    })
+    .collect()
+}
+
+/// Compile `insns` through `scratch` and through a fresh arena, and
+/// require the same emitted stream, report and work counters.
+fn compile_like_fresh(
+    what: &str,
+    insns: &[Instruction],
+    model: &MachineModel,
+    config: &DriverConfig,
+    scratch: &mut Scratch,
+) {
+    let before = scratch.stats;
+    let reused = compile_block(0, insns, model, config, None, scratch).unwrap();
+    let mut fresh_scratch = Scratch::new();
+    let fresh = compile_block(0, insns, model, config, None, &mut fresh_scratch).unwrap();
+    assert_eq!(reused.emitted, fresh.emitted, "{what}");
+    assert_eq!(reused.report, fresh.report, "{what}");
+    let mut added = scratch.stats;
+    added.blocks -= before.blocks;
+    added.nodes -= before.nodes;
+    added.arcs_added -= before.arcs_added;
+    added.arcs_suppressed -= before.arcs_suppressed;
+    added.table_probes -= before.table_probes;
+    added.comparisons -= before.comparisons;
+    assert!(
+        added.same_counts(&fresh_scratch.stats),
+        "{what}: {added} vs {}",
+        fresh_scratch.stats
+    );
+}
+
+#[test]
+fn recycled_dag_lists_and_scheduler_state_never_leak_between_blocks() {
+    let model = MachineModel::sparc2();
+    // Large (tomcatv's largest, 326 instructions at the paper's seed),
+    // then small ones, the smallest last, then large again.
+    let tomcatv = blocks_by_size(&program("tomcatv"), 2);
+    let nasa7 = blocks_by_size(&program("nasa7"), 2);
+    let mut blocks = vec![tomcatv[0].clone()];
+    blocks.extend(tomcatv[tomcatv.len() - 10..].iter().cloned());
+    blocks.extend(
+        blocks_by_size(&program("grep"), 1)
+            .into_iter()
+            .rev()
+            .take(10),
+    );
+    blocks.push(nasa7[0].clone());
+    blocks.extend(nasa7[1..11].iter().cloned());
+    blocks.push(tomcatv[0].clone());
+    assert!(blocks[0].len() > 200, "{}", blocks[0].len());
+
+    let configs = rotation();
+    let mut scratch = Scratch::new();
+    for (k, insns) in blocks.iter().enumerate() {
+        let config = &configs[k % configs.len()];
+        let what = format!(
+            "block {k} ({} insns) under {}",
+            insns.len(),
+            config.scheduler.kind.name()
+        );
+        compile_like_fresh(&what, insns, &model, config, &mut scratch);
+    }
+    assert!(scratch.retained_bytes() > 0, "the arena kept nothing");
+}
+
+#[test]
+fn a_block_past_the_keep_limit_is_not_kept() {
+    let model = MachineModel::sparc2();
+    let config = DriverConfig::default();
+    // 5,000 writes of one register, built by table building (`n**2`
+    // would link all 12.5M pairs): about 260 bytes of prepared lists,
+    // DAG, heuristics and scheduler state per instruction.
+    let table = DriverConfig {
+        scheduler: config
+            .scheduler
+            .clone()
+            .with_construction(ConstructionAlgorithm::TableForward),
+        ..config.clone()
+    };
+    let chain = parse_asm(&"add %o0, 1, %o0\n".repeat(5000)).unwrap().insns;
+    let small = blocks_by_size(&program("tomcatv"), 2);
+
+    let mut scratch = Scratch::new();
+    compile_like_fresh("small", &small[0], &model, &config, &mut scratch);
+    let warm = scratch.retained_bytes();
+    assert!(warm > 0 && warm <= SCRATCH_KEEP_BYTES, "{warm}");
+
+    // Kept, the chain's storage would pass the limit (about 1.3 MB), so
+    // the arena releases all of it: nothing at all is retained.
+    compile_like_fresh("chain", &chain, &model, &table, &mut scratch);
+    assert_eq!(scratch.retained_bytes(), 0, "the chain's storage was kept");
+
+    // The released arena grows back and still compiles like a fresh one.
+    for (k, insns) in small.iter().take(8).enumerate() {
+        compile_like_fresh(&format!("small {k}"), insns, &model, &config, &mut scratch);
+    }
+    assert!(scratch.retained_bytes() <= SCRATCH_KEEP_BYTES);
 }
