@@ -24,6 +24,8 @@ pub use landskov::n2_forward_landskov;
 pub use n2::{n2_backward, n2_forward, strongest_dep};
 pub use table::{table_backward, table_backward_bitmap, table_forward};
 
+use std::time::Instant;
+
 use dagsched_isa::{Instruction, MachineModel};
 
 use crate::dag::Dag;
@@ -149,7 +151,23 @@ impl ConstructionAlgorithm {
         policy: MemDepPolicy,
         scratch: &mut Scratch,
     ) -> Dag {
-        let start = std::time::Instant::now();
+        self.run_timed(block, model, policy, scratch, Instant::now())
+            .0
+    }
+
+    /// [`ConstructionAlgorithm::run_with_scratch`] timed from `start`:
+    /// the time from `start` to the end of construction goes into
+    /// `scratch.stats.construct_ns`, and the end is returned with the
+    /// DAG, so a caller timing the next phase from there reads the clock
+    /// once between the two.
+    pub fn run_timed(
+        self,
+        block: &PreparedBlock<'_>,
+        model: &MachineModel,
+        policy: MemDepPolicy,
+        scratch: &mut Scratch,
+        start: Instant,
+    ) -> (Dag, Instant) {
         let mut dag = scratch.take_dag();
         match self {
             ConstructionAlgorithm::N2Forward => {
@@ -171,11 +189,12 @@ impl ConstructionAlgorithm {
                 table::table_backward_bitmap_in(block, model, policy, &mut dag, scratch)
             }
         }
-        scratch.stats.construct_ns += start.elapsed().as_nanos() as u64;
+        let end = Instant::now();
+        scratch.stats.construct_ns += end.duration_since(start).as_nanos() as u64;
         scratch.stats.blocks += 1;
         scratch.stats.nodes += block.len() as u64;
         scratch.stats.arcs_added += dag.arc_count() as u64;
-        dag
+        (dag, end)
     }
 }
 

@@ -4,7 +4,7 @@ use dagsched_isa::{DepKind, MachineModel, MemAccessKind, Resource};
 
 use crate::dag::{Dag, NodeId};
 use crate::memdep::MemDepPolicy;
-use crate::prepare::PreparedBlock;
+use crate::prepare::{mask_regs, PreparedBlock, REG_MASK_BITS};
 use crate::scratch::PhaseStats;
 
 /// The strongest dependence (if any) from instruction `j` to a later
@@ -12,11 +12,17 @@ use crate::scratch::PhaseStats;
 /// register and memory dependencies between the pair, ties broken
 /// RAW > WAW > WAR.
 ///
+/// The registers the pair shares come from the block's
+/// [`ResourceMasks`](crate::ResourceMasks): the set bits of
+/// `defs(j) ∩ uses(i)` (RAW), `defs(j) ∩ defs(i)` (WAW) and
+/// `uses(j) ∩ defs(i)` (WAR). The result does not depend on the order
+/// they are visited in: the maximum latency wins and equal latencies go
+/// to the stronger kind.
+///
 /// This is the pairwise kernel shared by [`n2_forward`] and the Landskov
-/// variant, which call it only for pairs whose
-/// [`ResourceMasks`](crate::ResourceMasks) intersect; it is also the
-/// ground-truth dependence test used by the verification utilities, which
-/// call it for every pair.
+/// variant, which call it only for pairs whose masks intersect; it is
+/// also the ground-truth dependence test used by the verification
+/// utilities, which call it for every pair.
 pub fn strongest_dep(
     block: &PreparedBlock<'_>,
     model: &MachineModel,
@@ -36,29 +42,24 @@ pub fn strongest_dep(
         }
     };
 
+    let (mj, mi) = (block.masks[j], block.masks[i]);
     // RAW: j defines a register that i uses.
-    for &r in &block.reg_defs[j] {
-        if block.reg_uses[i].contains(&r) {
-            consider(DepKind::Raw, block.raw_reg_latency(model, j, i, r));
-        }
+    for r in mask_regs(mj.defs & mi.uses & REG_MASK_BITS) {
+        consider(DepKind::Raw, block.raw_reg_latency(model, j, i, r));
     }
     // WAW: j and i define the same register.
-    for &r in &block.reg_defs[j] {
-        if block.reg_defs[i].contains(&r) {
-            consider(
-                DepKind::Waw,
-                block.waw_latency(model, j, i, Resource::Reg(r)),
-            );
-        }
+    for r in mask_regs(mj.defs & mi.defs & REG_MASK_BITS) {
+        consider(
+            DepKind::Waw,
+            block.waw_latency(model, j, i, Resource::Reg(r)),
+        );
     }
     // WAR: j uses a register that i defines.
-    for &r in &block.reg_uses[j] {
-        if block.reg_defs[i].contains(&r) {
-            consider(
-                DepKind::War,
-                block.war_latency(model, j, i, Resource::Reg(r)),
-            );
-        }
+    for r in mask_regs(mj.uses & mi.defs & REG_MASK_BITS) {
+        consider(
+            DepKind::War,
+            block.war_latency(model, j, i, Resource::Reg(r)),
+        );
     }
     // Memory dependence under the disambiguation policy.
     if let (Some(a), Some(b)) = (block.mem_ops[j], block.mem_ops[i]) {

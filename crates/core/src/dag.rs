@@ -183,6 +183,10 @@ pub struct Dag {
     to_sorted: bool,
     /// `arc_from` is nonincreasing in arc-id order (backward constructors).
     from_rev_sorted: bool,
+    /// Debug builds only: per-node marks for the duplicate-pair check in
+    /// [`Dag::build_adjacency`], kept with the DAG so a recycled one
+    /// checks without allocating.
+    seen: Vec<u32>,
 }
 
 impl Dag {
@@ -216,6 +220,7 @@ impl Dag {
             inc_ids: Vec::new(),
             to_sorted: true,
             from_rev_sorted: true,
+            seen: Vec::new(),
         };
         dag.reset(n);
         Ok(dag)
@@ -259,6 +264,7 @@ impl Dag {
             + self.arc_latency.capacity() * size_of::<u32>()
             + (self.out_off.capacity() + self.inc_off.capacity()) * size_of::<u32>()
             + (self.out_ids.capacity() + self.inc_ids.capacity()) * size_of::<ArcId>()
+            + self.seen.capacity() * size_of::<u32>()
     }
 
     /// Number of nodes.
@@ -353,8 +359,8 @@ impl Dag {
     /// compare-against-all constructors visit each pair exactly once, so
     /// their merge logic lives in `strongest_dep` and the per-arc
     /// duplicate scan (quadratic in arc degree on transitive-arc-heavy
-    /// DAGs) can be skipped entirely. Debug builds verify the claim with
-    /// a full column scan.
+    /// DAGs) can be skipped entirely. Debug builds verify the claim once
+    /// per block, in [`Dag::build_adjacency`].
     ///
     /// Leaves the adjacency stale; the caller must finish with
     /// [`Dag::build_adjacency`] before the DAG escapes the crate.
@@ -368,14 +374,6 @@ impl Dag {
         assert_ne!(from, to, "self-arc on {from}");
         let t = to.index();
         assert!(t < self.node_count(), "arc target {to} out of range");
-        debug_assert!(
-            !self
-                .arc_from
-                .iter()
-                .zip(&self.arc_to)
-                .any(|(&af, &at)| af == from && at == to),
-            "duplicate arc {from} -> {to} on the distinct-pair path"
-        );
         self.push_arc(from, to, kind, latency);
     }
 
@@ -386,7 +384,8 @@ impl Dag {
     /// pair can therefore only sit in the current batch — the column tail
     /// from `batch_start` (the arc count when the instruction's
     /// processing began) — so the merge check is one linear scan of that
-    /// tail and needs no adjacency at all.
+    /// tail and needs no adjacency at all. Debug builds check that no
+    /// pair was pushed twice once per block, in [`Dag::build_adjacency`].
     ///
     /// Leaves the adjacency stale; the caller must finish with
     /// [`Dag::build_adjacency`] before the DAG escapes the crate.
@@ -401,13 +400,6 @@ impl Dag {
         assert_ne!(from, to, "self-arc on {from}");
         let t = to.index();
         assert!(t < self.node_count(), "arc target {to} out of range");
-        debug_assert!(
-            !self.arc_from[..batch_start]
-                .iter()
-                .zip(&self.arc_to[..batch_start])
-                .any(|(&af, &at)| af == from && at == to),
-            "duplicate of {from} -> {to} exists before the current batch"
-        );
         for k in batch_start..self.arc_from.len() {
             if self.arc_from[k] == from && self.arc_to[k] == to {
                 self.merge_into(k, kind, latency);
@@ -472,6 +464,13 @@ impl Dag {
     /// sort per direction, each a pair of linear passes over flat
     /// memory. Called once per block by the construction algorithms
     /// (and per arc by the incremental [`Dag::add_arc`]).
+    ///
+    /// # Panics
+    ///
+    /// With debug assertions, panics if two arcs join the same ordered
+    /// pair: the constructors' unchecked appends
+    /// ([`Dag::push_arc_distinct`], [`Dag::merge_or_push_batch`]) must
+    /// never produce one.
     pub(crate) fn build_adjacency(&mut self) {
         let n = self.node_count();
         // In range by construction: MAX_NODES bounds the merged-pair
@@ -503,6 +502,29 @@ impl Dag {
                 off[i] = off[i - 1];
             }
             off[0] = 0;
+        }
+        if cfg!(debug_assertions) {
+            self.assert_distinct_pairs();
+        }
+    }
+
+    /// Panic if an out-bucket names one child twice: one mark per node,
+    /// stamped with the bucket's owner, so the check is O(nodes + arcs).
+    fn assert_distinct_pairs(&mut self) {
+        let n = self.node_count();
+        self.seen.clear();
+        self.seen.resize(n, u32::MAX);
+        for i in 0..n {
+            for &aid in &self.out_ids[self.out_off[i] as usize..self.out_off[i + 1] as usize] {
+                let to = self.arc_to[aid.index()];
+                let mark = &mut self.seen[to.index()];
+                assert!(
+                    *mark != i as u32,
+                    "duplicate arc {} -> {to} in the arc columns",
+                    NodeId::new(i)
+                );
+                *mark = i as u32;
+            }
         }
     }
 
@@ -715,6 +737,48 @@ mod tests {
         assert_eq!(d.leaves(), vec![NodeId::new(3)]);
         assert_eq!(d.num_children(NodeId::new(0)), 2);
         assert_eq!(d.num_parents(NodeId::new(3)), 2);
+    }
+
+    /// The unchecked appends rely on the constructors never repeating a
+    /// pair; debug builds catch a repeat when the adjacency is built.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate arc n0 -> n2")]
+    fn a_pair_pushed_twice_fails_the_debug_check() {
+        let mut d = Dag::new(3);
+        d.push_arc_distinct(NodeId::new(0), NodeId::new(2), DepKind::Raw, 1);
+        d.push_arc_distinct(NodeId::new(1), NodeId::new(2), DepKind::Raw, 1);
+        d.push_arc_distinct(NodeId::new(0), NodeId::new(2), DepKind::War, 1);
+        d.build_adjacency();
+    }
+
+    /// A repeat that sits outside the current batch is not merged by
+    /// `merge_or_push_batch`, and the same check catches it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate arc n1 -> n3")]
+    fn a_pair_repeated_across_batches_fails_the_debug_check() {
+        let mut d = Dag::new(4);
+        d.merge_or_push_batch(0, NodeId::new(1), NodeId::new(3), DepKind::Raw, 2);
+        d.merge_or_push_batch(1, NodeId::new(0), NodeId::new(2), DepKind::Raw, 2);
+        d.merge_or_push_batch(2, NodeId::new(1), NodeId::new(3), DepKind::War, 1);
+        d.build_adjacency();
+    }
+
+    #[test]
+    fn distinct_pairs_pass_the_debug_check_in_a_recycled_dag() {
+        let mut d = Dag::new(3);
+        d.push_arc_distinct(NodeId::new(0), NodeId::new(1), DepKind::Raw, 1);
+        d.push_arc_distinct(NodeId::new(0), NodeId::new(2), DepKind::Raw, 1);
+        d.push_arc_distinct(NodeId::new(1), NodeId::new(2), DepKind::Raw, 1);
+        d.build_adjacency();
+        // Node 1's bucket now holds the child node 0's held before: the
+        // marks of the first build must not read as repeats.
+        d.reset(3);
+        d.push_arc_distinct(NodeId::new(1), NodeId::new(2), DepKind::Raw, 1);
+        d.push_arc_distinct(NodeId::new(0), NodeId::new(2), DepKind::Raw, 1);
+        d.build_adjacency();
+        assert!(d.check_invariants().is_ok());
     }
 
     #[test]

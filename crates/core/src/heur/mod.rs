@@ -25,14 +25,69 @@ pub use static_pass::{
     compute_levels, BackwardOrder,
 };
 
+use std::ops::BitOr;
+
 use dagsched_isa::{Instruction, MachineModel};
 
 use crate::dag::Dag;
+use crate::prepare::{PreparedBlock, ResourceMasks};
+
+/// A set of static heuristic passes: which of a [`HeuristicSet`]'s
+/// fields [`HeuristicSet::fill`] computes.
+///
+/// Each pass fills the fields of one calculation method of Table 1.
+/// Execution times and original order are filled whatever the set,
+/// so [`HeuristicPasses::NONE`] still yields a usable set for a
+/// scheduler that ranks by those or by dynamic (`v`) heuristics alone.
+/// A scheduler names its set from the heuristics it ranks by (the sched
+/// crate's `Scheduler::heuristic_passes`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct HeuristicPasses(u8);
+
+impl HeuristicPasses {
+    /// No pass: execution times and original order only.
+    pub const NONE: HeuristicPasses = HeuristicPasses(0);
+    /// The arc-derived construction-time (`a`) counts: interlock with
+    /// child, `#children`, `#parents` and the delays to children and
+    /// from parents.
+    pub const ARCS: HeuristicPasses = HeuristicPasses(1);
+    /// Register pressure (`a`): registers born and killed, liveness.
+    pub const REGISTERS: HeuristicPasses = HeuristicPasses(1 << 1);
+    /// The forward pass (`f`): max path and delay from a root, EST.
+    pub const FORWARD: HeuristicPasses = HeuristicPasses(1 << 2);
+    /// The backward critical-path pair (`b`): max path and delay to a
+    /// leaf.
+    pub const CRITICAL_PATH: HeuristicPasses = HeuristicPasses(1 << 3);
+    /// Latest start time and slack (`f+b`): the backward pass over the
+    /// forward pass's EST. It contains [`HeuristicPasses::FORWARD`] and
+    /// [`HeuristicPasses::CRITICAL_PATH`], which it is computed with.
+    pub const SLACK: HeuristicPasses = HeuristicPasses(1 << 4 | 1 << 3 | 1 << 2);
+    /// `#descendants` and the sum of descendant execution times (`b`,
+    /// over reachability maps).
+    pub const DESCENDANTS: HeuristicPasses = HeuristicPasses(1 << 5);
+    /// Every pass.
+    pub const ALL: HeuristicPasses = HeuristicPasses(0b11_1111);
+
+    /// Whether every pass of `other` is in `self`.
+    pub fn contains(self, other: HeuristicPasses) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+/// Every pass of either set.
+impl BitOr for HeuristicPasses {
+    type Output = HeuristicPasses;
+
+    fn bitor(self, other: HeuristicPasses) -> HeuristicPasses {
+        HeuristicPasses(self.0 | other.0)
+    }
+}
 
 /// All static heuristic annotations for one DAG, stored
 /// structure-of-arrays (one slot per node).
 ///
-/// Build a full set with [`HeuristicSet::compute`], or run the individual
+/// Build a full set with [`HeuristicSet::compute`], only the fields a
+/// scheduler reads with [`HeuristicSet::fill`], or run the individual
 /// passes ([`annotate_construction`], [`annotate_forward`],
 /// [`annotate_backward`]) for fine-grained timing — the paper's Tables 4
 /// and 5 time exactly those passes.
@@ -93,76 +148,84 @@ impl HeuristicSet {
     /// reachability-bitmap pass for `#descendants` / "sum of execution
     /// times of descendants" runs (the paper notes it is "hard to compute"
     /// and its schedulers do not use it by default).
+    ///
+    /// The register-pressure pass reads each instruction's
+    /// [`ResourceMasks::of`], the masks a [`PreparedBlock`] holds; the
+    /// result equals [`HeuristicSet::fill`] with every pass.
     pub fn compute(
         dag: &Dag,
         insns: &[Instruction],
         model: &MachineModel,
         with_descendants: bool,
     ) -> HeuristicSet {
+        let mut passes =
+            HeuristicPasses::ARCS | HeuristicPasses::REGISTERS | HeuristicPasses::SLACK;
+        if with_descendants {
+            passes = passes | HeuristicPasses::DESCENDANTS;
+        }
         let mut h = HeuristicSet::default();
-        h.compute_into(dag, insns, model, with_descendants);
+        h.fill_with(
+            passes,
+            dag,
+            insns,
+            insns.iter().map(ResourceMasks::of),
+            model,
+        );
         h
     }
 
-    /// [`HeuristicSet::compute`] into `self`, refilling its vectors in
-    /// place: a set reused block after block (the one a
+    /// Compute the fields of `passes` for `dag` over `block`, plus the
+    /// execution times and original order, into `self`, refilling its
+    /// vectors in place: a set reused block after block (the one a
     /// [`Scratch`](crate::Scratch) owns) stops allocating once its
-    /// vectors have grown to the largest block. Every field is
-    /// overwritten, so nothing of the previous block survives.
-    pub fn compute_into(
-        &mut self,
-        dag: &Dag,
-        insns: &[Instruction],
-        model: &MachineModel,
-        with_descendants: bool,
-    ) {
-        annotate_construction(self, dag, insns, model);
-        annotate_forward(self, dag);
-        annotate_backward(self, dag, BackwardOrder::ReverseWalk, with_descendants);
-    }
-
-    /// Compute only the cheapest useful heuristic subset: execution
-    /// times, original order, and the backward critical-path pair
-    /// (`max_path_to_leaf` / `max_delay_to_leaf`) via
-    /// [`annotate_backward_cp`].
+    /// vectors have grown to the largest block.
     ///
-    /// This is the degraded-mode heuristic stack of the serving stack's
-    /// cost ladder: one reverse walk over the block instead of the full
-    /// construction + forward + backward annotation passes. The paper's
-    /// Tables 4 and 5 time exactly this backward pass as the cheapest
-    /// pass that still yields a competitive list-scheduling priority
-    /// (max delay to a leaf *is* the critical-path heuristic).
-    ///
-    /// Only the fields above are populated; schedulers consuming the
-    /// result must restrict themselves to those (see the sched crate's
-    /// `critical_path_fallback`).
-    pub fn compute_critical_path(
-        dag: &Dag,
-        insns: &[Instruction],
-        model: &MachineModel,
-    ) -> HeuristicSet {
-        let mut h = HeuristicSet::default();
-        h.compute_critical_path_into(dag, insns, model);
-        h
-    }
-
-    /// [`HeuristicSet::compute_critical_path`] into `self`, reusing its
-    /// storage. Every field the critical-path subset does not compute is
-    /// left empty, exactly as in a fresh set, so no stale vector from an
-    /// earlier block can be read.
-    pub fn compute_critical_path_into(
+    /// Every other field is left empty, as in a fresh set, so nothing of
+    /// an earlier block can be read. The register-pressure pass reads
+    /// the block's [`ResourceMasks`].
+    pub fn fill(
         &mut self,
+        passes: HeuristicPasses,
         dag: &Dag,
-        insns: &[Instruction],
+        block: &PreparedBlock<'_>,
         model: &MachineModel,
     ) {
-        let n = dag.node_count();
-        assert_eq!(n, insns.len(), "DAG/block size mismatch");
+        self.fill_with(passes, dag, block.insns, block.masks.iter().copied(), model);
+    }
+
+    /// [`HeuristicSet::fill`] with the masks from `masks`, one per
+    /// instruction.
+    fn fill_with<M>(
+        &mut self,
+        passes: HeuristicPasses,
+        dag: &Dag,
+        insns: &[Instruction],
+        masks: M,
+        model: &MachineModel,
+    ) where
+        M: DoubleEndedIterator<Item = ResourceMasks> + ExactSizeIterator,
+    {
+        use HeuristicPasses as P;
+        assert_eq!(dag.node_count(), insns.len(), "DAG/block size mismatch");
         self.clear();
-        self.exec_time
-            .extend(insns.iter().map(|i| model.exec_latency(i)));
-        self.original_order.extend(0..n as u32);
-        annotate_backward_cp(self, dag, BackwardOrder::ReverseWalk);
+        static_pass::annotate_exec_and_order(self, insns, model);
+        if passes.contains(P::ARCS) {
+            static_pass::annotate_arcs(self, dag);
+        }
+        if passes.contains(P::REGISTERS) {
+            static_pass::annotate_registers(self, masks);
+        }
+        if passes.contains(P::FORWARD) {
+            annotate_forward(self, dag);
+        }
+        if passes.contains(P::SLACK) {
+            annotate_backward(self, dag, BackwardOrder::ReverseWalk, false);
+        } else if passes.contains(P::CRITICAL_PATH) {
+            annotate_backward_cp(self, dag, BackwardOrder::ReverseWalk);
+        }
+        if passes.contains(P::DESCENDANTS) {
+            static_pass::annotate_descendants(self, dag);
+        }
     }
 
     /// Empty every vector, keeping its storage.

@@ -1,10 +1,10 @@
 //! Static heuristic calculation passes.
 
-use dagsched_isa::{Instruction, MachineModel, RegClass, Resource};
+use dagsched_isa::{Instruction, MachineModel};
 
 use crate::dag::{Dag, NodeId};
 use crate::heur::HeuristicSet;
-use crate::prepare::{reg_resource_id, REG_RESOURCE_COUNT};
+use crate::prepare::{ResourceMasks, PRESSURE_MASK_BITS};
 
 /// Empty `v` and refill it with `n` copies of `value`, keeping its
 /// storage: every pass rewrites its fields through this (or
@@ -21,18 +21,38 @@ fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
 /// In a production scheduler these counters would be maintained inside
 /// `add_arc`; keeping them in a separate sweep leaves the construction
 /// algorithms uncluttered while costing one pass over the arcs — the
-/// per-arc work is identical.
+/// per-arc work is identical. The register-pressure counts read each
+/// instruction's [`ResourceMasks::of`].
 pub fn annotate_construction(
     h: &mut HeuristicSet,
     dag: &Dag,
     insns: &[Instruction],
     model: &MachineModel,
 ) {
-    let n = dag.node_count();
-    assert_eq!(n, insns.len(), "DAG/block size mismatch");
+    assert_eq!(dag.node_count(), insns.len(), "DAG/block size mismatch");
+    annotate_exec_and_order(h, insns, model);
+    annotate_arcs(h, dag);
+    annotate_registers(h, insns.iter().map(ResourceMasks::of));
+}
+
+/// Execution time and original order: the two fields every heuristic
+/// set carries, whichever passes run.
+pub(super) fn annotate_exec_and_order(
+    h: &mut HeuristicSet,
+    insns: &[Instruction],
+    model: &MachineModel,
+) {
     h.exec_time.clear();
     h.exec_time
         .extend(insns.iter().map(|i| model.exec_latency(i)));
+    h.original_order.clear();
+    h.original_order.extend(0..insns.len() as u32);
+}
+
+/// The arc-derived construction-time counts: `#children`, `#parents`,
+/// the delays to children and from parents, and interlock with child.
+pub(super) fn annotate_arcs(h: &mut HeuristicSet, dag: &Dag) {
+    let n = dag.node_count();
     refill(&mut h.interlock_with_child, n, false);
     refill(&mut h.num_children, n, 0);
     refill(&mut h.num_parents, n, 0);
@@ -55,46 +75,35 @@ pub fn annotate_construction(
             h.interlock_with_child[f] = true;
         }
     }
-    h.original_order.clear();
-    h.original_order.extend(0..n as u32);
-    annotate_registers(h, insns);
 }
 
 /// Register-pressure heuristics: `#registers born` (integer/FP registers
-/// defined), `#registers killed` (registers whose last use within the
-/// block is here), and Warren-style `liveness` (born − killed).
+/// defined), `#registers killed` (registers read here and by no later
+/// instruction of the block), and Warren-style `liveness` (born −
+/// killed), over one [`ResourceMasks`] per instruction.
 ///
-/// Last uses live in a dense table indexed by [`reg_resource_id`], so the
-/// pass touches no map and no heap.
-fn annotate_registers(h: &mut HeuristicSet, insns: &[Instruction]) {
-    let n = insns.len();
+/// One backward sweep: only integer and FP registers count (resource
+/// ids 0–63), `born` is the popcount of the definitions, and `killed`
+/// the popcount of the uses minus every register read further down the
+/// block, which the sweep accumulates as it goes. A repeated operand is
+/// one bit, so it is killed once.
+pub(super) fn annotate_registers<M>(h: &mut HeuristicSet, masks: M)
+where
+    M: DoubleEndedIterator<Item = ResourceMasks> + ExactSizeIterator,
+{
+    let n = masks.len();
     refill(&mut h.regs_born, n, 0);
     refill(&mut h.regs_killed, n, 0);
     refill(&mut h.liveness, n, 0);
-    let pressure_reg = |res: Resource| match res {
-        Resource::Reg(r) if matches!(r.class(), RegClass::Int | RegClass::Fp) => {
-            Some(reg_resource_id(r))
-        }
-        _ => None,
-    };
-    // Last use index per register within the block.
-    let mut last_use = [usize::MAX; REG_RESOURCE_COUNT];
-    for (i, insn) in insns.iter().enumerate() {
-        for r in insn.uses().into_iter().filter_map(pressure_reg) {
-            last_use[r] = i;
-        }
-    }
-    for (i, insn) in insns.iter().enumerate() {
-        h.regs_born[i] = insn.defs().into_iter().filter_map(pressure_reg).count() as u32;
-        for r in insn.uses().into_iter().filter_map(pressure_reg) {
-            // No later instruction reads `r`, so forgetting its last use
-            // here makes a repeated operand count once.
-            if last_use[r] == i {
-                h.regs_killed[i] += 1;
-                last_use[r] = usize::MAX;
-            }
-        }
-        h.liveness[i] = h.regs_born[i] as i32 - h.regs_killed[i] as i32;
+    let mut read_later: u128 = 0;
+    for (i, m) in masks.enumerate().rev() {
+        let uses = m.uses & PRESSURE_MASK_BITS;
+        let born = (m.defs & PRESSURE_MASK_BITS).count_ones();
+        let killed = (uses & !read_later).count_ones();
+        read_later |= uses;
+        h.regs_born[i] = born;
+        h.regs_killed[i] = killed;
+        h.liveness[i] = born as i32 - killed as i32;
     }
 }
 
@@ -347,24 +356,31 @@ pub fn annotate_backward(
     }
 
     if with_descendants {
-        // "#descendants ... can be found by counting the bits set in the
-        // node's reachability map" (§3): one row popcount per node over
-        // the flat descendant matrix.
-        let maps = dag.descendants();
-        h.num_descendants.clear();
-        h.num_descendants
-            .extend((0..n).map(|i| (maps.row_count_ones(i) - 1) as u32));
-        h.sum_exec_descendants.clear();
-        h.sum_exec_descendants.extend((0..n).map(|i| {
-            maps.row_iter(i)
-                .filter(|&d| d != i)
-                .map(|d| h.exec_time[d] as u64)
-                .sum::<u64>()
-        }));
+        annotate_descendants(h, dag);
     } else {
         h.num_descendants.clear();
         h.sum_exec_descendants.clear();
     }
+}
+
+/// `#descendants` and the sum of descendant execution times (requires
+/// the execution times). "#descendants ... can be found by counting the
+/// bits set in the node's reachability map" (§3): one row popcount per
+/// node over the flat descendant matrix.
+pub(super) fn annotate_descendants(h: &mut HeuristicSet, dag: &Dag) {
+    let n = dag.node_count();
+    assert_eq!(h.exec_time.len(), n, "execution times required");
+    let maps = dag.descendants();
+    h.num_descendants.clear();
+    h.num_descendants
+        .extend((0..n).map(|i| (maps.row_count_ones(i) - 1) as u32));
+    h.sum_exec_descendants.clear();
+    h.sum_exec_descendants.extend((0..n).map(|i| {
+        maps.row_iter(i)
+            .filter(|&d| d != i)
+            .map(|d| h.exec_time[d] as u64)
+            .sum::<u64>()
+    }));
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub use dag::{ArcId, ConstructError, Dag, DagArc, NodeId, MAX_NODES};
 pub use heur::{
     annotate_backward, annotate_backward_cp, annotate_construction, annotate_forward,
     compute_levels, heuristic_catalog, BackwardOrder, Basis, Category, DynState, HeuristicId,
-    HeuristicInfo, HeuristicSet, PassKind,
+    HeuristicInfo, HeuristicPasses, HeuristicSet, PassKind,
 };
 pub use memdep::{MemDepPolicy, MemKey, MemOp, StorageClass};
 pub use prepare::{

@@ -22,6 +22,47 @@ pub fn reg_resource_id(r: Reg) -> usize {
     }
 }
 
+/// The register with dense resource index `id`: the inverse of
+/// [`reg_resource_id`].
+///
+/// # Panics
+///
+/// Panics if `id >= REG_RESOURCE_COUNT`.
+pub(crate) fn reg_of_resource_id(id: usize) -> Reg {
+    match id {
+        0..=31 => Reg::Int(id as u8),
+        32..=63 => Reg::Fp((id - 32) as u8),
+        64 => Reg::Icc,
+        65 => Reg::Fcc,
+        66 => Reg::Y,
+        _ => panic!("resource id {id} names no register"),
+    }
+}
+
+/// The register bits of a [`ResourceMasks`] mask: every bit below
+/// [`REG_RESOURCE_COUNT`], memory excluded.
+pub(crate) const REG_MASK_BITS: u128 = (1 << REG_RESOURCE_COUNT) - 1;
+
+/// The integer and floating point register bits of a [`ResourceMasks`]
+/// mask (resource ids 0–63): the registers that count toward register
+/// pressure.
+pub(crate) const PRESSURE_MASK_BITS: u128 = (1 << 64) - 1;
+
+/// The registers whose bits are set in `mask`, in resource-id order.
+/// Bits at or above [`REG_RESOURCE_COUNT`] must be clear (mask with
+/// [`REG_MASK_BITS`] first).
+pub(crate) fn mask_regs(mut mask: u128) -> impl Iterator<Item = Reg> {
+    debug_assert_eq!(mask & !REG_MASK_BITS, 0, "a non-register bit is set");
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let id = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(reg_of_resource_id(id))
+    })
+}
+
 /// An instruction's register definitions, deduplicated.
 pub type RegDefs = InlineList<Reg, MAX_DEFS>;
 
@@ -39,7 +80,9 @@ pub const MEM_MASK_BIT: u32 = 127;
 ///
 /// The compare-against-all constructors test a pair with
 /// [`ResourceMasks::may_depend`] before they run the full pairwise
-/// dependence test.
+/// dependence test, which walks the set bits of the masks'
+/// intersections; the register-pressure heuristics are popcounts over
+/// them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceMasks {
     /// Resources defined.
@@ -63,6 +106,44 @@ impl ResourceMasks {
     pub fn may_depend(self, later: ResourceMasks) -> bool {
         (self.defs & (later.uses | later.defs)) | (self.uses & later.defs) != 0
     }
+
+    /// The masks of one instruction, exactly as [`PreparedBlock`]
+    /// records them for a well-formed instruction (the memory bit follows
+    /// the opcode's access kind).
+    pub fn of(insn: &Instruction) -> ResourceMasks {
+        let (_, _, mut mask) = register_operands(insn);
+        match insn.opcode.mem_access() {
+            Some(MemAccessKind::Store) => mask.defs |= 1 << MEM_MASK_BIT,
+            Some(MemAccessKind::Load) => mask.uses |= 1 << MEM_MASK_BIT,
+            None => {}
+        }
+        mask
+    }
+}
+
+/// An instruction's register definitions and uses, deduplicated, and
+/// their register bits.
+fn register_operands(insn: &Instruction) -> (RegDefs, RegUses, ResourceMasks) {
+    let mut mask = ResourceMasks::default();
+    let mut defs = RegDefs::new();
+    for res in insn.defs() {
+        if let Resource::Reg(r) = res {
+            if !defs.contains(&r) {
+                defs.push(r);
+                mask.defs |= 1 << reg_resource_id(r);
+            }
+        }
+    }
+    let mut uses = RegUses::new();
+    for res in insn.uses() {
+        if let Resource::Reg(r) = res {
+            if !uses.contains(&r) {
+                uses.push(r);
+                mask.uses |= 1 << reg_resource_id(r);
+            }
+        }
+    }
+    (defs, uses, mask)
 }
 
 /// A basic block preprocessed for DAG construction: per-instruction
@@ -164,25 +245,7 @@ impl<'a> PreparedBlock<'a> {
         mem_ops.reserve(insns.len());
         masks.reserve(insns.len());
         for (i, insn) in insns.iter().enumerate() {
-            let mut mask = ResourceMasks::default();
-            let mut defs = RegDefs::new();
-            for res in insn.defs() {
-                if let Resource::Reg(r) = res {
-                    if !defs.contains(&r) {
-                        defs.push(r);
-                        mask.defs |= 1 << reg_resource_id(r);
-                    }
-                }
-            }
-            let mut uses = RegUses::new();
-            for res in insn.uses() {
-                if let Resource::Reg(r) = res {
-                    if !uses.contains(&r) {
-                        uses.push(r);
-                        mask.uses |= 1 << reg_resource_id(r);
-                    }
-                }
-            }
+            let (defs, uses, mut mask) = register_operands(insn);
             reg_defs.push(defs);
             reg_uses.push(uses);
             mem_ops.push(match insn.opcode.mem_access() {
@@ -473,6 +536,41 @@ mod tests {
         assert_eq!(reused.reg_uses, fresh.reg_uses);
         assert_eq!(reused.mem_ops, fresh.mem_ops);
         assert_eq!(reused.masks, fresh.masks);
+    }
+
+    #[test]
+    fn masks_of_an_instruction_are_the_prepared_masks() {
+        let mut pool = MemExprPool::new();
+        let e = pool.intern("[%fp-8]");
+        let insns = [
+            Instruction::int3(Opcode::Add, Reg::o(0), Reg::o(0), Reg::g(0)),
+            Instruction::load(
+                Opcode::Ldd,
+                MemRef::base_offset(Reg::fp(), -8, e),
+                Reg::l(0),
+            ),
+            Instruction::store(
+                Opcode::StDf,
+                Reg::f(2),
+                MemRef::base_offset(Reg::fp(), -8, e),
+            ),
+            Instruction::cmp(Reg::g(0), Reg::o(1)),
+        ];
+        let p = PreparedBlock::new(&insns);
+        for (i, insn) in insns.iter().enumerate() {
+            assert_eq!(ResourceMasks::of(insn), p.masks[i], "instruction {i}");
+        }
+    }
+
+    #[test]
+    fn mask_regs_inverts_the_resource_ids() {
+        let regs = [Reg::g(0), Reg::o(7), Reg::f(31), Reg::Icc, Reg::Y];
+        let mask = regs.iter().fold(0u128, |m, &r| m | 1 << reg_resource_id(r));
+        assert_eq!(mask_regs(mask).collect::<Vec<_>>(), regs);
+        for id in 0..REG_RESOURCE_COUNT {
+            assert_eq!(reg_resource_id(reg_of_resource_id(id)), id);
+        }
+        assert_eq!(REG_MASK_BITS.count_ones() as usize, REG_RESOURCE_COUNT);
     }
 
     #[test]

@@ -189,6 +189,8 @@ pub struct SchedStorage {
     pub ready: Vec<NodeId>,
     /// The forward pass's candidate buffer, winnowed in place.
     pub candidates: Vec<NodeId>,
+    /// The candidates' scores under one selection criterion.
+    pub scores: Vec<i64>,
     /// Issue cycle per node, for in-order timing of an order.
     pub issue_of: Vec<u64>,
     /// Storage for the next schedule's issue order.
@@ -205,6 +207,7 @@ impl SchedStorage {
             + (self.ready.capacity() + self.candidates.capacity() + self.order.capacity())
                 * size_of::<NodeId>()
             + (self.issue_of.capacity() + self.issue_cycle.capacity()) * size_of::<u64>()
+            + self.scores.capacity() * size_of::<i64>()
     }
 }
 
@@ -233,9 +236,8 @@ pub struct Scratch {
     /// variants (one flat allocation; rows are per-node maps).
     pub(crate) matrix: BitMatrix,
     /// Heuristic storage for the block being compiled. Fill it with
-    /// [`HeuristicSet::compute_into`] or
-    /// [`HeuristicSet::compute_critical_path_into`], which overwrite
-    /// every field, before reading it.
+    /// [`HeuristicSet::fill`], which overwrites every field, before
+    /// reading it.
     pub heuristics: HeuristicSet,
     /// Storage for the scheduling pass.
     pub sched: SchedStorage,

@@ -19,7 +19,8 @@
 //!   block. On a hit the construction / heuristic / scheduling passes are
 //!   skipped entirely (the `PhaseStats` work counters for that block stay
 //!   zero and `cache_hits` increments); on a miss the block is compiled by
-//!   the ordinary [`compile_block`] path and offered back to the cache.
+//!   the ordinary [`compile_block`](crate::driver::compile_block) path
+//!   and offered back to the cache.
 //!   Each lookup carries a [`CacheScope`]: the configuration half of the
 //!   key, hashed once per batch and rung rather than once per block.
 //!   [`NoCache`] is the no-op implementation used by the CLI driver; a
@@ -33,13 +34,12 @@
 use std::time::{Duration, Instant};
 
 use dagsched_core::{default_jobs, map_blocks_with_scratch, PhaseStats, Scratch};
-use dagsched_core::{ConstructError, ConstructionAlgorithm};
+use dagsched_core::{ConstructError, ConstructionAlgorithm, HeuristicPasses};
 use dagsched_isa::{Fnv64, Instruction, MachineModel, Program};
 use dagsched_sched::{CarryOut, Scheduler};
 
 use crate::driver::{
-    compile_block, needs_sequential_carry, BlockOutcome, DriverConfig, HeuristicMode,
-    ScheduledProgram,
+    compile_block_with, needs_sequential_carry, BlockOutcome, DriverConfig, ScheduledProgram,
 };
 
 /// A rung of the cost ladder, from full fidelity down. The paper's core
@@ -56,8 +56,9 @@ pub enum DegradeLevel {
     /// table-building equivalent (same direction); keep the full
     /// heuristic stack and the requested selection strategy.
     CheapConstruction,
-    /// Bottom rung: table-building construction, critical-path-only
-    /// heuristics, and the critical-path fallback scheduler.
+    /// Bottom rung: table-building construction and the critical-path
+    /// fallback scheduler, whose criteria need only the backward
+    /// critical-path heuristics.
     CriticalPathOnly,
 }
 
@@ -255,8 +256,8 @@ impl<'a> CacheScope<'a> {
     /// Hash (`model`, `config`) into the two key streams.
     pub fn new(model: &'a MachineModel, config: &'a DriverConfig) -> CacheScope<'a> {
         let rendering = format!(
-            "{:?}|inherit={}|fill={}|heur={:?}",
-            config.scheduler, config.inherit_latencies, config.fill_delay_slots, config.heuristics
+            "{:?}|inherit={}|fill={}",
+            config.scheduler, config.inherit_latencies, config.fill_delay_slots
         );
         let fingerprint = model.fingerprint();
         let mut streams = [Fnv64::new(), Fnv64::with_seed(KEY_SEED)];
@@ -282,7 +283,8 @@ impl<'a> CacheScope<'a> {
 /// Implementations key on *content*: the block's canonical instruction
 /// bytes plus the machine / algorithm / heuristic configuration, which
 /// the [`CacheScope`] carries already hashed. A `lookup` hit must return
-/// a [`BlockOutcome`] bit-identical to what [`compile_block`] would
+/// a [`BlockOutcome`] bit-identical to what
+/// [`compile_block`](crate::driver::compile_block) would
 /// produce for `insns` under the scope's model and configuration — the
 /// service's cache guarantees this by reconstructing the emitted stream
 /// from the *requesting* block's instructions, so even interned
@@ -351,15 +353,16 @@ impl Ladder {
             scheduler: Scheduler::critical_path_fallback(config.scheduler.policy),
             inherit_latencies: config.inherit_latencies,
             fill_delay_slots: config.fill_delay_slots,
-            heuristics: HeuristicMode::CriticalPathOnly,
         };
         Ladder { cheap, floor }
     }
 }
 
-/// One configuration a batch compiles blocks on, with its cache scope.
+/// One configuration a batch compiles blocks on, with its scheduler's
+/// heuristic passes and its cache scope.
 struct Rung<'a> {
     config: &'a DriverConfig,
+    passes: HeuristicPasses,
     /// `None` when the batch does not consult the cache: the cache is
     /// disabled, or latency inheritance bypasses it.
     scope: Option<CacheScope<'a>>,
@@ -369,6 +372,7 @@ impl<'a> Rung<'a> {
     fn new(model: &'a MachineModel, config: &'a DriverConfig, cached: bool) -> Rung<'a> {
         Rung {
             config,
+            passes: config.scheduler.heuristic_passes(),
             scope: cached.then(|| CacheScope::new(model, config)),
         }
     }
@@ -440,7 +444,8 @@ fn cheap_construction(algo: ConstructionAlgorithm) -> Option<ConstructionAlgorit
     }
 }
 
-/// Compile one block through the cache, falling back to [`compile_block`].
+/// Compile one block through the cache, falling back to
+/// [`compile_block`](crate::driver::compile_block).
 fn compile_one(
     bi: usize,
     insns: &[Instruction],
@@ -456,8 +461,16 @@ fn compile_one(
             return Ok(outcome);
         }
     }
-    let outcome = compile_block(bi, insns, model, rung.config, carry_in, scratch)
-        .map_err(|error| LimitError::Construct { block: bi, error })?;
+    let outcome = compile_block_with(
+        bi,
+        insns,
+        model,
+        rung.config,
+        rung.passes,
+        carry_in,
+        scratch,
+    )
+    .map_err(|error| LimitError::Construct { block: bi, error })?;
     if let Some(scope) = &rung.scope {
         scratch.stats.cache_misses += 1;
         cache.store(insns, scope, &outcome);

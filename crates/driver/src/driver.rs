@@ -1,7 +1,9 @@
 //! Whole-program scheduling driver: the paper's per-block machinery
 //! composed into the pass a compiler backend would actually run.
 
-use dagsched_core::{ConstructError, PhaseStats, Scratch};
+use std::time::Instant;
+
+use dagsched_core::{ConstructError, HeuristicPasses, PhaseStats, Scratch};
 use dagsched_isa::{Instruction, MachineModel, Program};
 use dagsched_pipesim::{simulate, SimOptions};
 use dagsched_sched::{
@@ -10,30 +12,6 @@ use dagsched_sched::{
 };
 
 use crate::batch::{schedule_program_batch, Limits, NoCache};
-
-/// Which heuristic stack [`compile_block`] computes before scheduling.
-///
-/// The serving stack's degradation ladder (see [`crate::batch`]) trades
-/// schedule quality for compile latency by switching this from `Full`
-/// to `CriticalPathOnly` when a request's deadline budget runs low.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HeuristicMode {
-    /// Every static heuristic pass ([`HeuristicSet::compute`]): the
-    /// construction-time sweep, the forward pass, and the backward pass.
-    ///
-    /// [`HeuristicSet::compute`]: dagsched_core::HeuristicSet::compute
-    #[default]
-    Full,
-    /// Only the cheapest useful subset
-    /// ([`HeuristicSet::compute_critical_path`]): execution times,
-    /// original order, and the backward critical-path walk. Valid only
-    /// with a scheduler restricted to those fields (the sched crate's
-    /// `critical_path_fallback`).
-    ///
-    /// [`HeuristicSet::compute_critical_path`]:
-    ///     dagsched_core::HeuristicSet::compute_critical_path
-    CriticalPathOnly,
-}
 
 /// Driver options.
 #[derive(Debug, Clone)]
@@ -46,8 +24,6 @@ pub struct DriverConfig {
     /// Move an instruction into each delayed branch's delay slot (else
     /// the slot instruction stays wherever the partitioner found it).
     pub fill_delay_slots: bool,
-    /// Which heuristic stack to compute per block.
-    pub heuristics: HeuristicMode,
 }
 
 impl Default for DriverConfig {
@@ -56,7 +32,6 @@ impl Default for DriverConfig {
             scheduler: Scheduler::new(SchedulerKind::Warren),
             inherit_latencies: false,
             fill_delay_slots: false,
-            heuristics: HeuristicMode::Full,
         }
     }
 }
@@ -115,8 +90,9 @@ pub struct BlockOutcome {
     pub carry: CarryOut,
 }
 
-/// Compile one basic block: construct the DAG, compute heuristics,
-/// schedule, and emit.
+/// Compile one basic block: construct the DAG, compute the heuristics
+/// the scheduler ranks by ([`Scheduler::heuristic_passes`]), schedule,
+/// and emit.
 ///
 /// `carry_in` is `Some` only when latencies are inherited across block
 /// boundaries (forward schedulers); that mode is inherently sequential
@@ -142,23 +118,37 @@ pub fn compile_block(
     carry_in: Option<&CarryOut>,
     scratch: &mut Scratch,
 ) -> Result<BlockOutcome, ConstructError> {
+    let passes = config.scheduler.heuristic_passes();
+    compile_block_with(bi, insns, model, config, passes, carry_in, scratch)
+}
+
+/// [`compile_block`] with the scheduler's heuristic passes derived by
+/// the caller: the batch loop derives them once per rung, not per
+/// block.
+pub(crate) fn compile_block_with(
+    bi: usize,
+    insns: &[Instruction],
+    model: &MachineModel,
+    config: &DriverConfig,
+    passes: HeuristicPasses,
+    carry_in: Option<&CarryOut>,
+    scratch: &mut Scratch,
+) -> Result<BlockOutcome, ConstructError> {
+    debug_assert_eq!(passes, config.scheduler.heuristic_passes());
     let prepared = scratch.prepare(insns)?;
-    let dag = config.scheduler.construction.run_with_scratch(
+    // Four clock reads: each phase ends where the next begins.
+    let (dag, t_heur) = config.scheduler.construction.run_timed(
         &prepared,
         model,
         config.scheduler.policy,
         scratch,
+        Instant::now(),
     );
-    let t_heur = std::time::Instant::now();
-    let heur = &mut scratch.heuristics;
-    match config.heuristics {
-        HeuristicMode::Full => heur.compute_into(&dag, insns, model, false),
-        HeuristicMode::CriticalPathOnly => heur.compute_critical_path_into(&dag, insns, model),
-    }
-    scratch.stats.heur_ns += t_heur.elapsed().as_nanos() as u64;
+    scratch.heuristics.fill(passes, &dag, &prepared, model);
+    let t_sched = Instant::now();
+    scratch.stats.heur_ns += t_sched.duration_since(t_heur).as_nanos() as u64;
     let heur = &scratch.heuristics;
 
-    let t_sched = std::time::Instant::now();
     let schedule = if let Some(carry) = carry_in {
         let entry = entry_constraints(insns, model, carry);
         let s = config

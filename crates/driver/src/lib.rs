@@ -32,6 +32,6 @@ pub use batch::{
 };
 pub use driver::{
     compile_block, schedule_program, schedule_program_stats, BlockOutcome, BlockReport,
-    DriverConfig, HeuristicMode, ScheduledProgram,
+    DriverConfig, ScheduledProgram,
 };
 pub use parallel::schedule_program_jobs;

@@ -1,6 +1,5 @@
 //! Machine timing model: arc latency rules and function units.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::insn::Instruction;
@@ -136,13 +135,22 @@ pub struct UnitDesc {
 #[derive(Debug, Clone)]
 pub struct MachineModel {
     name: String,
-    latency_overrides: HashMap<Opcode, u32>,
+    /// Result latency per opcode ([`Opcode::index`]): the opcode's
+    /// default, or the override set for it.
+    latency: [u32; Opcode::COUNT],
+    /// Which opcodes' latencies were overridden. The fingerprint covers
+    /// the overrides, not the whole table, so an override equal to the
+    /// default still changes it.
+    overridden: [bool; Opcode::COUNT],
     war_delay: u32,
     waw_delay: u32,
     store_forward_discount: u32,
     second_src_penalty: u32,
     dword_pair_skew: u32,
     units: Vec<UnitDesc>,
+    /// Whether each unit ([`FuncUnit::index`]) is pipelined, as `units`
+    /// says.
+    pipelined: [bool; FuncUnit::COUNT],
     issue_width: u32,
 }
 
@@ -151,36 +159,43 @@ impl MachineModel {
     /// delays of 1, no bypass asymmetries, fully pipelined units except the
     /// FP divider, and single issue.
     pub fn new(name: impl Into<String>) -> MachineModel {
+        let units = vec![
+            UnitDesc {
+                unit: FuncUnit::IntAlu,
+                pipelined: true,
+            },
+            UnitDesc {
+                unit: FuncUnit::LoadStore,
+                pipelined: true,
+            },
+            UnitDesc {
+                unit: FuncUnit::FpAdd,
+                pipelined: true,
+            },
+            UnitDesc {
+                unit: FuncUnit::FpMul,
+                pipelined: true,
+            },
+            UnitDesc {
+                unit: FuncUnit::FpDiv,
+                pipelined: false,
+            },
+        ];
+        let mut pipelined = [true; FuncUnit::COUNT];
+        for u in &units {
+            pipelined[u.unit.index()] = u.pipelined;
+        }
         MachineModel {
             name: name.into(),
-            latency_overrides: HashMap::new(),
+            latency: std::array::from_fn(|i| Opcode::ALL[i].default_latency()),
+            overridden: [false; Opcode::COUNT],
             war_delay: 1,
             waw_delay: 1,
             store_forward_discount: 0,
             second_src_penalty: 0,
             dword_pair_skew: 0,
-            units: vec![
-                UnitDesc {
-                    unit: FuncUnit::IntAlu,
-                    pipelined: true,
-                },
-                UnitDesc {
-                    unit: FuncUnit::LoadStore,
-                    pipelined: true,
-                },
-                UnitDesc {
-                    unit: FuncUnit::FpAdd,
-                    pipelined: true,
-                },
-                UnitDesc {
-                    unit: FuncUnit::FpMul,
-                    pipelined: true,
-                },
-                UnitDesc {
-                    unit: FuncUnit::FpDiv,
-                    pipelined: false,
-                },
-            ],
+            units,
+            pipelined,
             issue_width: 1,
         }
     }
@@ -210,19 +225,19 @@ impl MachineModel {
     /// A model with a deeper floating point pipeline (longer latencies),
     /// useful for stressing critical-path heuristics in ablations.
     pub fn deep_fpu() -> MachineModel {
-        let mut m = MachineModel::new("deep-fpu");
-        m.latency_overrides.insert(Opcode::FAddS, 6);
-        m.latency_overrides.insert(Opcode::FAddD, 6);
-        m.latency_overrides.insert(Opcode::FSubS, 6);
-        m.latency_overrides.insert(Opcode::FSubD, 6);
-        m.latency_overrides.insert(Opcode::FMulS, 10);
-        m.latency_overrides.insert(Opcode::FMulD, 12);
-        m.latency_overrides.insert(Opcode::FDivS, 26);
-        m.latency_overrides.insert(Opcode::FDivD, 40);
-        m.latency_overrides.insert(Opcode::Ld, 3);
-        m.latency_overrides.insert(Opcode::LdF, 3);
-        m.latency_overrides.insert(Opcode::Ldd, 4);
-        m.latency_overrides.insert(Opcode::LdDf, 4);
+        let mut m = MachineModel::new("deep-fpu")
+            .with_latency(Opcode::FAddS, 6)
+            .with_latency(Opcode::FAddD, 6)
+            .with_latency(Opcode::FSubS, 6)
+            .with_latency(Opcode::FSubD, 6)
+            .with_latency(Opcode::FMulS, 10)
+            .with_latency(Opcode::FMulD, 12)
+            .with_latency(Opcode::FDivS, 26)
+            .with_latency(Opcode::FDivD, 40)
+            .with_latency(Opcode::Ld, 3)
+            .with_latency(Opcode::LdF, 3)
+            .with_latency(Opcode::Ldd, 4)
+            .with_latency(Opcode::LdDf, 4);
         m.dword_pair_skew = 1;
         m
     }
@@ -238,8 +253,8 @@ impl MachineModel {
     /// the scheduling service may share cached schedules between them;
     /// any builder-setter change (latency override, WAR/WAW delay, issue
     /// width, unit pipelining) changes the fingerprint. The latency
-    /// override table is hashed in sorted order, so the value does not
-    /// depend on `HashMap` iteration order.
+    /// overrides are hashed sorted by opcode name, so the value does not
+    /// depend on the order they were set in or on the opcodes' order.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::Fnv64::new();
         h.write_str(&self.name);
@@ -249,10 +264,10 @@ impl MachineModel {
         h.write_u32(self.second_src_penalty);
         h.write_u32(self.dword_pair_skew);
         h.write_u32(self.issue_width);
-        let mut overrides: Vec<(String, u32)> = self
-            .latency_overrides
+        let mut overrides: Vec<(String, u32)> = Opcode::ALL
             .iter()
-            .map(|(op, &cycles)| (format!("{op:?}"), cycles))
+            .filter(|op| self.overridden[op.index()])
+            .map(|op| (format!("{op:?}"), self.latency[op.index()]))
             .collect();
         overrides.sort();
         h.write_u64(overrides.len() as u64);
@@ -270,7 +285,8 @@ impl MachineModel {
 
     /// Override the result latency of `op`.
     pub fn with_latency(mut self, op: Opcode, cycles: u32) -> MachineModel {
-        self.latency_overrides.insert(op, cycles);
+        self.latency[op.index()] = cycles;
+        self.overridden[op.index()] = true;
         self
     }
 
@@ -299,17 +315,16 @@ impl MachineModel {
         for u in &mut self.units {
             if u.unit == unit {
                 u.pipelined = pipelined;
+                self.pipelined[unit.index()] = pipelined;
             }
         }
         self
     }
 
     /// Execution (result) latency of an instruction.
+    #[inline]
     pub fn exec_latency(&self, insn: &Instruction) -> u32 {
-        self.latency_overrides
-            .get(&insn.opcode)
-            .copied()
-            .unwrap_or_else(|| insn.opcode.default_latency())
+        self.latency[insn.opcode.index()]
     }
 
     /// The function unit an instruction executes on.
@@ -318,13 +333,9 @@ impl MachineModel {
     }
 
     /// Whether the unit executing `insn` is pipelined.
+    #[inline]
     pub fn unit_pipelined(&self, insn: &Instruction) -> bool {
-        let unit = self.unit_of(insn);
-        self.units
-            .iter()
-            .find(|u| u.unit == unit)
-            .map(|u| u.pipelined)
-            .unwrap_or(true)
+        self.pipelined[self.unit_of(insn).index()]
     }
 
     /// Function unit descriptions.
@@ -534,6 +545,62 @@ mod tests {
         let add = Instruction::int3(Opcode::Add, Reg::o(0), Reg::o(1), Reg::o(2));
         assert!(m.has_delay_slots(&ld));
         assert!(!m.has_delay_slots(&add));
+    }
+
+    /// Cache keys hash the fingerprint, and persisted cache entries
+    /// outlive a build: these values must not change when the model's
+    /// storage does.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let pinned = [
+            (MachineModel::sparc2(), 0xe8fe_9ec8_64e2_fa19_u64),
+            (MachineModel::rs6000_like(), 0xf3ba_852d_6a42_b94e),
+            (MachineModel::deep_fpu(), 0x4fc0_77e8_10e4_808a),
+            (
+                MachineModel::sparc2()
+                    .with_latency(Opcode::Add, 1)
+                    .with_latency(Opcode::FDivD, 25),
+                0x0aea_4c22_aedf_9ed7,
+            ),
+            (
+                MachineModel::new("custom")
+                    .with_unit_pipelined(FuncUnit::FpDiv, true)
+                    .with_war_delay(2)
+                    .with_waw_delay(3)
+                    .with_issue_width(2),
+                0x18df_2bf6_a49d_d539,
+            ),
+        ];
+        for (model, fingerprint) in pinned {
+            assert_eq!(model.fingerprint(), fingerprint, "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn dense_tables_follow_the_setters() {
+        let m = MachineModel::deep_fpu()
+            .with_latency(Opcode::Add, 3)
+            .with_unit_pipelined(FuncUnit::FpDiv, true)
+            .with_unit_pipelined(FuncUnit::IntAlu, false);
+        for &op in Opcode::ALL {
+            let insn = Instruction::new(op);
+            let expected = match op {
+                Opcode::Add => 3,
+                Opcode::FAddS | Opcode::FAddD | Opcode::FSubS | Opcode::FSubD => 6,
+                Opcode::FMulS => 10,
+                Opcode::FMulD => 12,
+                Opcode::FDivS => 26,
+                Opcode::FDivD => 40,
+                Opcode::Ld | Opcode::LdF => 3,
+                Opcode::Ldd | Opcode::LdDf => 4,
+                _ => op.default_latency(),
+            };
+            assert_eq!(m.exec_latency(&insn), expected, "{op:?}");
+            let unit = m.unit_of(&insn);
+            let listed = m.units().iter().find(|u| u.unit == unit).unwrap();
+            assert_eq!(m.unit_pipelined(&insn), listed.pipelined, "{op:?}");
+            assert_eq!(m.unit_pipelined(&insn), unit != FuncUnit::IntAlu, "{op:?}");
+        }
     }
 
     #[test]

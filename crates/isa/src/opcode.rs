@@ -179,6 +179,16 @@ impl Opcode {
         Opcode::Nop,
     ];
 
+    /// Number of opcodes: the length of a table indexed by
+    /// [`Opcode::index`].
+    pub const COUNT: usize = Opcode::ALL.len();
+
+    /// Dense index of this opcode (`0..COUNT`, in [`Opcode::ALL`]
+    /// order), for per-opcode tables such as a model's latencies.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// The functional class of this opcode.
     pub fn class(&self) -> InsnClass {
         use Opcode::*;
@@ -436,6 +446,14 @@ mod tests {
             assert!(seen.insert(*op), "duplicate in ALL: {op:?}");
         }
         assert_eq!(Opcode::ALL.len(), 53);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, op) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(op.index(), i, "{op:?}");
+        }
+        assert_eq!(Opcode::COUNT, Opcode::ALL.len());
     }
 
     #[test]

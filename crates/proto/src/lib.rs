@@ -1124,7 +1124,6 @@ pub fn build_driver_config(
             scheduler,
             inherit_latencies: req.inherit,
             fill_delay_slots: req.fill_slots,
-            ..DriverConfig::default()
         },
         model,
     ))

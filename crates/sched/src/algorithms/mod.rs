@@ -14,7 +14,8 @@
 //! | Warren | `n**2` forward | forward | earliest time, alternate type, max delay to leaf, register liveness, #uncovered, original order |
 
 use dagsched_core::{
-    ConstructionAlgorithm, Dag, HeuristicSet, MemDepPolicy, PreparedBlock, SchedStorage,
+    ConstructionAlgorithm, Dag, HeuristicPasses, HeuristicSet, MemDepPolicy, PreparedBlock,
+    SchedStorage,
 };
 use dagsched_isa::{Instruction, MachineModel};
 
@@ -219,12 +220,12 @@ impl Scheduler {
     /// table-building construction, ranked by the critical-path pair
     /// alone (max delay to a leaf, original order as the tie-break).
     ///
-    /// This configuration deliberately consumes only the heuristic
-    /// fields that `HeuristicSet::compute_critical_path` populates
-    /// (`exec_time`, `original_order`, `max_delay_to_leaf` — the gating
-    /// reads dynamic state, not static heuristics), so a deadline-starved
-    /// worker can skip the full annotation passes and still emit a valid,
-    /// competitive schedule. `kind` is reported as [`SchedulerKind::Warren`]
+    /// Its criteria read only `max_delay_to_leaf` and `original_order`
+    /// (the gating reads dynamic state, not static heuristics), so its
+    /// [`Scheduler::heuristic_passes`] are the backward critical-path
+    /// pair alone: a deadline-starved worker skips every other
+    /// annotation pass and still emits a valid, competitive schedule.
+    /// `kind` is reported as [`SchedulerKind::Warren`]
     /// — the closest published ancestor (Warren's scheduler minus the
     /// register-pressure and type-alternation refinements) — since the
     /// fallback is a configuration of the framework, not a seventh
@@ -264,13 +265,23 @@ impl Scheduler {
         self
     }
 
+    /// The static heuristic passes this scheduler's ranked criteria read
+    /// ([`SelectStrategy::passes`]): the heuristic calculation its
+    /// scheduling pass pays for. A set filled with these
+    /// ([`HeuristicSet::fill`]) schedules exactly as the full set does.
+    pub fn heuristic_passes(&self) -> HeuristicPasses {
+        self.list.strategy.passes()
+    }
+
     /// Run the complete three-step pipeline on one basic block: DAG
-    /// construction, heuristic calculation, scheduling (plus the postpass
+    /// construction, heuristic calculation (the passes of
+    /// [`Scheduler::heuristic_passes`]), scheduling (plus the postpass
     /// fixup where the algorithm uses one).
     pub fn schedule_block(&self, insns: &[Instruction], model: &MachineModel) -> Schedule {
         let prepared = PreparedBlock::new(insns);
         let dag = self.construction.run(&prepared, model, self.policy);
-        let heur = HeuristicSet::compute(&dag, insns, model, false);
+        let mut heur = HeuristicSet::default();
+        heur.fill(self.heuristic_passes(), &dag, &prepared, model);
         self.schedule_dag(&dag, insns, model, &heur)
     }
 
@@ -417,7 +428,9 @@ mod tests {
         let dag = sched.construction.run(&prepared, &model, sched.policy);
         // The degraded heuristic stack: no construction / forward
         // annotation passes, only the backward critical-path walk.
-        let heur = HeuristicSet::compute_critical_path(&dag, &insns, &model);
+        assert_eq!(sched.heuristic_passes(), HeuristicPasses::CRITICAL_PATH);
+        let mut heur = HeuristicSet::default();
+        heur.fill(sched.heuristic_passes(), &dag, &prepared, &model);
         let s = sched.schedule_dag(&dag, &insns, &model, &heur);
         s.verify(&dag).unwrap();
         assert_eq!(s.len(), insns.len());
@@ -430,6 +443,30 @@ mod tests {
             &model,
         );
         assert!(s.makespan(&insns, &model) <= orig.makespan(&insns, &model));
+    }
+
+    #[test]
+    fn each_scheduler_pays_for_the_passes_its_criteria_read() {
+        use HeuristicPasses as P;
+        let passes = |k| Scheduler::new(k).heuristic_passes();
+        assert_eq!(
+            passes(SchedulerKind::Warren),
+            P::REGISTERS | P::CRITICAL_PATH
+        );
+        assert_eq!(passes(SchedulerKind::Tiemann), P::FORWARD);
+        assert_eq!(passes(SchedulerKind::Schlansker), P::SLACK);
+        assert_eq!(
+            passes(SchedulerKind::GibbonsMuchnick),
+            P::ARCS | P::CRITICAL_PATH
+        );
+        assert_eq!(passes(SchedulerKind::Krishnamurthy), P::CRITICAL_PATH);
+        assert_eq!(
+            passes(SchedulerKind::ShiehPapachristou),
+            P::ARCS | P::FORWARD | P::CRITICAL_PATH
+        );
+        for &kind in SchedulerKind::ALL {
+            assert_ne!(passes(kind), P::ALL, "{kind}");
+        }
     }
 
     #[test]

@@ -125,6 +125,7 @@ impl ListScheduler {
             dyn_state,
             ready,
             candidates: selectable,
+            scores,
             order,
             issue_cycle,
             ..
@@ -191,20 +192,19 @@ impl ListScheduler {
                 time,
                 last_class: order.last().map(|&p: &NodeId| insns[p.index()].class()),
             };
-            let chosen = ctx.select_in(&self.strategy, selectable);
+            let chosen = ctx.select_in(&self.strategy, selectable, scores);
             // Issue time: under AllReady gating the machine may still have
             // to wait for operands; record the true earliest issue.
             let issue = time
                 .max(dyn_state.earliest_exec[chosen.index()])
                 .max(dyn_state.unit_free_at(model, &insns[chosen.index()], time));
             dyn_state.on_schedule(dag, insns, model, chosen, issue);
-            ready.retain(|&c| c != chosen);
+            remove_sorted(ready, chosen);
             for arc in dag.out_arcs(chosen) {
                 if dyn_state.ready_forward(arc.to) {
-                    ready.push(arc.to);
+                    insert_sorted(ready, arc.to);
                 }
             }
-            ready.sort_unstable();
             order.push(chosen);
             issue_cycle.push(issue);
             time = issue + 1;
@@ -251,18 +251,31 @@ impl ListScheduler {
             };
             let chosen = ctx.select(&self.strategy, selectable);
             dyn_state.on_schedule_backward(dag, chosen, self.birthing_boost);
-            ready.retain(|&c| c != chosen);
+            remove_sorted(ready, chosen);
             for arc in dag.in_arcs(chosen) {
                 if dyn_state.ready_backward(arc.from) {
-                    ready.push(arc.from);
+                    insert_sorted(ready, arc.from);
                 }
             }
-            ready.sort_unstable();
             rev_order.push(chosen);
         }
         rev_order.reverse();
         Schedule::from_order_in(rev_order, dag, insns, model, storage)
     }
+}
+
+/// Remove `node` from the ascending, duplicate-free `ready` list.
+fn remove_sorted(ready: &mut Vec<NodeId>, node: NodeId) {
+    if let Ok(pos) = ready.binary_search(&node) {
+        ready.remove(pos);
+    }
+}
+
+/// Insert a newly ready `node` into the ascending `ready` list, keeping
+/// it the order a sort would give.
+fn insert_sorted(ready: &mut Vec<NodeId>, node: NodeId) {
+    let (Ok(pos) | Err(pos)) = ready.binary_search(&node);
+    ready.insert(pos, node);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! given order in a winnowing-like process." Both mechanisms are
 //! implemented over a common vocabulary of heuristic keys.
 
-use dagsched_core::{Dag, DynState, HeuristicSet, NodeId};
+use dagsched_core::{Dag, DynState, HeuristicPasses, HeuristicSet, NodeId};
 use dagsched_isa::{InsnClass, Instruction, MachineModel};
 
 /// A heuristic usable for candidate selection. Static keys read the
@@ -110,6 +110,38 @@ impl HeurKey {
             _ => "",
         }
     }
+
+    /// The static heuristic passes that fill the field this key reads,
+    /// by its Table 1 calculation method ([`HeurKey::pass_code`]):
+    /// none for execution time, original order and the dynamic (`v`)
+    /// keys, which every heuristic set carries or the scheduler's
+    /// [`DynState`] holds.
+    pub fn passes(self) -> HeuristicPasses {
+        use HeuristicPasses as P;
+        match self {
+            HeurKey::ExecTime | HeurKey::OriginalOrder => P::NONE,
+            HeurKey::InterlockWithChild
+            | HeurKey::NumChildren
+            | HeurKey::SumDelaysToChildren
+            | HeurKey::MaxDelayToChild
+            | HeurKey::NumParents
+            | HeurKey::SumDelaysFromParents
+            | HeurKey::MaxDelayFromParent => P::ARCS,
+            HeurKey::RegsBorn | HeurKey::RegsKilled | HeurKey::Liveness => P::REGISTERS,
+            HeurKey::MaxPathFromRoot | HeurKey::MaxDelayFromRoot | HeurKey::Est => P::FORWARD,
+            HeurKey::MaxPathToLeaf | HeurKey::MaxDelayToLeaf => P::CRITICAL_PATH,
+            HeurKey::Lst | HeurKey::Slack => P::SLACK,
+            HeurKey::NumDescendants | HeurKey::SumExecDescendants => P::DESCENDANTS,
+            HeurKey::NoInterlockWithPrevious
+            | HeurKey::EarliestExecTime
+            | HeurKey::NoFpuInterlock
+            | HeurKey::AlternateType
+            | HeurKey::NumSingleParentChildren
+            | HeurKey::SumDelaysSingleParentChildren
+            | HeurKey::NumUncoveredChildren
+            | HeurKey::BirthingAdjust => P::NONE,
+        }
+    }
 }
 
 /// Preference direction for a criterion's value.
@@ -178,6 +210,15 @@ impl SelectStrategy {
     /// "(priority fn)" annotation).
     pub fn is_priority_fn(&self) -> bool {
         matches!(self, SelectStrategy::Priority(_))
+    }
+
+    /// The static heuristic passes the ranked criteria read: the union
+    /// of [`HeurKey::passes`] over them.
+    pub fn passes(&self) -> HeuristicPasses {
+        let (SelectStrategy::Winnowing(criteria) | SelectStrategy::Priority(criteria)) = self;
+        criteria
+            .iter()
+            .fold(HeuristicPasses::NONE, |p, c| p | c.key.passes())
     }
 }
 
@@ -287,21 +328,30 @@ impl SelectCtx<'_> {
     /// Panics if `candidates` is empty.
     pub fn select(&self, strategy: &SelectStrategy, candidates: &[NodeId]) -> NodeId {
         match strategy {
-            SelectStrategy::Winnowing(_) => self.select_in(strategy, &mut candidates.to_vec()),
+            SelectStrategy::Winnowing(_) => {
+                self.select_in(strategy, &mut candidates.to_vec(), &mut Vec::new())
+            }
             SelectStrategy::Priority(criteria) => self.best_priority(criteria, candidates),
         }
     }
 
     /// [`SelectCtx::select`] over a candidate buffer the caller owns and
     /// lets this call consume: winnowing narrows `candidates` in place
-    /// instead of copying it, so a scheduler that refills one buffer per
-    /// step selects without allocating. On return the buffer holds an
-    /// unspecified subset of the candidates.
+    /// instead of copying it, scoring each remaining candidate once per
+    /// criterion into `scores`, so a scheduler that refills one buffer
+    /// per step selects without allocating. On return the buffer holds
+    /// an unspecified subset of the candidates, and `scores` holds
+    /// unspecified values.
     ///
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
-    pub fn select_in(&self, strategy: &SelectStrategy, candidates: &mut Vec<NodeId>) -> NodeId {
+    pub fn select_in(
+        &self,
+        strategy: &SelectStrategy,
+        candidates: &mut Vec<NodeId>,
+        scores: &mut Vec<i64>,
+    ) -> NodeId {
         match strategy {
             SelectStrategy::Winnowing(criteria) => {
                 assert!(!candidates.is_empty(), "no candidates to select from");
@@ -309,8 +359,16 @@ impl SelectCtx<'_> {
                     if candidates.len() == 1 {
                         break;
                     }
-                    let best = candidates.iter().map(|&n| self.score(*c, n)).max();
-                    candidates.retain(|&n| Some(self.score(*c, n)) == best);
+                    scores.clear();
+                    scores.extend(candidates.iter().map(|&n| self.score(*c, n)));
+                    let best = scores.iter().copied().max();
+                    // `retain` visits the candidates once each, in order,
+                    // so the k-th visit reads the k-th score.
+                    let mut k = 0;
+                    candidates.retain(|_| {
+                        k += 1;
+                        Some(scores[k - 1]) == best
+                    });
                 }
                 candidates[0]
             }
@@ -379,6 +437,122 @@ mod tests {
             dyn_state,
             time: 0,
             last_class: None,
+        }
+    }
+
+    /// Every key, listed through an exhaustive match: a key added to
+    /// [`HeurKey`] fails to compile here until it is listed (and
+    /// [`HeurKey::passes`] until it names its passes).
+    fn every_key() -> Vec<HeurKey> {
+        use HeurKey::*;
+        let keys = vec![
+            ExecTime,
+            InterlockWithChild,
+            MaxPathToLeaf,
+            MaxDelayToLeaf,
+            MaxPathFromRoot,
+            MaxDelayFromRoot,
+            Est,
+            Lst,
+            Slack,
+            NumChildren,
+            SumDelaysToChildren,
+            MaxDelayToChild,
+            NumParents,
+            SumDelaysFromParents,
+            MaxDelayFromParent,
+            NumDescendants,
+            SumExecDescendants,
+            RegsBorn,
+            RegsKilled,
+            Liveness,
+            OriginalOrder,
+            NoInterlockWithPrevious,
+            EarliestExecTime,
+            NoFpuInterlock,
+            AlternateType,
+            NumSingleParentChildren,
+            SumDelaysSingleParentChildren,
+            NumUncoveredChildren,
+            BirthingAdjust,
+        ];
+        for &k in &keys {
+            match k {
+                ExecTime
+                | InterlockWithChild
+                | MaxPathToLeaf
+                | MaxDelayToLeaf
+                | MaxPathFromRoot
+                | MaxDelayFromRoot
+                | Est
+                | Lst
+                | Slack
+                | NumChildren
+                | SumDelaysToChildren
+                | MaxDelayToChild
+                | NumParents
+                | SumDelaysFromParents
+                | MaxDelayFromParent
+                | NumDescendants
+                | SumExecDescendants
+                | RegsBorn
+                | RegsKilled
+                | Liveness
+                | OriginalOrder
+                | NoInterlockWithPrevious
+                | EarliestExecTime
+                | NoFpuInterlock
+                | AlternateType
+                | NumSingleParentChildren
+                | SumDelaysSingleParentChildren
+                | NumUncoveredChildren
+                | BirthingAdjust => {}
+            }
+        }
+        keys
+    }
+
+    /// A key's passes follow its Table 1 calculation method: `f` keys
+    /// need the forward pass, `b` keys a backward pass (LST its EST as
+    /// well), `f+b` both, and `v` keys nothing static.
+    #[test]
+    fn passes_follow_the_calculation_method() {
+        use HeuristicPasses as P;
+        let backward = [P::CRITICAL_PATH, P::SLACK, P::DESCENDANTS];
+        for key in every_key() {
+            let p = key.passes();
+            match key.pass_code() {
+                "f" => assert_eq!(p, P::FORWARD, "{key:?}"),
+                "b" => assert!(backward.contains(&p), "{key:?}: {p:?}"),
+                "f+b" => assert_eq!(p, P::SLACK, "{key:?}"),
+                "v" => assert_eq!(p, P::NONE, "{key:?}"),
+                _ => assert!(
+                    [P::NONE, P::ARCS, P::REGISTERS].contains(&p),
+                    "{key:?}: {p:?}"
+                ),
+            }
+        }
+        assert_eq!(every_key().len(), 29);
+    }
+
+    /// Filled with a key's passes, a set holds that key's value for every
+    /// node: it reads as it does from the full set.
+    #[test]
+    fn each_key_reads_the_same_from_its_own_passes() {
+        let f = fixture();
+        let prepared = dagsched_core::PreparedBlock::new(&f.insns);
+        let dyn_state = DynState::new(&f.dag);
+        let full = ctx(&f, &dyn_state);
+        for key in every_key() {
+            let mut heur = HeuristicSet::default();
+            heur.fill(key.passes(), &f.dag, &prepared, &f.model);
+            let own = SelectCtx {
+                heur: &heur,
+                ..ctx(&f, &dyn_state)
+            };
+            for node in f.dag.node_ids() {
+                assert_eq!(own.eval(key, node), full.eval(key, node), "{key:?} {node}");
+            }
         }
     }
 

@@ -175,7 +175,6 @@ fn driver_config(opts: &Options) -> DriverConfig {
             .with_policy(opts.policy),
         inherit_latencies: opts.inherit,
         fill_delay_slots: opts.fill_slots,
-        ..DriverConfig::default()
     }
 }
 

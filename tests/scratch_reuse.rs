@@ -3,17 +3,18 @@
 //!
 //! Heuristic vectors, prepared lists, DAG columns and the scheduler's
 //! state are refilled in place, so the dangerous orders are a large block
-//! followed by smaller ones (a stale tail), a full set followed by the
-//! critical-path subset (stale fields), and one construction algorithm
-//! right after another in the same recycled DAG. All are exercised here,
-//! then whole batches through the driver, then the keep limit.
+//! followed by smaller ones (a stale tail), a full set followed by a set
+//! of fewer passes (stale fields), and one construction algorithm right
+//! after another in the same recycled DAG. All are exercised here, then
+//! whole batches through the driver, then the keep limit.
 
 use std::time::{Duration, Instant};
 
 use dagsched::batch::{schedule_program_batch_scratch, DegradePolicy, Limits, NoCache};
 use dagsched::core::closure::reference_heuristics;
 use dagsched::core::{
-    ConstructionAlgorithm, HeuristicSet, MemDepPolicy, PreparedBlock, Scratch, SCRATCH_KEEP_BYTES,
+    ConstructionAlgorithm, HeuristicPasses, HeuristicSet, MemDepPolicy, PreparedBlock, Scratch,
+    SCRATCH_KEEP_BYTES,
 };
 use dagsched::driver::{compile_block, DriverConfig};
 use dagsched::isa::{Instruction, MachineModel, Program};
@@ -37,8 +38,8 @@ fn blocks_by_size(program: &Program, min_len: usize) -> Vec<Vec<Instruction>> {
     out
 }
 
-/// The critical-path fields of `h`, which `compute_critical_path_into`
-/// fills; every other field must be empty.
+/// The critical-path fields of `h`, which the degradation floor's
+/// passes fill; every other field must be empty.
 fn critical_path_fields(h: &HeuristicSet) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>) {
     let empty = HeuristicSet {
         exec_time: h.exec_time.clone(),
@@ -67,6 +68,19 @@ fn reused_heuristic_storage_never_leaks_between_blocks() {
     blocks.extend(blocks_by_size(&program("grep"), 2).into_iter().take(12));
     assert!(blocks[0].len() > 500, "{}", blocks[0].len());
 
+    // Every pass and every published scheduler's passes, then the
+    // degradation floor's, then `compute`'s without descendants, in
+    // turn: each set follows one with other fields filled.
+    let full = HeuristicPasses::ARCS | HeuristicPasses::REGISTERS | HeuristicPasses::SLACK;
+    let floor = Scheduler::critical_path_fallback(policy).heuristic_passes();
+    let mut rotation = vec![HeuristicPasses::ALL];
+    rotation.extend(
+        SchedulerKind::ALL
+            .iter()
+            .map(|&k| Scheduler::new(k).heuristic_passes()),
+    );
+    rotation.extend([floor, full]);
+
     let mut scratch = Scratch::new();
     for (k, insns) in blocks.iter().enumerate() {
         let prepared = PreparedBlock::new(insns);
@@ -76,45 +90,34 @@ fn reused_heuristic_storage_never_leaks_between_blocks() {
             policy,
             &mut scratch,
         );
-        match k % 3 {
-            0 | 2 => {
-                let with_descendants = k % 3 == 0;
-                scratch
-                    .heuristics
-                    .compute_into(&dag, insns, &model, with_descendants);
-                let fresh = HeuristicSet::compute(&dag, insns, &model, with_descendants);
-                assert_eq!(
-                    scratch.heuristics,
-                    fresh,
-                    "block {k} ({} insns)",
-                    insns.len()
-                );
-                let reference = reference_heuristics(&dag, insns, &model, with_descendants);
-                assert_eq!(scratch.heuristics, reference, "block {k}");
-            }
-            _ => {
-                scratch
-                    .heuristics
-                    .compute_critical_path_into(&dag, insns, &model);
-                let fresh = HeuristicSet::compute_critical_path(&dag, insns, &model);
-                assert_eq!(
-                    scratch.heuristics,
-                    fresh,
-                    "block {k} ({} insns)",
-                    insns.len()
-                );
-                let reference = reference_heuristics(&dag, insns, &model, false);
-                assert_eq!(
-                    critical_path_fields(&scratch.heuristics),
-                    (
-                        reference.exec_time,
-                        reference.original_order,
-                        reference.max_path_to_leaf,
-                        reference.max_delay_to_leaf,
-                    ),
-                    "block {k}"
-                );
-            }
+        let passes = rotation[k % rotation.len()];
+        scratch.heuristics.fill(passes, &dag, &prepared, &model);
+        let mut fresh = HeuristicSet::default();
+        fresh.fill(passes, &dag, &prepared, &model);
+        assert_eq!(
+            scratch.heuristics,
+            fresh,
+            "block {k} ({} insns), {passes:?}",
+            insns.len()
+        );
+        if passes == HeuristicPasses::ALL || passes == full {
+            let with_descendants = passes == HeuristicPasses::ALL;
+            let reference = reference_heuristics(&dag, insns, &model, with_descendants);
+            assert_eq!(scratch.heuristics, reference, "block {k}");
+            let computed = HeuristicSet::compute(&dag, insns, &model, with_descendants);
+            assert_eq!(scratch.heuristics, computed, "block {k}");
+        } else if passes == floor {
+            let reference = reference_heuristics(&dag, insns, &model, false);
+            assert_eq!(
+                critical_path_fields(&scratch.heuristics),
+                (
+                    reference.exec_time,
+                    reference.original_order,
+                    reference.max_path_to_leaf,
+                    reference.max_delay_to_leaf,
+                ),
+                "block {k}"
+            );
         }
     }
 }
@@ -265,9 +268,10 @@ fn recycled_dag_lists_and_scheduler_state_never_leak_between_blocks() {
 fn a_block_past_the_keep_limit_is_not_kept() {
     let model = MachineModel::sparc2();
     let config = DriverConfig::default();
-    // 5,000 writes of one register, built by table building (`n**2`
-    // would link all 12.5M pairs): about 260 bytes of prepared lists,
-    // DAG, heuristics and scheduler state per instruction.
+    // 8,000 writes of one register, built by table building (`n**2`
+    // would link all 32M pairs): about 200 bytes of prepared lists,
+    // DAG, heuristics and scheduler state per instruction under
+    // Warren's heuristic passes.
     let table = DriverConfig {
         scheduler: config
             .scheduler
@@ -275,7 +279,7 @@ fn a_block_past_the_keep_limit_is_not_kept() {
             .with_construction(ConstructionAlgorithm::TableForward),
         ..config.clone()
     };
-    let chain = parse_asm(&"add %o0, 1, %o0\n".repeat(5000)).unwrap().insns;
+    let chain = parse_asm(&"add %o0, 1, %o0\n".repeat(8000)).unwrap().insns;
     let small = blocks_by_size(&program("tomcatv"), 2);
 
     let mut scratch = Scratch::new();
@@ -283,7 +287,7 @@ fn a_block_past_the_keep_limit_is_not_kept() {
     let warm = scratch.retained_bytes();
     assert!(warm > 0 && warm <= SCRATCH_KEEP_BYTES, "{warm}");
 
-    // Kept, the chain's storage would pass the limit (about 1.3 MB), so
+    // Kept, the chain's storage would pass the limit (about 1.6 MB), so
     // the arena releases all of it: nothing at all is retained.
     compile_like_fresh("chain", &chain, &model, &table, &mut scratch);
     assert_eq!(scratch.retained_bytes(), 0, "the chain's storage was kept");

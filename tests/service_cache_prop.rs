@@ -34,7 +34,6 @@ proptest! {
             scheduler: Scheduler::new(SchedulerKind::ALL[sched_ix % SchedulerKind::ALL.len()]),
             inherit_latencies: false,
             fill_delay_slots: fill_slots,
-            ..DriverConfig::default()
         };
         let limits = Limits::none();
 
