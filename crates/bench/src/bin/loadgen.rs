@@ -128,7 +128,10 @@
 //! trials. Typed errors are terminal outcomes here. Gates:
 //!
 //! - outcome: `router_alive`, `all_terminal`, `bit_identical`,
-//!   `no_transport_errors`, `graceful_shutdown`;
+//!   `no_transport_errors`, `graceful_shutdown`, and `latency_ms_p99`
+//!   (the paced load's p99 at most 1,000 ms, half the router's 2 s
+//!   shard timeout: requests caught by the cut link must be answered by
+//!   a hedge, not wait the timeout out);
 //! - firing: `breaker_opened_on_cut`, `breaker_closed_after_heal`, and
 //!   at least one each of the router's `failovers`,
 //!   `shards_marked_down`, `hedged_requests` and `hedge_wins`.
@@ -683,6 +686,14 @@ impl Tally {
 
     fn answered(&mut self, since: Instant) {
         self.latencies_ns.push(since.elapsed().as_nanos() as u64);
+    }
+
+    /// The `p`th percentile latency in milliseconds, as the artifact
+    /// reports it (`latency_ms_p99` for `p` = 99).
+    fn latency_ms(&self, p: f64) -> f64 {
+        let mut lat = self.latencies_ns.clone();
+        lat.sort_unstable();
+        percentile(&lat, p) as f64 / 1e6
     }
 
     fn typed_error(&mut self, since: Instant, code: &str) {
@@ -1247,12 +1258,11 @@ fn finish(
     extra: Vec<(&str, Json)>,
     gates: Vec<Gate>,
 ) -> ! {
-    let mut lat = t.latencies_ns.clone();
-    lat.sort_unstable();
+    let lat = &t.latencies_ns;
     let ms = |ns: u64| ns as f64 / 1e6;
     let mean = lat.iter().sum::<u64>().checked_div(lat.len() as u64);
     let secs = elapsed.as_secs_f64();
-    let pct = |p| Json::from(ms(percentile(&lat, p)));
+    let pct = |p| Json::from(t.latency_ms(p));
     let by_code = t.typed.iter().map(|(c, n)| (c.clone(), Json::from(*n)));
     let mut fields = vec![
         ("mode", Json::from(run.mode)),
@@ -1276,7 +1286,7 @@ fn finish(
         ("latency_ms_mean", Json::from(ms(mean.unwrap_or(0)))),
         (
             "latency_ms_max",
-            Json::from(ms(lat.last().copied().unwrap_or(0))),
+            Json::from(ms(lat.iter().max().copied().unwrap_or(0))),
         ),
         ("cache_hits", Json::from(t.hits)),
         ("cache_misses", Json::from(t.misses)),
@@ -1303,8 +1313,8 @@ fn finish(
         run.requests,
         t.typed_total(),
         t.failed,
-        ms(percentile(&lat, 50.0)),
-        ms(percentile(&lat, 99.0)),
+        t.latency_ms(50.0),
+        t.latency_ms(99.0),
     );
     let failed: Vec<&Gate> = gates.iter().filter(|g| !g.passed()).collect();
     for g in &failed {
@@ -1782,6 +1792,10 @@ fn cluster_policy(netchaos: bool, client_idx: usize) -> RetryPolicy {
     }
 }
 
+/// How long the netchaos audit's router waits on a shard leg that moves
+/// no bytes (a blackholed link) before the leg fails.
+const NETCHAOS_SHARD_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Router counters the netchaos audit needs to see fire at least once.
 const ROUTER_FIRING: [&str; 4] = [
     "failovers",
@@ -1909,14 +1923,7 @@ fn cluster(opts: Options) -> ! {
         // Snappy forwards: a blackholed write must be abandoned fast
         // enough that the hedge race and the failover ladder both fit
         // inside the paced clients' patience.
-        router_config.shard_retry = RetryPolicy {
-            max_retries: 1,
-            base_delay: Duration::from_millis(5),
-            max_delay: Duration::from_millis(50),
-            per_attempt_timeout: Some(Duration::from_secs(2)),
-            overall_timeout: Some(Duration::from_secs(8)),
-            jitter_seed: opts.chaos_seed,
-        };
+        router_config.shard_timeout = NETCHAOS_SHARD_TIMEOUT;
     }
     let router = serve_router(Listen::Unix(root.join("router.sock")), router_config)
         .unwrap_or_else(|e| fatal(format!("router: {e}")));
@@ -2066,6 +2073,14 @@ fn cluster(opts: Options) -> ! {
     ]);
     if opts.netchaos {
         gates.push(alive_gate("router_alive", router_alive));
+        // A request stuck behind the cut link waits out the whole shard
+        // timeout unless a hedge answers it first.
+        let p99_bound = NETCHAOS_SHARD_TIMEOUT.as_secs_f64() * 1e3 / 2.0;
+        gates.push(Gate::bound(
+            "latency_ms_p99",
+            Some(tally.latency_ms(99.0)),
+            Bound::AtMost(p99_bound),
+        ));
         for name in ROUTER_FIRING {
             gates.push(fired(name, counter(Some(&router_metrics), name)));
         }

@@ -19,7 +19,8 @@
 //!   is dropped) →
 //!   replica set in ring order → any other live shard ordered by
 //!   health score (`rerouted`, a cache miss rather than an error) →
-//!   retryable `busy` only when nothing at all is live.
+//!   retryable `busy` only when nothing at all is live. This ladder is
+//!   the router's only retry: each rung dials once and sends once.
 //! - **Replication**: fresh compiles on a key's primary are re-issued
 //!   asynchronously on its first ring successor (R = 2 by default), so
 //!   losing the primary finds a warm replica.
@@ -31,8 +32,10 @@
 //!
 //! The router exposes the daemon's `Ping`/`Metrics`/`Shutdown` frames
 //! plus the shared `Admin` frame for membership, so the existing
-//! [`dagsched_service::client::Client`] (retry policy included) talks
-//! to a router and a single daemon interchangeably.
+//! [`dagsched_service::client::Client`] talks to a router and a single
+//! daemon interchangeably. Retry budgets live in the client only: the
+//! client resends after a retryable error, the router only walks its
+//! ladder.
 
 pub mod ring;
 pub mod server;

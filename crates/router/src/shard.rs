@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use dagsched_proto::json::Json;
 use dagsched_proto::{AdminCommand, FrameAssembler, FrameKind, DEFAULT_MAX_FRAME};
-use dagsched_service::client::{Client, ClientError, RetryPolicy};
+use dagsched_service::client::{Client, ClientError};
 #[cfg(not(unix))]
 use dagsched_service::reactor::NO_POLL_TICK;
 use dagsched_service::reactor::{lock_recover, Stream};
@@ -165,7 +165,7 @@ pub struct ShardState {
     /// Requests sent to this shard (forwards, hedges and replication
     /// writes; any outcome, a failed dial included).
     pub requests: AtomicU64,
-    /// Forwarding failures (transport or exhausted retries).
+    /// Failed forwards and probes.
     pub failures: AtomicU64,
     /// Requests that failed over *away* from this shard while it was
     /// in the key's replica set.
@@ -374,10 +374,9 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    /// Dial `endpoint`, retrying the dial itself under `policy`.
-    fn dial(endpoint: &str, policy: &RetryPolicy) -> Result<Link, ClientError> {
-        let (client, _) = Client::connect_with_retry(endpoint, policy)?;
-        let stream = client.into_stream();
+    /// Dial `endpoint` once: a refused dial fails the rung at once.
+    fn dial(endpoint: &str) -> Result<Link, ClientError> {
+        let stream = Client::connect(endpoint)?.into_stream();
         stream.set_nonblocking(true)?;
         Ok(Link {
             stream,
@@ -397,24 +396,20 @@ impl Link {
     }
 
     /// The instant this link times out: `timeout` after bytes last
-    /// moved on it (`None` waits without bound).
-    pub(crate) fn deadline(&self, timeout: Option<Duration>) -> Option<Instant> {
-        timeout.and_then(|t| self.progress.checked_add(t))
+    /// moved on it (`None` when that instant is past the clock's range).
+    pub(crate) fn deadline(&self, timeout: Duration) -> Option<Instant> {
+        self.progress.checked_add(timeout)
     }
 
     /// Whether `timeout` has passed since bytes last moved.
-    pub(crate) fn expired(&self, timeout: Option<Duration>) -> bool {
+    pub(crate) fn expired(&self, timeout: Duration) -> bool {
         self.deadline(timeout).is_some_and(|t| Instant::now() >= t)
     }
 
     /// Write `frame` whole before returning: the shard never sees a
     /// request cut short by the router. Fails when the socket breaks or
     /// accepts nothing for `timeout`.
-    pub(crate) fn send(
-        &mut self,
-        frame: &[u8],
-        timeout: Option<Duration>,
-    ) -> Result<(), ClientError> {
+    pub(crate) fn send(&mut self, frame: &[u8], timeout: Duration) -> Result<(), ClientError> {
         self.progress = Instant::now();
         let mut pos = 0;
         while pos < frame.len() {
@@ -511,20 +506,16 @@ pub(crate) struct ShardConns {
 
 impl ShardConns {
     /// The kept connection to `endpoint` if it is still idle and open,
-    /// otherwise a fresh one dialed under `policy`. The caller owns it
-    /// for one exchange and hands it back with [`ShardConns::checkin`]
-    /// only if it ended on a whole reply.
-    pub(crate) fn checkout(
-        &mut self,
-        endpoint: &str,
-        policy: &RetryPolicy,
-    ) -> Result<Link, ClientError> {
+    /// otherwise a fresh one. The caller owns it for one exchange and
+    /// hands it back with [`ShardConns::checkin`] only if it ended on a
+    /// whole reply.
+    pub(crate) fn checkout(&mut self, endpoint: &str) -> Result<Link, ClientError> {
         if let Some(mut link) = self.links.remove(endpoint) {
             if link.is_idle() {
                 return Ok(link);
             }
         }
-        Link::dial(endpoint, policy)
+        Link::dial(endpoint)
     }
 
     /// Keep `link` for the next request to `endpoint`.
@@ -533,14 +524,15 @@ impl ShardConns {
     }
 }
 
-/// Send one admin command to `endpoint` on a fresh connection.
+/// Send one admin command to `endpoint` on a fresh connection, dialed
+/// once; the reply may take up to `timeout` per socket operation.
 pub(crate) fn admin(
     endpoint: &str,
     cmd: &AdminCommand,
-    policy: &RetryPolicy,
+    timeout: Duration,
 ) -> Result<Json, ClientError> {
-    let (mut client, _) = Client::connect_with_retry(endpoint, policy)?;
-    client.set_io_timeout(policy.per_attempt_timeout);
+    let mut client = Client::connect(endpoint)?;
+    client.set_io_timeout(Some(timeout));
     client.admin(cmd)
 }
 
@@ -637,17 +629,10 @@ pub struct RouterMetrics {
     pub warm_spare_entries_shipped: AtomicU64,
     /// Requests rejected because no live shard existed.
     pub no_live_shard: AtomicU64,
-    /// Hedges and failover rungs skipped because the shared retry
-    /// budget was exhausted (the router refused to amplify overload).
-    pub retry_budget_exhausted: AtomicU64,
     /// Requests failed fast with `deadline-expired` because the time
     /// already spent queued in the router left less than the forward
     /// floor.
     pub deadline_expired_in_router: AtomicU64,
-    /// Times the ladder started at a healthier replica because the
-    /// primary's estimated queue delay would have blown the remaining
-    /// deadline budget.
-    pub deadline_reroutes: AtomicU64,
     /// Remaining deadline budget (ms) at the moment requests were
     /// re-encoded for their shard hop.
     pub deadline_propagated_ms: DeadlineHistogram,
@@ -685,12 +670,10 @@ impl RouterMetrics {
                 g(&self.warm_spare_entries_shipped),
             ),
             ("no_live_shard", g(&self.no_live_shard)),
-            ("retry_budget_exhausted", g(&self.retry_budget_exhausted)),
             (
                 "deadline_expired_in_router",
                 g(&self.deadline_expired_in_router),
             ),
-            ("deadline_reroutes", g(&self.deadline_reroutes)),
             (
                 "deadline_propagated_ms",
                 self.deadline_propagated_ms.to_json(),
@@ -872,10 +855,6 @@ mod tests {
             snap.get("deadline_propagated_ms")
                 .and_then(|h| h.get("count"))
                 .and_then(Json::as_u64),
-            Some(0)
-        );
-        assert_eq!(
-            snap.get("retry_budget_exhausted").and_then(Json::as_u64),
             Some(0)
         );
     }

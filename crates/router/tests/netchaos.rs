@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use dagsched_netchaos::{serve_proxy, ChaosConfig, Direction, ProxyHandle};
 use dagsched_proto::json::Json;
 use dagsched_router::{routing_key, serve_router, Ring, RouterConfig, RouterHandle};
-use dagsched_service::client::{Client, RetryPolicy};
+use dagsched_service::client::Client;
 use dagsched_service::server::{serve, Listen, ServerConfig};
 use dagsched_service::{ScheduleRequest, ServerHandle};
 use dagsched_workloads::PAPER_SEED;
@@ -68,14 +68,7 @@ impl ChaosCluster {
                 fail_threshold: 3,
                 revive_threshold: 3,
                 health_check_ms: 100,
-                shard_retry: RetryPolicy {
-                    max_retries: 1,
-                    base_delay: Duration::from_millis(5),
-                    max_delay: Duration::from_millis(20),
-                    per_attempt_timeout: Some(Duration::from_millis(750)),
-                    overall_timeout: Some(Duration::from_secs(3)),
-                    jitter_seed: 0x6E63,
-                },
+                shard_timeout: Duration::from_millis(750),
                 ..RouterConfig::default()
             },
         )

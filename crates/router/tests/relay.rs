@@ -2,7 +2,8 @@
 //! forwards a client's payload as it arrived, and its replication rule
 //! reads `stats.cache_misses` from the relayed reply: a primary hit
 //! queues nothing, a primary miss queues exactly one write, for the
-//! key's ring successor.
+//! key's ring successor. Its failover ladder carries every request past
+//! a primary that refuses dials, however many requests there are.
 //!
 //! The shards are stand-ins — threads on unix sockets that answer
 //! request frames with fixed payloads — so the bytes under test are
@@ -223,5 +224,64 @@ fn shard_replies_are_relayed_byte_for_byte_and_only_misses_replicate() {
     for shard in shards {
         shard.stop();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The failover ladder is the router's only retry, and nothing rations
+/// it: while a key's primary refuses every dial (its breaker held
+/// closed), each request fails over to the live replica and is
+/// answered, however many arrive in a row.
+#[test]
+fn every_request_to_a_refusing_primary_fails_over_to_the_live_replica() {
+    let dir = std::env::temp_dir().join(format!("dagsched-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    // A socket file with no listener behind it: every dial is refused.
+    let refused_path = dir.join("refused.sock");
+    drop(UnixListener::bind(&refused_path).expect("bind the refusing socket"));
+    let refused = format!("unix:{}", refused_path.display());
+    let live = StandIn::start(&dir.join("live.sock"));
+    let endpoints = vec![refused.clone(), live.endpoint.clone()];
+    let router = serve_router(
+        Listen::Unix(dir.join("router.sock")),
+        RouterConfig {
+            shards: endpoints.clone(),
+            // Far past the dial and probe failures this test causes:
+            // the refusing shard stays up, so every ladder starts there.
+            fail_threshold: 1_000,
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+    let counter = |name: &str| {
+        router
+            .metrics()
+            .get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("router metrics missing {name}"))
+    };
+
+    let ring = Ring::with_members(endpoints.iter().map(String::as_str));
+    let requests: Vec<ScheduleRequest> = (0..)
+        .map(|i| ScheduleRequest::asm(format!("nop {i}")))
+        .filter(|req| ring.primary(routing_key(req).1) == Some(refused.as_str()))
+        .take(30)
+        .collect();
+    let mut client = UnixStream::connect(dir.join("router.sock")).expect("connect router");
+    client
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("socket timeout");
+    for req in &requests {
+        let payload = req.to_json().to_string();
+        assert_eq!(roundtrip(&mut client, payload.as_bytes()), HIT);
+    }
+    assert_eq!(live.requests().len(), requests.len());
+    assert_eq!(counter("failovers"), requests.len() as u64);
+    assert_eq!(counter("errors"), 0);
+
+    drop(client);
+    router.begin_drain();
+    router.join();
+    live.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,8 +29,9 @@
 //! wire requests cannot exceed roughly `logical × (1 + ratio)` once
 //! the initial allowance drains, which is what breaks the retry-storm
 //! half of the metastable-failure loop (DESIGN.md §16).
-//! [`Client::request_with_retry_budgeted`] consults one; the router's
-//! hedges and failovers draw from the same mechanism.
+//! [`Client::request_with_retry_budgeted`] consults one. The router
+//! has none: it never resends to the same shard, and its hedges and
+//! failover rungs are bounded by the ladder's shape (DESIGN.md §15).
 //!
 //! Calls block until the reply arrives or the socket timeout fires. A
 //! caller that waits on several servers at once, like the router's
@@ -359,20 +360,12 @@ impl Client {
                     return Ok((client, stats));
                 }
                 Err(err) => {
-                    if attempt == policy.max_retries {
+                    if attempt == policy.max_retries
+                        || !Client::backoff(policy, attempt, started, &mut rng, &mut stats, None)
+                    {
                         return Err(err);
                     }
-                    let mut delay = policy.backoff_delay(attempt, &mut rng);
-                    if let Some(overall) = policy.overall_timeout {
-                        if started.elapsed() + delay >= overall {
-                            return Err(err);
-                        }
-                        // Never sleep past the budget.
-                        delay = delay.min(overall.saturating_sub(started.elapsed()));
-                    }
                     last_err = Some(err);
-                    std::thread::sleep(delay);
-                    stats.backoff_total += delay;
                 }
             }
         }
@@ -524,7 +517,9 @@ impl Client {
                         Err(e) => {
                             last_err = Some(e);
                             // Fall through to backoff-and-retry below.
-                            if !self.backoff(policy, attempt, started, &mut rng, &mut stats, None) {
+                            if !Client::backoff(
+                                policy, attempt, started, &mut rng, &mut stats, None,
+                            ) {
                                 return Err(last_err.expect("recorded above"));
                             }
                             continue;
@@ -565,7 +560,7 @@ impl Client {
                     }
                     let hint = err.retry_after();
                     last_err = Some(err);
-                    if !self.backoff(policy, attempt, started, &mut rng, &mut stats, hint) {
+                    if !Client::backoff(policy, attempt, started, &mut rng, &mut stats, hint) {
                         return Err(last_err.expect("recorded above"));
                     }
                 }
@@ -576,10 +571,10 @@ impl Client {
         }))
     }
 
-    /// Sleep before the next retry. Returns `false` when the overall
-    /// deadline would be crossed (the caller gives up instead).
+    /// Sleep before the next retry (or redial) of a call that started
+    /// at `started`. Returns `false` when the overall deadline would be
+    /// crossed (the caller gives up instead).
     fn backoff(
-        &self,
         policy: &RetryPolicy,
         attempt: u32,
         started: Instant,
@@ -605,7 +600,7 @@ impl Client {
     }
 
     /// Give up the protocol wrapper and keep the connected socket (the
-    /// router dials shards through [`Client::connect_with_retry`], then
+    /// router dials each shard once with [`Client::connect`], then
     /// drives the socket itself).
     pub fn into_stream(self) -> Stream {
         self.stream
