@@ -6,6 +6,7 @@ use crate::inline::InlineList;
 use crate::memexpr::MemExprId;
 use crate::opcode::{InsnClass, MemAccessKind, Opcode};
 use crate::reg::{Reg, Resource};
+use crate::text::{Name, Text};
 
 /// The most register source operands an instruction carries (`rs`).
 pub const MAX_SOURCES: usize = 2;
@@ -64,18 +65,30 @@ impl MemRef {
             expr,
         }
     }
+
+    /// Append `[base+index±offset]` to `text`; a zero offset is left out.
+    fn render(&self, text: &mut Text) {
+        text.push_byte(b'[');
+        self.base.render(text);
+        if let Some(ix) = self.index {
+            text.push_byte(b'+');
+            ix.render(text);
+        }
+        if self.offset != 0 {
+            if self.offset > 0 {
+                text.push_byte(b'+');
+            }
+            text.push_i64(i64::from(self.offset));
+        }
+        text.push_byte(b']');
+    }
 }
 
 impl fmt::Display for MemRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}", self.base)?;
-        if let Some(ix) = self.index {
-            write!(f, "+{ix}")?;
-        }
-        if self.offset != 0 {
-            write!(f, "{:+}", self.offset)?;
-        }
-        write!(f, "]")
+        let mut text = Text::new();
+        self.render(&mut text);
+        f.write_str(text.as_str())
     }
 }
 
@@ -352,43 +365,56 @@ impl Instruction {
     }
 }
 
+/// Every mnemonic, by [`Opcode::index`], padded for [`Text`].
+const MNEMONIC_TEXT: [Name; Opcode::COUNT] = {
+    let mut out = [Name::new(""); Opcode::COUNT];
+    let mut i = 0;
+    while i < Opcode::COUNT {
+        out[i] = Name::new(Opcode::ALL[i].mnemonic());
+        i += 1;
+    }
+    out
+};
+
+/// The assembly text: the mnemonic, then the memory operand of a load,
+/// the sources, the immediate, the memory operand of a store and the
+/// destination, comma-separated (`ld [%i6-8], %l0`). It is assembled
+/// in a stack buffer from table names and handed to the sink whole.
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.opcode)?;
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if first {
-                first = false;
-                write!(f, " ")
-            } else {
-                write!(f, ", ")
-            }
+        let mut text = Text::new();
+        text.push_name(&MNEMONIC_TEXT[self.opcode.index()]);
+        let mut sep = Name::new(" ");
+        let mut next = |text: &mut Text| {
+            text.push_name(&sep);
+            sep = Name::new(", ");
         };
-        if self.is_load() {
-            if let Some(m) = &self.mem {
-                sep(f)?;
-                write!(f, "{m}")?;
-            }
+        let (load, store) = match self.mem {
+            Some(m) if self.is_load() => (Some(m), None),
+            Some(m) if self.is_store() => (None, Some(m)),
+            _ => (None, None),
+        };
+        if let Some(m) = load {
+            next(&mut text);
+            m.render(&mut text);
         }
         for r in &self.rs {
-            sep(f)?;
-            write!(f, "{r}")?;
+            next(&mut text);
+            r.render(&mut text);
         }
         if let Some(imm) = self.imm {
-            sep(f)?;
-            write!(f, "{imm}")?;
+            next(&mut text);
+            text.push_i64(imm);
         }
-        if self.is_store() {
-            if let Some(m) = &self.mem {
-                sep(f)?;
-                write!(f, "{m}")?;
-            }
+        if let Some(m) = store {
+            next(&mut text);
+            m.render(&mut text);
         }
         if let Some(rd) = self.rd {
-            sep(f)?;
-            write!(f, "{rd}")?;
+            next(&mut text);
+            rd.render(&mut text);
         }
-        Ok(())
+        f.write_str(text.as_str())
     }
 }
 

@@ -45,6 +45,7 @@ mod machine;
 mod memexpr;
 mod opcode;
 mod reg;
+mod text;
 
 pub use block::{BasicBlock, Program};
 pub use fingerprint::{fnv64, splitmix64, splitmix64_at, Fnv64};
@@ -54,3 +55,4 @@ pub use machine::{DepKind, FuncUnit, MachineModel, UnitDesc};
 pub use memexpr::{MemExprId, MemExprPool};
 pub use opcode::{InsnClass, MemAccessKind, Opcode};
 pub use reg::{Reg, RegClass, Resource};
+pub use text::Decimal;

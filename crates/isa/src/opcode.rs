@@ -321,7 +321,7 @@ impl Opcode {
     }
 
     /// The assembly mnemonic.
-    pub fn mnemonic(&self) -> &'static str {
+    pub const fn mnemonic(&self) -> &'static str {
         use Opcode::*;
         match self {
             Add => "add",
@@ -384,50 +384,107 @@ impl Opcode {
     /// branch spellings (`be`, `bne`, `bg`, …) map to [`Opcode::Bicc`], FP
     /// branch spellings (`fbe`, `fbne`, …) to [`Opcode::Fbcc`], and `ret`
     /// to [`Opcode::Jmpl`].
+    ///
+    /// One binary search over the mnemonics and aliases, each packed
+    /// into a `u64` with its length; only ASCII letters are folded, so
+    /// non-ASCII text never matches, and a name longer than any in the
+    /// table is refused before the search.
     pub fn from_mnemonic(s: &str) -> Option<Opcode> {
-        use Opcode::{Bicc, FCmpD, FCmpS, Fbcc, Jmpl, SubCc};
-        const ALIASES: &[(&str, Opcode)] = &[
-            ("be", Bicc),
-            ("bne", Bicc),
-            ("bg", Bicc),
-            ("bge", Bicc),
-            ("bl", Bicc),
-            ("ble", Bicc),
-            ("bgu", Bicc),
-            ("bleu", Bicc),
-            ("bcs", Bicc),
-            ("bcc", Bicc),
-            ("bneg", Bicc),
-            ("bpos", Bicc),
-            ("bvs", Bicc),
-            ("bvc", Bicc),
-            ("b", Bicc),
-            ("fbe", Fbcc),
-            ("fbne", Fbcc),
-            ("fbg", Fbcc),
-            ("fbge", Fbcc),
-            ("fbl", Fbcc),
-            ("fble", Fbcc),
-            ("fbu", Fbcc),
-            ("fbo", Fbcc),
-            ("ret", Jmpl),
-            ("retl", Jmpl),
-            ("cmp", SubCc),
-            ("fcmped", FCmpD),
-            ("fcmpes", FCmpS),
-        ];
-        Opcode::ALL
-            .iter()
-            .copied()
-            .find(|op| op.mnemonic().eq_ignore_ascii_case(s))
-            .or_else(|| {
-                ALIASES
-                    .iter()
-                    .find(|(alias, _)| alias.eq_ignore_ascii_case(s))
-                    .map(|&(_, op)| op)
-            })
+        let key = pack_name(s.as_bytes())?;
+        NAMES
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .ok()
+            .map(|i| NAMES[i].1)
     }
 }
+
+/// Spellings [`Opcode::from_mnemonic`] accepts besides the mnemonics.
+const ALIASES: [(&str, Opcode); 28] = {
+    use Opcode::{Bicc, FCmpD, FCmpS, Fbcc, Jmpl, SubCc};
+    [
+        ("be", Bicc),
+        ("bne", Bicc),
+        ("bg", Bicc),
+        ("bge", Bicc),
+        ("bl", Bicc),
+        ("ble", Bicc),
+        ("bgu", Bicc),
+        ("bleu", Bicc),
+        ("bcs", Bicc),
+        ("bcc", Bicc),
+        ("bneg", Bicc),
+        ("bpos", Bicc),
+        ("bvs", Bicc),
+        ("bvc", Bicc),
+        ("b", Bicc),
+        ("fbe", Fbcc),
+        ("fbne", Fbcc),
+        ("fbg", Fbcc),
+        ("fbge", Fbcc),
+        ("fbl", Fbcc),
+        ("fble", Fbcc),
+        ("fbu", Fbcc),
+        ("fbo", Fbcc),
+        ("ret", Jmpl),
+        ("retl", Jmpl),
+        ("cmp", SubCc),
+        ("fcmped", FCmpD),
+        ("fcmpes", FCmpS),
+    ]
+};
+
+/// The longest name in [`NAMES`] (`restore`): a packed key holds this
+/// many bytes and the length.
+const MAX_NAME: usize = 7;
+
+/// `name` packed for [`NAMES`], ASCII letters lowered: its bytes from
+/// the top of the key down, and its length in the lowest byte, so names
+/// that differ only by trailing NULs pack apart. `None` past
+/// [`MAX_NAME`] bytes.
+const fn pack_name(name: &[u8]) -> Option<u64> {
+    if name.len() > MAX_NAME {
+        return None;
+    }
+    let mut key = name.len() as u64;
+    let mut i = 0;
+    while i < name.len() {
+        key |= (name[i].to_ascii_lowercase() as u64) << (56 - 8 * i);
+        i += 1;
+    }
+    Some(key)
+}
+
+/// Every mnemonic and every alias, packed by [`pack_name`] and sorted
+/// by key. Built at compile time; building fails if a name is too long
+/// or two names collide, so a mnemonic can never be shadowed by an
+/// alias (or the other way round).
+const NAMES: [(u64, Opcode); Opcode::COUNT + ALIASES.len()] = {
+    let mut table = [(0, Opcode::Nop); Opcode::COUNT + ALIASES.len()];
+    let mut n = 0;
+    while n < table.len() {
+        let (name, op) = if n < Opcode::COUNT {
+            (Opcode::ALL[n].mnemonic(), Opcode::ALL[n])
+        } else {
+            ALIASES[n - Opcode::COUNT]
+        };
+        let Some(key) = pack_name(name.as_bytes()) else {
+            panic!("an opcode name is longer than MAX_NAME");
+        };
+        // Insertion sort: shift larger keys up, then place this one.
+        let mut at = n;
+        while at > 0 && table[at - 1].0 > key {
+            table[at] = table[at - 1];
+            at -= 1;
+        }
+        assert!(
+            at == 0 || table[at - 1].0 != key,
+            "two opcode names collide"
+        );
+        table[at] = (key, op);
+        n += 1;
+    }
+    table
+};
 
 impl fmt::Display for Opcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::memexpr::MemExprId;
+use crate::text::{Name, Text};
 
 /// An architectural register of the modelled SPARC-like machine.
 ///
@@ -113,6 +114,49 @@ impl Reg {
             _ => None,
         }
     }
+
+    /// The assembly name of every register the constructors build:
+    /// `%g0`–`%i7`, `%f0`–`%f31`, `%icc`, `%fcc` and `%y`, read from a
+    /// table. `None` for an `Int` or `Fp` number of 32 or more, which
+    /// only the variants themselves can hold; `Display` renders those
+    /// as `%i{n - 24}` and `%f{n}`.
+    ///
+    /// ```
+    /// use dagsched_isa::Reg;
+    /// assert_eq!(Reg::o(1).name(), Some("%o1"));
+    /// assert_eq!(Reg::Fcc.name(), Some("%fcc"));
+    /// assert_eq!(Reg::Int(40).name(), None);
+    /// assert_eq!(Reg::Int(40).to_string(), "%i16");
+    /// ```
+    pub fn name(&self) -> Option<&'static str> {
+        match *self {
+            Reg::Int(n) => INT_NAMES.get(usize::from(n)).copied(),
+            Reg::Fp(n) => FP_NAMES.get(usize::from(n)).copied(),
+            Reg::Icc => Some("%icc"),
+            Reg::Fcc => Some("%fcc"),
+            Reg::Y => Some("%y"),
+        }
+    }
+
+    /// Append this register's text to `text`.
+    pub(crate) fn render(&self, text: &mut Text) {
+        match *self {
+            Reg::Int(n) if n < 32 => text.push_name(&INT_TEXT[usize::from(n)]),
+            Reg::Fp(n) if n < 32 => text.push_name(&FP_TEXT[usize::from(n)]),
+            // Past `%i7` the input bank's numbering runs on.
+            Reg::Int(n) => {
+                text.push_name(&Name::new("%i"));
+                text.push_u64(u64::from(n - 24));
+            }
+            Reg::Fp(n) => {
+                text.push_name(&Name::new("%f"));
+                text.push_u64(u64::from(n));
+            }
+            Reg::Icc => text.push_name(&Name::new("%icc")),
+            Reg::Fcc => text.push_name(&Name::new("%fcc")),
+            Reg::Y => text.push_name(&Name::new("%y")),
+        }
+    }
 }
 
 /// The hardwired zero register `%g0`: the placeholder that fills the
@@ -123,23 +167,34 @@ impl Default for Reg {
     }
 }
 
+/// The names of `Int(0)` to `Int(31)`: the SPARC window banks, a row
+/// each.
+#[rustfmt::skip]
+const INT_NAMES: [&str; 32] = [
+    "%g0", "%g1", "%g2", "%g3", "%g4", "%g5", "%g6", "%g7",
+    "%o0", "%o1", "%o2", "%o3", "%o4", "%o5", "%o6", "%o7",
+    "%l0", "%l1", "%l2", "%l3", "%l4", "%l5", "%l6", "%l7",
+    "%i0", "%i1", "%i2", "%i3", "%i4", "%i5", "%i6", "%i7",
+];
+
+/// The names of `Fp(0)` to `Fp(31)`.
+#[rustfmt::skip]
+const FP_NAMES: [&str; 32] = [
+    "%f0", "%f1", "%f2", "%f3", "%f4", "%f5", "%f6", "%f7",
+    "%f8", "%f9", "%f10", "%f11", "%f12", "%f13", "%f14", "%f15",
+    "%f16", "%f17", "%f18", "%f19", "%f20", "%f21", "%f22", "%f23",
+    "%f24", "%f25", "%f26", "%f27", "%f28", "%f29", "%f30", "%f31",
+];
+
+/// [`INT_NAMES`] and [`FP_NAMES`] padded for [`Text`].
+const INT_TEXT: [Name; 32] = Name::table(INT_NAMES);
+const FP_TEXT: [Name; 32] = Name::table(FP_NAMES);
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Reg::Int(n) => {
-                let (bank, idx) = match n {
-                    0..=7 => ('g', n),
-                    8..=15 => ('o', n - 8),
-                    16..=23 => ('l', n - 16),
-                    _ => ('i', n - 24),
-                };
-                write!(f, "%{bank}{idx}")
-            }
-            Reg::Fp(n) => write!(f, "%f{n}"),
-            Reg::Icc => write!(f, "%icc"),
-            Reg::Fcc => write!(f, "%fcc"),
-            Reg::Y => write!(f, "%y"),
-        }
+        let mut text = Text::new();
+        self.render(&mut text);
+        f.write_str(text.as_str())
     }
 }
 

@@ -24,6 +24,8 @@
 
 use std::fmt::{self, Write as _};
 
+use dagsched_isa::Decimal;
+
 /// Maximum nesting depth accepted by [`Json::parse`].
 const MAX_DEPTH: usize = 64;
 
@@ -690,7 +692,7 @@ impl<'a> ObjectWriter<'a> {
 
     /// An integer, in exact digits as `Json::from(u64)` writes it.
     pub(crate) fn u64(&mut self, key: &str, value: u64) {
-        let _ = write!(self.key(key), "{}", Json::from(value));
+        self.key(key).push_str(Decimal::u64(value).as_str());
     }
 
     pub(crate) fn bool(&mut self, key: &str, value: bool) {
@@ -707,8 +709,8 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::UInt(u) => write!(f, "{u}"),
+            Json::Int(i) => f.write_str(Decimal::i64(*i).as_str()),
+            Json::UInt(u) => f.write_str(Decimal::u64(*u).as_str()),
             Json::Float(v) => {
                 if v.is_finite() {
                     write!(f, "{v}")

@@ -66,7 +66,7 @@ use std::sync::Mutex;
 
 use dagsched_core::NodeId;
 use dagsched_driver::{BlockCache, BlockOutcome, BlockReport, CacheScope, DriverConfig};
-use dagsched_isa::{Fnv64, Instruction, MachineModel};
+use dagsched_isa::{Fnv64, InlineList, Instruction, MachineModel};
 use dagsched_sched::{CarryOut, SlotFill};
 
 /// Ends each instruction's text in the key: no UTF-8 text contains this
@@ -144,13 +144,10 @@ pub fn block_key(insns: &[Instruction], model: &MachineModel, config: &DriverCon
 /// over the block's canonical bytes.
 fn scoped_key(insns: &[Instruction], scope: &CacheScope<'_>) -> Key {
     let mut sink = KeySink(scope.streams());
-    let mut ordinals: HashMap<u32, u32> = HashMap::new();
+    let mut ordinals = Ordinals::default();
     for insn in insns {
         let ord = match &insn.mem {
-            Some(m) => {
-                let next = ordinals.len() as u32;
-                *ordinals.entry(m.expr.index()).or_insert(next)
-            }
+            Some(m) => ordinals.of(m.expr.index()),
             None => u32::MAX,
         };
         let _ = write!(sink, "{insn}");
@@ -163,6 +160,37 @@ fn scoped_key(insns: &[Instruction], scope: &CacheScope<'_>) -> Key {
     Key {
         a: a.finish(),
         b: b.finish(),
+    }
+}
+
+/// Distinct memory expressions a block keys without a map: blocks
+/// rarely hold more, and a linear scan over this few costs less than
+/// hashing.
+const INLINE_EXPRS: usize = 16;
+
+/// First-occurrence ordinals of a block's memory-expression ids, in the
+/// order the ids first appear: a linear scan over the first
+/// [`INLINE_EXPRS`] distinct ids, kept inline, and a map for the rest,
+/// so a small block allocates nothing and a large one stays linear.
+#[derive(Default)]
+struct Ordinals {
+    first: InlineList<u32, INLINE_EXPRS>,
+    rest: HashMap<u32, u32>,
+}
+
+impl Ordinals {
+    /// The ordinal of `id`: how many distinct ids came before its first
+    /// occurrence.
+    fn of(&mut self, id: u32) -> u32 {
+        if let Some(i) = self.first.iter().position(|&seen| seen == id) {
+            return i as u32;
+        }
+        if self.first.len() < INLINE_EXPRS {
+            self.first.push(id);
+            return (self.first.len() - 1) as u32;
+        }
+        let next = (INLINE_EXPRS + self.rest.len()) as u32;
+        *self.rest.entry(id).or_insert(next)
     }
 }
 

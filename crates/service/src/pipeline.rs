@@ -125,9 +125,12 @@ pub enum FlightOutcome<E> {
 ///
 /// The key is the request's canonical JSON
 /// (`ScheduleRequest::canonical_json`, the `attempt` counter zeroed) —
-/// exactly the identity the quarantine and the router's ring hash, so
-/// "identical" means identical semantics, not merely equal hashes
-/// (string equality rules out collisions).
+/// exactly the identity the quarantine and the router's ring hash. The
+/// table is indexed by the key's FNV-1a hash, which the reactor has
+/// already computed for the quarantine, so a request hashes no text
+/// here; the leader's key text is kept with its flight and compared on
+/// a hash match, so "identical" means identical semantics, not merely
+/// equal hashes: two keys that share a hash open separate flights.
 ///
 /// The enqueue runs *while the table is locked*, so a leader can never
 /// finish (and sweep its followers) before its entry exists; once the
@@ -135,45 +138,80 @@ pub enum FlightOutcome<E> {
 /// flight and is served from the now-warm cache. Lock order is always
 /// table → stage queue, never the reverse.
 pub struct SingleFlight<F> {
-    flights: Mutex<HashMap<String, Vec<F>>>,
+    table: Mutex<Flights<F>>,
+}
+
+/// The open flights, by key hash. A hash almost always names one
+/// flight; keys that collide share the list.
+struct Flights<F> {
+    by_hash: HashMap<u64, Vec<Flight<F>>>,
+    next_id: u64,
+}
+
+struct Flight<F> {
+    id: u64,
+    key: String,
+    followers: Vec<F>,
+}
+
+/// Names one open flight: what a leader's job carries to
+/// [`SingleFlight::finish`] in place of its key text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlightId {
+    hash: u64,
+    id: u64,
 }
 
 impl<F> Default for SingleFlight<F> {
     fn default() -> SingleFlight<F> {
         SingleFlight {
-            flights: Mutex::new(HashMap::new()),
+            table: Mutex::new(Flights {
+                by_hash: HashMap::new(),
+                next_id: 0,
+            }),
         }
     }
 }
 
 impl<F> SingleFlight<F> {
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Vec<F>>> {
-        self.flights
+    fn lock(&self) -> MutexGuard<'_, Flights<F>> {
+        self.table
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Attach to an existing flight, or open one by running `enqueue`
-    /// under the table lock. `follower` is consumed only when attached
-    /// (the leader's context travels inside the enqueued job).
+    /// Attach to an existing flight for `key` (whose hash is `hash`), or
+    /// open one by running `enqueue` with the new flight's id under the
+    /// table lock. `follower` is consumed only when attached (the
+    /// leader's context travels inside the enqueued job), and `key` is
+    /// kept only when a flight opens.
     pub fn join_or_open<E>(
         &self,
-        key: &str,
+        hash: u64,
+        key: String,
         follower: F,
-        enqueue: impl FnOnce() -> Result<(), E>,
+        enqueue: impl FnOnce(FlightId) -> Result<(), E>,
     ) -> FlightOutcome<E> {
-        let mut flights = self.lock();
-        if let Some(followers) = flights.get_mut(key) {
-            followers.push(follower);
+        let mut table = self.lock();
+        let Flights { by_hash, next_id } = &mut *table;
+        let flights = by_hash.entry(hash).or_default();
+        if let Some(flight) = flights.iter_mut().find(|f| f.key == key) {
+            flight.followers.push(follower);
             return FlightOutcome::Attached;
         }
-        flights.insert(key.to_string(), Vec::new());
-        match enqueue() {
+        let id = *next_id;
+        *next_id += 1;
+        flights.push(Flight {
+            id,
+            key,
+            followers: Vec::new(),
+        });
+        match enqueue(FlightId { hash, id }) {
             Ok(()) => FlightOutcome::Opened,
             Err(e) => {
                 // No follower can have attached: the table was locked
                 // the whole time.
-                flights.remove(key);
+                table.remove(FlightId { hash, id });
                 FlightOutcome::Refused(e)
             }
         }
@@ -181,18 +219,33 @@ impl<F> SingleFlight<F> {
 
     /// Close a flight after its compile finished, returning the
     /// followers to fan the reply out to.
-    pub fn finish(&self, key: &str) -> Vec<F> {
-        self.lock().remove(key).unwrap_or_default()
+    pub fn finish(&self, flight: FlightId) -> Vec<F> {
+        self.lock()
+            .remove(flight)
+            .map(|f| f.followers)
+            .unwrap_or_default()
     }
 
     /// Open flights right now (metrics/tests).
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().by_hash.values().map(Vec::len).sum()
     }
 
     /// True when no flight is open.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<F> Flights<F> {
+    fn remove(&mut self, flight: FlightId) -> Option<Flight<F>> {
+        let flights = self.by_hash.get_mut(&flight.hash)?;
+        let at = flights.iter().position(|f| f.id == flight.id)?;
+        let removed = flights.swap_remove(at);
+        if flights.is_empty() {
+            self.by_hash.remove(&flight.hash);
+        }
+        Some(removed)
     }
 }
 
@@ -243,52 +296,78 @@ mod tests {
         assert_eq!(seen.load(Ordering::SeqCst), 100);
     }
 
+    /// Join `key` under `hash` with a succeeding enqueue; the new
+    /// flight's id when one opened.
+    fn join(sf: &SingleFlight<u32>, hash: u64, key: &str, follower: u32) -> Option<FlightId> {
+        let mut opened = None;
+        match sf.join_or_open(hash, key.to_string(), follower, |id| {
+            opened = Some(id);
+            Ok::<(), ()>(())
+        }) {
+            FlightOutcome::Opened => assert!(opened.is_some()),
+            FlightOutcome::Attached => assert!(opened.is_none()),
+            FlightOutcome::Refused(()) => unreachable!("the enqueue succeeds"),
+        }
+        opened
+    }
+
     #[test]
     fn single_flight_attaches_followers_and_finishes_once() {
         let sf: SingleFlight<u32> = SingleFlight::default();
-        // Leader opens.
-        match sf.join_or_open("k", 1, || Ok::<(), ()>(())) {
-            FlightOutcome::Opened => {}
-            _ => panic!("expected Opened"),
-        }
-        // Identical requests attach.
-        assert!(matches!(
-            sf.join_or_open("k", 2, || Ok::<(), ()>(())),
-            FlightOutcome::Attached
-        ));
-        assert!(matches!(
-            sf.join_or_open("k", 3, || Ok::<(), ()>(())),
-            FlightOutcome::Attached
-        ));
+        // Leader opens; identical requests attach.
+        let k = join(&sf, 1, "k", 1).expect("the first request opens");
+        assert_eq!(join(&sf, 1, "k", 2), None);
+        assert_eq!(join(&sf, 1, "k", 3), None);
         // A different key opens its own flight.
-        assert!(matches!(
-            sf.join_or_open("other", 4, || Ok::<(), ()>(())),
-            FlightOutcome::Opened
-        ));
+        let other = join(&sf, 2, "other", 4).expect("another key opens");
+        assert_ne!(k, other);
         assert_eq!(sf.len(), 2);
         // Finishing hands back exactly the followers, in order.
-        assert_eq!(sf.finish("k"), vec![2, 3]);
+        assert_eq!(sf.finish(k), vec![2, 3]);
         assert_eq!(sf.len(), 1);
+        assert_eq!(sf.finish(k), Vec::<u32>::new(), "a flight finishes once");
         // A straggler after the finish opens a fresh flight.
-        assert!(matches!(
-            sf.join_or_open("k", 5, || Ok::<(), ()>(())),
-            FlightOutcome::Opened
-        ));
+        let again = join(&sf, 1, "k", 5).expect("a straggler opens anew");
+        assert_ne!(again, k);
+        assert_eq!(sf.finish(other), Vec::<u32>::new());
+        assert_eq!(sf.finish(again), Vec::<u32>::new());
+        assert!(sf.is_empty());
+    }
+
+    /// Two different keys forced onto one hash open separate flights:
+    /// a follower attaches only to the flight whose key text it shares,
+    /// and finishing one flight leaves the other's followers alone.
+    #[test]
+    fn keys_sharing_a_hash_never_coalesce() {
+        let sf: SingleFlight<u32> = SingleFlight::default();
+        let a = join(&sf, 7, "{\"asm\":\"add\"}", 1).expect("a opens");
+        let b = join(&sf, 7, "{\"asm\":\"sub\"}", 2).expect("b opens despite the shared hash");
+        assert_ne!(a, b);
+        assert_eq!(sf.len(), 2);
+        assert_eq!(join(&sf, 7, "{\"asm\":\"sub\"}", 3), None);
+        assert_eq!(join(&sf, 7, "{\"asm\":\"add\"}", 4), None);
+        assert_eq!(join(&sf, 7, "{\"asm\":\"sub\"}", 5), None);
+        assert_eq!(sf.finish(b), vec![3, 5]);
+        assert_eq!(sf.len(), 1);
+        assert_eq!(join(&sf, 7, "{\"asm\":\"add\"}", 6), None);
+        assert_eq!(sf.finish(a), vec![4, 6]);
+        assert!(sf.is_empty());
     }
 
     #[test]
     fn a_refused_enqueue_removes_the_flight_entry() {
         let sf: SingleFlight<u32> = SingleFlight::default();
-        match sf.join_or_open("k", 1, || Err::<(), &str>("full")) {
+        let held = join(&sf, 3, "held", 0).expect("opens");
+        match sf.join_or_open(3, "k".to_string(), 1, |_| Err::<(), &str>("full")) {
             FlightOutcome::Refused("full") => {}
             _ => panic!("expected Refused"),
         }
-        assert_eq!(sf.len(), 0);
+        assert_eq!(sf.len(), 1, "only the refused flight is removed");
         // The key is immediately usable again.
-        assert!(matches!(
-            sf.join_or_open("k", 2, || Ok::<(), ()>(())),
-            FlightOutcome::Opened
-        ));
+        let k = join(&sf, 3, "k", 2).expect("the key opens again");
+        assert_eq!(sf.finish(k), Vec::<u32>::new());
+        assert_eq!(sf.finish(held), Vec::<u32>::new());
+        assert!(sf.is_empty());
     }
 
     #[test]

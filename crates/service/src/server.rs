@@ -83,7 +83,9 @@ use crate::persist::{
     decode_quarantine, encode_quarantine, store_fingerprint, Persistence, DEFAULT_FSYNC_EVERY,
     DEFAULT_WAL_SNAPSHOT_THRESHOLD, KIND_CACHE_ENTRY, KIND_QUARANTINE,
 };
-use crate::pipeline::{FlightOutcome, PushError, SingleFlight, StageQueue, BUSY_RETRY_MS};
+use crate::pipeline::{
+    FlightId, FlightOutcome, PushError, SingleFlight, StageQueue, BUSY_RETRY_MS,
+};
 use crate::proto::{
     hex_encode, write_frame, AdminCommand, ErrorCode, ErrorReply, FrameKind, ScheduleRequest,
     DEFAULT_MAX_FRAME, FRAME_HEADER_LEN,
@@ -324,9 +326,11 @@ impl Shared {
 struct CompileJob {
     conn: ConnId,
     request: ScheduleRequest,
-    /// Canonical request JSON with `attempt` zeroed: the single-flight,
-    /// cache, and quarantine identity.
-    key: String,
+    /// The flight this job leads; the flight table keeps its canonical
+    /// key.
+    flight: FlightId,
+    /// FNV-1a of the canonical request JSON (`attempt` zeroed): the
+    /// quarantine's identity.
     key_hash: u64,
     /// When the frame completed on the wire; the deadline anchors here.
     arrival: Instant,
@@ -438,7 +442,7 @@ fn shed_expired_job(pipe: &Pipeline, job: CompileJob) {
         "deadline expired, or would expire mid-compile, while the request was queued; \
          it was shed without compiling",
     );
-    let followers = pipe.flights.finish(&job.key);
+    let followers = pipe.flights.finish(job.flight);
     finish_error(pipe, job.conn, &reply);
     for conn in followers {
         finish_error(pipe, conn, &reply);
@@ -460,7 +464,7 @@ fn compile_one(pipe: &Pipeline, scratch: &mut Scratch, body: &mut String, job: C
     // Close the flight only now: followers that attached during the
     // compile are collected here; later arrivals open a fresh flight
     // and hit the now-warm cache.
-    let followers = pipe.flights.finish(&job.key);
+    let followers = pipe.flights.finish(job.flight);
     match outcome {
         Ok(compiled) => {
             let degraded = compiled.degraded();
@@ -647,11 +651,11 @@ impl ServeHandler {
         // is lost on a full queue; that makes the closure's `Err` as big
         // as a job, which is the point, not a problem.
         #[allow(clippy::result_large_err)]
-        let outcome = pipe.flights.join_or_open(&key, conn, || {
+        let outcome = pipe.flights.join_or_open(key_hash, key, conn, |flight| {
             pipe.compile_q.try_push(CompileJob {
                 conn,
                 request,
-                key: key.clone(),
+                flight,
                 key_hash,
                 arrival,
                 #[cfg(feature = "fault-injection")]

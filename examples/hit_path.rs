@@ -6,7 +6,9 @@
 //! tomcatv) at the given seed, rendered as assembly and cut at block
 //! boundaries into functions of 32–128 blocks. After one warm pass,
 //! each request goes through the stages below `ROUNDS` times; the table
-//! gives the median and mean microseconds per request.
+//! gives the median and mean microseconds per request, and the median
+//! in nanoseconds per instruction (the median over the mean request
+//! length), the unit the per-instruction text kernels cost in.
 //!
 //! Each stage runs the code the product path runs: the client writes
 //! and reads payloads with the direct codec, the daemon decodes and
@@ -149,15 +151,20 @@ fn main() {
     }
 
     let insns: usize = texts.iter().map(|t| t.lines().count()).sum();
+    let per_request = insns as f64 / reqs.len() as f64;
     println!(
-        "seed {seed}: {} requests, {:.1} insns per request, {rounds} rounds",
+        "seed {seed}: {} requests, {per_request:.1} insns per request, {rounds} rounds",
         reqs.len(),
-        insns as f64 / reqs.len() as f64
     );
-    println!("{:>16} {:>10} {:>10}", "stage", "median µs", "mean µs");
+    println!(
+        "{:>16} {:>10} {:>10} {:>14}",
+        "stage", "median µs", "mean µs", "median ns/insn"
+    );
     for (stage, mut s) in STAGES.iter().zip(samples) {
         s.sort_by(f64::total_cmp);
+        let median = s[s.len() / 2];
         let mean = s.iter().sum::<f64>() / s.len() as f64;
-        println!("{stage:>16} {:>10.1} {mean:>10.1}", s[s.len() / 2]);
+        let per_insn = median * 1e3 / per_request;
+        println!("{stage:>16} {median:>10.1} {mean:>10.1} {per_insn:>14.0}");
     }
 }
