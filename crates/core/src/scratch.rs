@@ -18,7 +18,7 @@
 //! pass refills, and the scheduling pass's [`SchedStorage`]. A caller
 //! that hands everything back — the driver's `compile_block` does —
 //! allocates nothing per block after warm-up except what it keeps (the
-//! emitted instruction stream); the table builders still allocate a
+//! emitted order); the table builders still allocate a
 //! use list for each new memory-table entry. Storage a very large block
 //! grew is not kept: past [`SCRATCH_KEEP_BYTES`] the arena gives its
 //! per-block storage back to the allocator. [`PhaseStats`]
@@ -37,6 +37,8 @@
 //! Because every item is processed by the exact same code path as the
 //! serial loop — `Scratch` reuse is observationally identical to fresh
 //! allocation — results are bit-identical for every `jobs` value.
+
+use std::collections::HashMap;
 
 use dagsched_isa::Instruction;
 
@@ -245,6 +247,10 @@ pub struct Scratch {
     prepared: PreparedLists,
     /// The last block's DAG, for the next constructor to reset.
     dag: Option<Dag>,
+    /// The memory-expression ordinals a schedule-cache key counts past
+    /// its inline few (the driver's `CacheScope::key_in`), kept so that
+    /// keying a block allocates nothing once warm. Keying clears it.
+    pub key_ordinals: HashMap<u32, u32>,
     /// Accumulated per-phase counters.
     pub stats: PhaseStats,
 }
@@ -259,6 +265,7 @@ impl Scratch {
             sched: SchedStorage::default(),
             prepared: PreparedLists::default(),
             dag: None,
+            key_ordinals: HashMap::new(),
             stats: PhaseStats::default(),
         }
     }

@@ -21,10 +21,11 @@
 //!   zero and `cache_hits` increments); on a miss the block is compiled by
 //!   the ordinary [`compile_block`](crate::driver::compile_block) path
 //!   and offered back to the cache.
-//!   Each lookup carries a [`CacheScope`]: the configuration half of the
-//!   key, hashed once per batch and rung rather than once per block.
+//!   The configuration half of the key is hashed once per batch and
+//!   rung into a [`CacheScope`], and each block is keyed once: a miss is
+//!   stored under the key its lookup computed.
 //!   [`NoCache`] is the no-op implementation used by the CLI driver; a
-//!   batch against it builds no scope.
+//!   batch against it builds no scope and keys nothing.
 //!
 //! Blocks scheduled under latency inheritance (forward schedulers with
 //! `inherit_latencies`) bypass the cache: their output depends on the
@@ -35,12 +36,13 @@ use std::time::{Duration, Instant};
 
 use dagsched_core::{default_jobs, map_blocks_with_scratch, PhaseStats, Scratch};
 use dagsched_core::{ConstructError, ConstructionAlgorithm, HeuristicPasses};
-use dagsched_isa::{Fnv64, Instruction, MachineModel, Program};
+use dagsched_isa::{Instruction, MachineModel, Program};
 use dagsched_sched::{CarryOut, Scheduler};
 
 use crate::driver::{
     compile_block_with, needs_sequential_carry, BlockOutcome, DriverConfig, ScheduledProgram,
 };
+use crate::key::{CacheScope, Key};
 
 /// A rung of the cost ladder, from full fidelity down. The paper's core
 /// finding — scheduling cost is dominated by *which* pipeline you pick
@@ -230,83 +232,31 @@ impl std::fmt::Display for LimitError {
 
 impl std::error::Error for LimitError {}
 
-/// Seed of the second key stream (an arbitrary odd constant).
-const KEY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The configuration half of a block's cache key.
-///
-/// A cached schedule is only valid under the model and configuration it
-/// was compiled for, so a cache key covers both, and they are the same
-/// for every block of a batch. The batch loop therefore hashes them once
-/// per batch and degradation rung: the configuration's `Debug` rendering
-/// and the model's [`MachineModel::fingerprint`] go into two FNV-1a
-/// streams, the second seeded apart from the first. A [`BlockCache`]
-/// continues both [`CacheScope::streams`] over one block's bytes to key
-/// that block.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheScope<'a> {
-    /// The machine model the block is compiled for.
-    pub model: &'a MachineModel,
-    /// The configuration the block is compiled under.
-    pub config: &'a DriverConfig,
-    streams: [Fnv64; 2],
-}
-
-impl<'a> CacheScope<'a> {
-    /// Hash (`model`, `config`) into the two key streams.
-    pub fn new(model: &'a MachineModel, config: &'a DriverConfig) -> CacheScope<'a> {
-        let rendering = format!(
-            "{:?}|inherit={}|fill={}",
-            config.scheduler, config.inherit_latencies, config.fill_delay_slots
-        );
-        let fingerprint = model.fingerprint();
-        let mut streams = [Fnv64::new(), Fnv64::with_seed(KEY_SEED)];
-        for stream in &mut streams {
-            stream.write_str(&rendering);
-            stream.write_u64(fingerprint);
-        }
-        CacheScope {
-            model,
-            config,
-            streams,
-        }
-    }
-
-    /// The two key streams, already holding the configuration.
-    pub fn streams(&self) -> [Fnv64; 2] {
-        self.streams
-    }
-}
-
 /// A per-block schedule cache consulted by [`schedule_program_batch`].
 ///
-/// Implementations key on *content*: the block's canonical instruction
-/// bytes plus the machine / algorithm / heuristic configuration, which
-/// the [`CacheScope`] carries already hashed. A `lookup` hit must return
-/// a [`BlockOutcome`] bit-identical to what
-/// [`compile_block`](crate::driver::compile_block) would
-/// produce for `insns` under the scope's model and configuration — the
-/// service's cache guarantees this by reconstructing the emitted stream
-/// from the *requesting* block's instructions, so even interned
-/// memory-expression identities match a fresh compile.
+/// Implementations key on *content*: the batch loop computes each
+/// block's [`Key`] once ([`CacheScope::key`]) and passes it to both the
+/// lookup and, on a miss, the store. A `lookup` hit must return a
+/// [`BlockOutcome`] bit-identical to what
+/// [`compile_block`](crate::driver::compile_block) would produce for the
+/// block under the scope's model and configuration. Outcomes hold the
+/// emitted order as indices into the block, so a replay re-materializes
+/// the stream from the *requesting* block's instructions and even
+/// interned memory-expression identities match a fresh compile.
 pub trait BlockCache: Sync {
     /// Whether this cache is real. The batch loop builds no scope and
-    /// skips lookups and hit/miss accounting entirely when `false` (see
-    /// [`NoCache`]).
+    /// skips keys, lookups and hit/miss accounting entirely when `false`
+    /// (see [`NoCache`]).
     fn enabled(&self) -> bool {
         true
     }
 
-    /// Look up block `block` (`insns`) under `scope`.
-    fn lookup(
-        &self,
-        block: usize,
-        insns: &[Instruction],
-        scope: &CacheScope<'_>,
-    ) -> Option<BlockOutcome>;
+    /// Look up block `block`, `len` instructions long, under `key`.
+    fn lookup(&self, block: usize, len: usize, key: Key) -> Option<BlockOutcome>;
 
-    /// Offer a freshly compiled outcome for caching.
-    fn store(&self, insns: &[Instruction], scope: &CacheScope<'_>, outcome: &BlockOutcome);
+    /// Offer a freshly compiled outcome for caching under `key`, the key
+    /// its lookup missed on.
+    fn store(&self, key: Key, outcome: &BlockOutcome);
 }
 
 /// The no-op cache: every lookup misses, nothing is stored, and the
@@ -318,16 +268,11 @@ impl BlockCache for NoCache {
         false
     }
 
-    fn lookup(
-        &self,
-        _block: usize,
-        _insns: &[Instruction],
-        _scope: &CacheScope<'_>,
-    ) -> Option<BlockOutcome> {
+    fn lookup(&self, _block: usize, _len: usize, _key: Key) -> Option<BlockOutcome> {
         None
     }
 
-    fn store(&self, _insns: &[Instruction], _scope: &CacheScope<'_>, _outcome: &BlockOutcome) {}
+    fn store(&self, _key: Key, _outcome: &BlockOutcome) {}
 }
 
 /// The derived configurations of the cost ladder, precomputed once per
@@ -365,7 +310,7 @@ struct Rung<'a> {
     passes: HeuristicPasses,
     /// `None` when the batch does not consult the cache: the cache is
     /// disabled, or latency inheritance bypasses it.
-    scope: Option<CacheScope<'a>>,
+    scope: Option<CacheScope>,
 }
 
 impl<'a> Rung<'a> {
@@ -455,8 +400,12 @@ fn compile_one(
     scratch: &mut Scratch,
     cache: &dyn BlockCache,
 ) -> Result<BlockOutcome, LimitError> {
-    if let Some(scope) = &rung.scope {
-        if let Some(outcome) = cache.lookup(bi, insns, scope) {
+    let key = rung
+        .scope
+        .as_ref()
+        .map(|scope| scope.key_in(insns, &mut scratch.key_ordinals));
+    if let Some(key) = key {
+        if let Some(outcome) = cache.lookup(bi, insns.len(), key) {
             scratch.stats.cache_hits += 1;
             return Ok(outcome);
         }
@@ -471,9 +420,9 @@ fn compile_one(
         scratch,
     )
     .map_err(|error| LimitError::Construct { block: bi, error })?;
-    if let Some(scope) = &rung.scope {
+    if let Some(key) = key {
         scratch.stats.cache_misses += 1;
-        cache.store(insns, scope, &outcome);
+        cache.store(key, &outcome);
     }
     Ok(outcome)
 }
@@ -512,8 +461,8 @@ fn serial_batch(
         let carry_in = if sequential { Some(&carry) } else { None };
         let rung = rungs.pick(limits, &mut scratch.stats);
         let outcome = compile_one(bi, insns, model, rung, carry_in, scratch, cache)?;
+        out.extend(outcome.emitted(insns));
         carry = outcome.carry;
-        out.extend(outcome.emitted);
         reports.push(outcome.report);
     }
     Ok(ScheduledProgram {
@@ -618,9 +567,9 @@ pub fn schedule_program_batch(
     });
     let mut out: Vec<Instruction> = Vec::with_capacity(program.len());
     let mut reports = Vec::with_capacity(results.len());
-    for result in results {
+    for (result, &(_, insns)) in results.into_iter().zip(&items) {
         let outcome = result?;
-        out.extend(outcome.emitted);
+        out.extend(outcome.emitted(insns));
         reports.push(outcome.report);
     }
     Ok((
@@ -639,41 +588,68 @@ mod tests {
 
     use dagsched_workloads::{generate, BenchmarkProfile, PAPER_SEED};
 
-    /// An exact-replay test cache: stores outcomes keyed by the block's
-    /// rendered text (good enough within one program).
+    /// An exact-replay test cache: stores outcomes under the batch
+    /// loop's key.
     #[derive(Default)]
-    struct TextCache {
-        map: Mutex<std::collections::HashMap<String, BlockOutcome>>,
+    struct MapCache {
+        map: Mutex<std::collections::HashMap<Key, BlockOutcome>>,
     }
 
-    fn text_key(insns: &[Instruction]) -> String {
-        insns
-            .iter()
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    impl BlockCache for TextCache {
-        fn lookup(
-            &self,
-            block: usize,
-            insns: &[Instruction],
-            _scope: &CacheScope<'_>,
-        ) -> Option<BlockOutcome> {
-            self.map.lock().unwrap().get(&text_key(insns)).map(|o| {
+    impl BlockCache for MapCache {
+        fn lookup(&self, block: usize, _len: usize, key: Key) -> Option<BlockOutcome> {
+            self.map.lock().unwrap().get(&key).map(|o| {
                 let mut o = o.clone();
                 o.report.block = block;
                 o
             })
         }
 
-        fn store(&self, insns: &[Instruction], _scope: &CacheScope<'_>, outcome: &BlockOutcome) {
-            self.map
-                .lock()
-                .unwrap()
-                .insert(text_key(insns), outcome.clone());
+        fn store(&self, key: Key, outcome: &BlockOutcome) {
+            self.map.lock().unwrap().insert(key, outcome.clone());
         }
+    }
+
+    /// Records the keys the batch loop hands to each call.
+    #[derive(Default)]
+    struct KeyLog {
+        lookups: Mutex<Vec<Key>>,
+        stores: Mutex<Vec<Key>>,
+    }
+
+    impl BlockCache for KeyLog {
+        fn lookup(&self, _block: usize, _len: usize, key: Key) -> Option<BlockOutcome> {
+            self.lookups.lock().unwrap().push(key);
+            None
+        }
+
+        fn store(&self, key: Key, _outcome: &BlockOutcome) {
+            self.stores.lock().unwrap().push(key);
+        }
+    }
+
+    /// Each block is keyed once: a missed block is stored under the key
+    /// its lookup computed, which is the block's `block_key`.
+    #[test]
+    fn a_missed_block_is_stored_under_its_lookup_key() {
+        let bench = generate(BenchmarkProfile::by_name("grep").unwrap(), PAPER_SEED);
+        let model = MachineModel::sparc2();
+        let config = DriverConfig::default();
+        let log = KeyLog::default();
+        let (_, stats) =
+            schedule_program_batch(&bench.program, &model, &config, 1, &Limits::none(), &log)
+                .unwrap();
+        let lookups = log.lookups.into_inner().unwrap();
+        let expected: Vec<Key> = bench
+            .program
+            .basic_blocks()
+            .iter()
+            .map(|b| bench.program.block_insns(b))
+            .filter(|insns| !insns.is_empty())
+            .map(|insns| crate::key::block_key(insns, &model, &config))
+            .collect();
+        assert_eq!(lookups, expected);
+        assert_eq!(log.stores.into_inner().unwrap(), lookups);
+        assert_eq!(stats.cache_misses, lookups.len() as u64);
     }
 
     /// Regression: a memory-class opcode with no memory operand used to
@@ -792,7 +768,7 @@ mod tests {
         let bench = generate(BenchmarkProfile::by_name("regex").unwrap(), PAPER_SEED);
         let model = MachineModel::sparc2();
         let config = DriverConfig::default();
-        let cache = TextCache::default();
+        let cache = MapCache::default();
         let (cold, cold_stats) =
             schedule_program_batch(&bench.program, &model, &config, 1, &Limits::none(), &cache)
                 .unwrap();
@@ -1040,12 +1016,12 @@ mod tests {
         let bench = generate(BenchmarkProfile::by_name("grep").unwrap(), PAPER_SEED);
         let model = MachineModel::sparc2();
         let config = DriverConfig::default();
-        let cache = TextCache::default();
-        // TextCache keys on block text only — exactly the collision the
-        // real cache must avoid. Run full fidelity first, then the
-        // floor rung with the *real* keying discipline simulated by a
-        // fresh cache; here we assert the outputs differ at all, which
-        // is what makes shared keys dangerous.
+        let cache = MapCache::default();
+        // A key of the block text alone would be shared by both runs.
+        // Run full fidelity first, then the floor rung against no
+        // cache; here we assert the outputs differ at all, which is
+        // what makes shared keys dangerous (the service cache's tests
+        // check that the rungs key apart).
         let (full, _) =
             schedule_program_batch(&bench.program, &model, &config, 1, &Limits::none(), &cache)
                 .unwrap();
@@ -1071,7 +1047,7 @@ mod tests {
             inherit_latencies: true,
             ..DriverConfig::default()
         };
-        let cache = TextCache::default();
+        let cache = MapCache::default();
         let (_, stats) =
             schedule_program_batch(&bench.program, &model, &config, 1, &Limits::none(), &cache)
                 .unwrap();

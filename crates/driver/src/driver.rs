@@ -7,8 +7,8 @@ use dagsched_core::{ConstructError, HeuristicPasses, PhaseStats, Scratch};
 use dagsched_isa::{Instruction, MachineModel, Program};
 use dagsched_pipesim::{simulate, SimOptions};
 use dagsched_sched::{
-    carry_out, entry_constraints, fill_branch_delay_slot, CarryOut, SchedDirection, Schedule,
-    Scheduler, SchedulerKind, SlotFill,
+    carry_out, emit_order, entry_constraints, fill_branch_delay_slot, CarryOut, SchedDirection,
+    Schedule, Scheduler, SchedulerKind, SlotFill,
 };
 
 use crate::batch::{schedule_program_batch, Limits, NoCache};
@@ -76,11 +76,14 @@ impl ScheduledProgram {
 /// the [`crate::batch`] entry point behind the scheduling service — every
 /// path calls the same [`compile_block`], so their outputs are
 /// bit-identical by construction. A schedule cache
-/// ([`crate::batch::BlockCache`]) stores and replays these.
+/// ([`crate::batch::BlockCache`]) stores and replays these as they are.
 #[derive(Debug, Clone)]
 pub struct BlockOutcome {
-    /// The emitted instruction stream for this block.
-    pub emitted: Vec<Instruction>,
+    /// The emitted order: one slot per emitted instruction, each an
+    /// index into the block, or [`NOP_SLOT`](dagsched_sched::NOP_SLOT)
+    /// for the delay-slot `nop`.
+    /// [`BlockOutcome::emitted`] turns it into instructions.
+    pub order: Vec<u32>,
     /// The per-block report.
     pub report: BlockReport,
     /// Operation latencies carried past the block's exit, consumed by the
@@ -88,6 +91,17 @@ pub struct BlockOutcome {
     /// [`compile_block`] is given a `carry_in`); every other outcome,
     /// including a cache replay, carries [`CarryOut::default`].
     pub carry: CarryOut,
+}
+
+impl BlockOutcome {
+    /// The emitted instruction stream, drawn from `insns`, the block
+    /// this outcome was compiled or looked up for.
+    pub fn emitted<'a>(
+        &'a self,
+        insns: &'a [Instruction],
+    ) -> impl Iterator<Item = Instruction> + 'a {
+        emit_order(&self.order, insns)
+    }
 }
 
 /// Compile one basic block: construct the DAG, compute the heuristics
@@ -102,7 +116,7 @@ pub struct BlockOutcome {
 ///
 /// Working storage is drawn from `scratch` and handed back to it once the
 /// block is emitted, so with a warm arena the only allocation on the
-/// default path is the emitted stream the outcome owns. The per-phase
+/// default path is the emitted order the outcome owns. The per-phase
 /// counters (`construct_ns`, `heur_ns`, `sched_ns`,
 /// arc/probe/comparison counts) are accumulated into `scratch.stats`.
 ///
@@ -178,12 +192,12 @@ pub(crate) fn compile_block_with(
     let original_makespan =
         Schedule::program_order_makespan(&dag, insns, model, &mut scratch.sched);
     let mut slot = None;
-    let emitted = if config.fill_delay_slots {
-        let (stream, fill) = fill_branch_delay_slot(&schedule, &dag, insns);
+    let order = if config.fill_delay_slots {
+        let (order, fill) = fill_branch_delay_slot(&schedule, &dag, insns);
         slot = Some(fill);
-        stream
+        order
     } else {
-        schedule.order.iter().map(|n| insns[n.index()]).collect()
+        schedule.order.iter().map(|n| n.index() as u32).collect()
     };
     let report = BlockReport {
         block: bi,
@@ -195,7 +209,7 @@ pub(crate) fn compile_block_with(
     schedule.recycle(&mut scratch.sched);
     scratch.recycle(prepared, dag);
     Ok(BlockOutcome {
-        emitted,
+        order,
         report,
         carry,
     })

@@ -16,6 +16,8 @@
 //!   [`batch::BlockCache`] interposition point that lets a
 //!   content-addressed schedule cache skip compilation of repeated
 //!   blocks entirely.
+//! * [`key`] — the cache key's format: the configuration half
+//!   ([`key::CacheScope`]) and the block half, in one module.
 //!
 //! This crate sits between the algorithmic crates (`dagsched-core`,
 //! `dagsched-sched`) and the front ends (the `dagsched` CLI facade and
@@ -24,14 +26,16 @@
 
 pub mod batch;
 pub mod driver;
+pub mod key;
 pub mod parallel;
 
 pub use batch::{
-    schedule_program_batch, schedule_program_batch_scratch, BlockCache, CacheScope, DegradeLevel,
+    schedule_program_batch, schedule_program_batch_scratch, BlockCache, DegradeLevel,
     DegradePolicy, LimitError, Limits, NoCache,
 };
 pub use driver::{
     compile_block, schedule_program, schedule_program_stats, BlockOutcome, BlockReport,
     DriverConfig, ScheduledProgram,
 };
+pub use key::{block_key, CacheScope, Key};
 pub use parallel::schedule_program_jobs;

@@ -23,10 +23,31 @@ pub enum SlotFill {
     NoSlot,
 }
 
-/// The emitted instruction stream of a scheduled block on a
-/// delayed-branch machine: the scheduled order with the delay slot after
-/// the terminator filled — by hoisting a legal instruction from the body
-/// when possible, by a `nop` otherwise.
+/// The slot of an emitted order that stands for the delay-slot `nop`:
+/// every other slot is an index into the block. Block indices stay far
+/// below it (`dagsched_core::MAX_NODES`).
+pub const NOP_SLOT: u32 = u32::MAX;
+
+/// The instructions an emitted order stands for: `insns[slot]` for each
+/// slot, and the delay-slot `nop` for [`NOP_SLOT`].
+///
+/// # Panics
+///
+/// Panics if a slot other than [`NOP_SLOT`] is out of range for `insns`.
+pub fn emit_order<'a>(
+    order: &'a [u32],
+    insns: &'a [Instruction],
+) -> impl Iterator<Item = Instruction> + 'a {
+    order.iter().map(move |&slot| match slot {
+        NOP_SLOT => Instruction::nop(),
+        i => insns[i as usize],
+    })
+}
+
+/// The emitted order of a scheduled block on a delayed-branch machine,
+/// as slots ([`emit_order`]): the scheduled order with the delay slot
+/// after the terminator filled — by hoisting a legal instruction from
+/// the body when possible, by a `nop` ([`NOP_SLOT`]) otherwise.
 ///
 /// A body instruction may occupy the slot when:
 ///
@@ -43,13 +64,13 @@ pub fn fill_branch_delay_slot(
     schedule: &Schedule,
     dag: &Dag,
     insns: &[Instruction],
-) -> (Vec<Instruction>, SlotFill) {
+) -> (Vec<u32>, SlotFill) {
+    let slot = |n: &NodeId| n.index() as u32;
     let Some(&term) = schedule.order.last() else {
         return (Vec::new(), SlotFill::NoSlot);
     };
     if !insns[term.index()].opcode.has_delay_slot() {
-        let stream = schedule.order.iter().map(|n| insns[n.index()]).collect();
-        return (stream, SlotFill::NoSlot);
+        return (schedule.order.iter().map(slot).collect(), SlotFill::NoSlot);
     }
     // Search the body bottom-up for the last legal candidate: a leaf in
     // the DAG (nothing depends on it inside the block) that is not a
@@ -66,24 +87,19 @@ pub fn fill_branch_delay_slot(
             break;
         }
     }
-    let mut stream: Vec<Instruction> = Vec::with_capacity(schedule.order.len() + 1);
+    let mut order: Vec<u32> = Vec::with_capacity(schedule.order.len() + 1);
     match candidate {
         Some(pos) => {
             let node = schedule.order[pos];
-            for (p, &n) in schedule.order.iter().enumerate() {
-                if p != pos {
-                    stream.push(insns[n.index()]);
-                }
-            }
-            stream.push(insns[node.index()]);
-            (stream, SlotFill::Moved(node))
+            order.extend(schedule.order[..pos].iter().map(slot));
+            order.extend(schedule.order[pos + 1..].iter().map(slot));
+            order.push(slot(&node));
+            (order, SlotFill::Moved(node))
         }
         None => {
-            for &n in &schedule.order {
-                stream.push(insns[n.index()]);
-            }
-            stream.push(Instruction::nop());
-            (stream, SlotFill::Nop)
+            order.extend(schedule.order.iter().map(slot));
+            order.push(NOP_SLOT);
+            (order, SlotFill::Nop)
         }
     }
 }
@@ -125,8 +141,10 @@ mod tests {
             Instruction::branch(Opcode::Bicc),
         ];
         let (dag, sched) = schedule_of(&insns, &model);
-        let (stream, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let (order, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let stream: Vec<Instruction> = emit_order(&order, &insns).collect();
         assert_eq!(fill, SlotFill::Moved(NodeId::new(1)));
+        assert_eq!(order, [0, 2, 1]);
         assert_eq!(stream.len(), 3, "no nop inserted");
         assert_eq!(stream[1].opcode, Opcode::Bicc);
         assert_eq!(stream[2].opcode, Opcode::Add, "the add rides the slot");
@@ -142,8 +160,10 @@ mod tests {
             Instruction::branch(Opcode::Bicc),
         ];
         let (dag, sched) = schedule_of(&insns, &model);
-        let (stream, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let (order, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let stream: Vec<Instruction> = emit_order(&order, &insns).collect();
         assert_eq!(fill, SlotFill::Nop);
+        assert_eq!(order, [0, 1, NOP_SLOT]);
         assert_eq!(stream.len(), 3);
         assert_eq!(stream[2].opcode, Opcode::Nop);
     }
@@ -161,7 +181,8 @@ mod tests {
             Instruction::branch(Opcode::Bicc),
         ];
         let (dag, sched) = schedule_of(&insns, &model);
-        let (stream, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let (order, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let stream: Vec<Instruction> = emit_order(&order, &insns).collect();
         assert_eq!(fill, SlotFill::Moved(NodeId::new(2)));
         let last = stream.last().unwrap();
         assert_eq!(last.rs, vec![Reg::o(5)]);
@@ -175,7 +196,8 @@ mod tests {
             Instruction::new(Opcode::Save),
         ];
         let (dag, sched) = schedule_of(&insns, &model);
-        let (stream, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let (order, fill) = fill_branch_delay_slot(&sched, &dag, &insns);
+        let stream: Vec<Instruction> = emit_order(&order, &insns).collect();
         assert_eq!(fill, SlotFill::NoSlot);
         assert_eq!(stream.len(), 2);
     }

@@ -49,7 +49,7 @@ pub use algorithms::{Scheduler, SchedulerKind};
 pub use carry::{carry_out, entry_constraints, schedule_with_inheritance, CarryOut};
 pub use catalog::{algorithm_catalog, AlgorithmInfo, RankedHeuristic};
 pub use commute::{commute_for_bypass, is_commutative};
-pub use delayslot::{fill_branch_delay_slot, SlotFill};
+pub use delayslot::{emit_order, fill_branch_delay_slot, SlotFill, NOP_SLOT};
 pub use fixup::fixup_delay_slots;
 pub use framework::{Gating, ListScheduler, SchedDirection};
 pub use optimal::{BranchAndBound, OptimalResult};

@@ -11,47 +11,24 @@
 //!
 //! # Keying
 //!
-//! A key has a configuration half and a block half, hashed with two
-//! independent FNV-1a streams into 128 bits, so accidental collisions
-//! are out of reach for any realistic cache population.
+//! The key format lives in the driver ([`dagsched_driver::key`]): the
+//! batch loop hashes the configuration once per batch and rung into a
+//! [`CacheScope`](dagsched_driver::CacheScope), keys each block once,
+//! and hands the key to both [`BlockCache::lookup`] and, on a miss,
+//! [`BlockCache::store`]. [`block_key`] and [`Key`] are re-exported
+//! here.
 //!
-//! The configuration half is the scheduler's full `Debug` rendering
-//! (construction algorithm, memory policy, heuristic list, direction,
-//! postpass flag), the driver flags and [`MachineModel::fingerprint`].
-//! It is the same for every block of a batch, so the driver hashes it
-//! once per batch and degradation rung into a [`CacheScope`], and both
-//! streams start from the scope's hashes. A lookup or store hashes only
-//! the block.
-//!
-//! The block half is, per instruction, its rendered text (which
-//! deliberately excludes the program-absolute `orig_index` and the
-//! program-interned [`MemExprId`](dagsched_isa::MemExprId)), a delimiter
-//! byte, and the *first-occurrence ordinal* of the instruction's
-//! memory-expression id within the block. The text is written into both
-//! streams as `Display` produces it, without building a `String`. The
-//! ordinal encoding captures exactly the information the symbolic
-//! memory-disambiguation policy consumes — which memory references
-//! within the block share an address expression — while remaining
-//! invariant under the program-wide renumbering that makes raw
-//! `MemExprId`s unusable as keys.
-//!
-//! Keys hash instruction text, not opcode and register numbers, because
-//! the text is stable across builds and persisted entries outlive a
-//! build. An enum discriminant is not: reordering the opcode list would
-//! make a recovered entry keyed on discriminants replay one block's
-//! order onto a different block.
-//!
-//! [`block_key`] computes the same key in one call, scope included.
-
 //! # Why values store indices, not instructions
 //!
 //! A cached entry must replay *bit-identically* — including the interned
 //! memory-expression identities the pipeline simulator keys on, which
 //! differ from program to program. Entries therefore store the emitted
-//! **order** (indices into the block, plus literal `nop`s inserted by
-//! delay-slot filling) and reconstruct the stream from the *requesting*
-//! block's own instructions; a hit is indistinguishable from a fresh
-//! compile by construction.
+//! **order** exactly as the scheduler produced it
+//! ([`BlockOutcome::order`]: 4-byte indices into the block, with
+//! [`NOP_SLOT`] for the delay-slot `nop`), and the batch loop
+//! reconstructs the stream from the *requesting* block's own
+//! instructions; a hit is indistinguishable from a fresh compile by
+//! construction. The persisted record holds the same slots.
 //!
 //! # Eviction
 //!
@@ -60,24 +37,20 @@
 //! are never admitted. Hits, misses, insertions and evictions are
 //! counted for the metrics endpoint.
 
-use std::collections::{HashMap, VecDeque};
-use std::fmt::{self, Write as _};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use dagsched_core::NodeId;
-use dagsched_driver::{BlockCache, BlockOutcome, BlockReport, CacheScope, DriverConfig};
-use dagsched_isa::{Fnv64, InlineList, Instruction, MachineModel};
-use dagsched_sched::{CarryOut, SlotFill};
+use dagsched_driver::{BlockCache, BlockOutcome, BlockReport};
+use dagsched_sched::{CarryOut, SlotFill, NOP_SLOT};
 
-/// Ends each instruction's text in the key: no UTF-8 text contains this
-/// byte, so the text and the ordinal after it cannot run together.
-const TEXT_END: u8 = 0xFF;
+pub use dagsched_driver::{block_key, Key};
 
 /// Sentinel slab index for "no node".
 const NONE: usize = usize::MAX;
 
-/// Fixed per-entry bookkeeping charged by [`CachedBlock::capture`]:
-/// LRU links, report fields, vector headers and hash-table slack.
+/// Fixed per-entry bookkeeping charged by [`entry_cost`]: LRU links,
+/// report fields, the order's header and hash-table slack.
 const ENTRY_OVERHEAD: usize = 96;
 
 /// The minimum [`CachedBlock::cost_bytes`] any entry can be charged:
@@ -88,11 +61,15 @@ pub const MIN_ENTRY_COST: usize =
     2 * std::mem::size_of::<Key>() + std::mem::size_of::<usize>() + ENTRY_OVERHEAD;
 
 /// Approximate footprint of an entry with `order_len` emitted slots
-/// (used both when capturing a fresh compile and when rehydrating a
+/// (used both when storing a fresh compile and when rehydrating a
 /// persisted entry, so the byte budget means the same thing in both
-/// directions).
+/// directions): 4 bytes per slot, plus the 128-bit key the entry pins
+/// (stored twice — once in the lookup map, once in the slab entry), the
+/// map's slab-index value and the fixed bookkeeping. The key and index
+/// are counted so that a cache full of tiny blocks stays within its
+/// byte budget.
 fn entry_cost(order_len: usize) -> usize {
-    order_len * std::mem::size_of::<Instruction>() + MIN_ENTRY_COST
+    order_len * std::mem::size_of::<u32>() + MIN_ENTRY_COST
 }
 
 /// Configuration for [`ScheduleCache`].
@@ -113,115 +90,12 @@ impl Default for CacheConfig {
     }
 }
 
-/// A 128-bit content key: two independent FNV-1a streams over the same
-/// canonical bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Key {
-    a: u64,
-    b: u64,
-}
-
-impl Key {
-    /// The two 64-bit halves (for persistence).
-    pub fn to_parts(self) -> (u64, u64) {
-        (self.a, self.b)
-    }
-
-    /// Rebuild from the two halves.
-    pub fn from_parts(a: u64, b: u64) -> Key {
-        Key { a, b }
-    }
-}
-
-/// Compute the cache key for (`insns`, `model`, `config`): the key
-/// [`ScheduleCache`] stores the block under in a batch with that model
-/// and configuration.
-pub fn block_key(insns: &[Instruction], model: &MachineModel, config: &DriverConfig) -> Key {
-    scoped_key(insns, &CacheScope::new(model, config))
-}
-
-/// The key of `insns` under `scope`: the scope's two streams, continued
-/// over the block's canonical bytes.
-fn scoped_key(insns: &[Instruction], scope: &CacheScope<'_>) -> Key {
-    let mut sink = KeySink(scope.streams());
-    let mut ordinals = Ordinals::default();
-    for insn in insns {
-        let ord = match &insn.mem {
-            Some(m) => ordinals.of(m.expr.index()),
-            None => u32::MAX,
-        };
-        let _ = write!(sink, "{insn}");
-        for stream in &mut sink.0 {
-            stream.write(&[TEXT_END]);
-            stream.write_u32(ord);
-        }
-    }
-    let [a, b] = sink.0;
-    Key {
-        a: a.finish(),
-        b: b.finish(),
-    }
-}
-
-/// Distinct memory expressions a block keys without a map: blocks
-/// rarely hold more, and a linear scan over this few costs less than
-/// hashing.
-const INLINE_EXPRS: usize = 16;
-
-/// First-occurrence ordinals of a block's memory-expression ids, in the
-/// order the ids first appear: a linear scan over the first
-/// [`INLINE_EXPRS`] distinct ids, kept inline, and a map for the rest,
-/// so a small block allocates nothing and a large one stays linear.
-#[derive(Default)]
-struct Ordinals {
-    first: InlineList<u32, INLINE_EXPRS>,
-    rest: HashMap<u32, u32>,
-}
-
-impl Ordinals {
-    /// The ordinal of `id`: how many distinct ids came before its first
-    /// occurrence.
-    fn of(&mut self, id: u32) -> u32 {
-        if let Some(i) = self.first.iter().position(|&seen| seen == id) {
-            return i as u32;
-        }
-        if self.first.len() < INLINE_EXPRS {
-            self.first.push(id);
-            return (self.first.len() - 1) as u32;
-        }
-        let next = (INLINE_EXPRS + self.rest.len()) as u32;
-        *self.rest.entry(id).or_insert(next)
-    }
-}
-
-/// Both key streams behind one [`fmt::Write`], so an instruction's
-/// `Display` text is hashed as it is rendered.
-struct KeySink([Fnv64; 2]);
-
-impl fmt::Write for KeySink {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for stream in &mut self.0 {
-            stream.write(s.as_bytes());
-        }
-        Ok(())
-    }
-}
-
-/// One position of a cached emitted stream.
-#[derive(Debug, Clone)]
-enum EmitSlot {
-    /// The instruction at this index of the *requesting* block.
-    FromBlock(u32),
-    /// A literal instruction not present in the block (the delay-slot
-    /// `nop`).
-    Literal(Instruction),
-}
-
 /// The cached value: everything needed to reproduce a [`BlockOutcome`]
-/// from the requesting block's own instructions.
+/// for the requesting block.
 #[derive(Debug, Clone)]
 struct CachedBlock {
-    order: Vec<EmitSlot>,
+    /// The emitted order, as the scheduler produced it.
+    order: Box<[u32]>,
     len: usize,
     original_makespan: u64,
     scheduled_makespan: u64,
@@ -230,56 +104,27 @@ struct CachedBlock {
 }
 
 impl CachedBlock {
-    /// Capture a freshly compiled outcome, mapping each emitted
-    /// instruction back to its index in `insns` (multiset matching, so
-    /// duplicate instructions are assigned distinct indices).
-    fn capture(insns: &[Instruction], outcome: &BlockOutcome) -> CachedBlock {
-        let mut positions: HashMap<&Instruction, VecDeque<usize>> = HashMap::new();
-        for (i, insn) in insns.iter().enumerate() {
-            positions.entry(insn).or_default().push_back(i);
-        }
-        let order: Vec<EmitSlot> = outcome
-            .emitted
-            .iter()
-            .map(
-                |insn| match positions.get_mut(insn).and_then(VecDeque::pop_front) {
-                    Some(i) => EmitSlot::FromBlock(i as u32),
-                    None => EmitSlot::Literal(*insn),
-                },
-            )
-            .collect();
-        // Approximate footprint of the whole entry, not just the
-        // payload: the emitted-order slots, plus the 128-bit content
-        // key this entry pins (stored twice — once in the lookup map,
-        // once in the slab entry), the map's slab-index value, and
-        // fixed per-entry bookkeeping (LRU links, report fields).
-        // Omitting the key/index share under-counted every entry by
-        // ~40 bytes, so a cache full of tiny blocks blew its byte
-        // budget by an unbounded margin.
-        let cost_bytes = entry_cost(order.len());
+    /// The entry for a freshly compiled outcome: its order, copied once.
+    fn of(outcome: &BlockOutcome) -> CachedBlock {
         CachedBlock {
-            order,
+            order: outcome.order.as_slice().into(),
             len: outcome.report.len,
             original_makespan: outcome.report.original_makespan,
             scheduled_makespan: outcome.report.scheduled_makespan,
             slot: outcome.report.slot.clone(),
-            cost_bytes,
+            cost_bytes: entry_cost(outcome.order.len()),
         }
     }
 
-    /// Reconstruct the outcome for block `block` of the requesting
-    /// program, using *its* instructions.
-    fn replay(&self, block: usize, insns: &[Instruction]) -> Option<BlockOutcome> {
-        let emitted: Option<Vec<Instruction>> = self
-            .order
-            .iter()
-            .map(|slot| match slot {
-                EmitSlot::FromBlock(i) => insns.get(*i as usize).cloned(),
-                EmitSlot::Literal(insn) => Some(*insn),
-            })
-            .collect();
+    /// The outcome for block `block` of the requesting program, `len`
+    /// instructions long; `None` when the entry was made for a block of
+    /// another length (a key collision).
+    fn replay(&self, block: usize, len: usize) -> Option<BlockOutcome> {
+        if len != self.len {
+            return None;
+        }
         Some(BlockOutcome {
-            emitted: emitted?,
+            order: self.order.to_vec(),
             report: BlockReport {
                 block,
                 len: self.len,
@@ -294,20 +139,12 @@ impl CachedBlock {
     }
 }
 
-/// Sentinel order-slot value marking a literal delay-slot `nop` in the
-/// persisted encoding (block indices are capped far below this).
-const PERSIST_NOP_SLOT: u32 = u32::MAX;
-
 impl CachedBlock {
-    /// Serialize this entry (with its `key`) for the durability layer.
-    ///
-    /// Returns `None` when the entry cannot be persisted faithfully:
-    /// the only literal instruction delay-slot filling ever emits is
-    /// the canonical `nop`, which round-trips as a tag; any other
-    /// literal (impossible today, conceivable after a scheduler change)
-    /// keeps the entry RAM-only rather than risking a lossy encoding.
-    fn encode(&self, key: Key) -> Option<Vec<u8>> {
-        let mut out = Vec::with_capacity(64 + 4 * self.order.len());
+    /// Serialize this entry (with its `key`) for the durability layer:
+    /// a fixed header, then the order's slots as they are, little-endian
+    /// ([`NOP_SLOT`] for the delay-slot `nop`).
+    fn encode(&self, key: Key) -> Vec<u8> {
+        let mut out = Vec::with_capacity(49 + 4 * self.order.len());
         let (a, b) = key.to_parts();
         out.extend_from_slice(&a.to_le_bytes());
         out.extend_from_slice(&b.to_le_bytes());
@@ -323,25 +160,17 @@ impl CachedBlock {
         out.push(slot_tag);
         out.extend_from_slice(&slot_val.to_le_bytes());
         out.extend_from_slice(&(self.order.len() as u32).to_le_bytes());
-        for slot in &self.order {
-            match slot {
-                EmitSlot::FromBlock(i) => {
-                    debug_assert!(*i < PERSIST_NOP_SLOT);
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-                EmitSlot::Literal(insn) if *insn == Instruction::nop() => {
-                    out.extend_from_slice(&PERSIST_NOP_SLOT.to_le_bytes());
-                }
-                EmitSlot::Literal(_) => return None,
-            }
+        for slot in self.order.iter() {
+            out.extend_from_slice(&slot.to_le_bytes());
         }
-        Some(out)
+        out
     }
 
-    /// Decode a persisted entry. `None` on any structural mismatch —
-    /// the record is simply skipped during recovery (per-record
-    /// checksums make this unreachable short of a format bug, but a
-    /// corrupt record must never panic recovery).
+    /// Decode a persisted entry. `None` on any structural mismatch,
+    /// a slot outside the block included — the record is simply skipped
+    /// during recovery (per-record checksums make this unreachable short
+    /// of a format bug, but a corrupt record must never panic recovery
+    /// or replay).
     fn decode(bytes: &[u8]) -> Option<(Key, CachedBlock)> {
         let u64_at = |o: usize| -> Option<u64> {
             bytes.get(o..o + 8)?.try_into().ok().map(u64::from_le_bytes)
@@ -367,25 +196,22 @@ impl CachedBlock {
         if body.len() != 4 * count {
             return None;
         }
-        let mut order = Vec::with_capacity(count);
-        for i in 0..count {
-            let raw = u32::from_le_bytes(body[4 * i..4 * i + 4].try_into().ok()?);
-            order.push(if raw == PERSIST_NOP_SLOT {
-                EmitSlot::Literal(Instruction::nop())
-            } else {
-                EmitSlot::FromBlock(raw)
-            });
-        }
-        let cost_bytes = entry_cost(order.len());
+        let order = body
+            .chunks_exact(4)
+            .map(|raw| {
+                let slot = u32::from_le_bytes(raw.try_into().ok()?);
+                (slot == NOP_SLOT || (slot as usize) < len).then_some(slot)
+            })
+            .collect::<Option<Box<[u32]>>>()?;
         Some((
             key,
             CachedBlock {
+                cost_bytes: entry_cost(order.len()),
                 order,
                 len,
                 original_makespan,
                 scheduled_makespan,
                 slot,
-                cost_bytes,
             },
         ))
     }
@@ -501,7 +327,7 @@ impl Lru {
         self.map.remove(&self.slab[ix].key);
         self.bytes -= self.slab[ix].value.cost_bytes;
         // Drop the payload; keep the slot for reuse.
-        self.slab[ix].value.order = Vec::new();
+        self.slab[ix].value.order = Box::default();
         self.free.push(ix);
         self.evictions += 1;
     }
@@ -600,17 +426,14 @@ impl ScheduleCache {
     }
 
     /// Serialize every cached entry, least recently used first (so
-    /// re-importing in order reproduces the recency order). Entries
-    /// that cannot be encoded faithfully are skipped.
+    /// re-importing in order reproduces the recency order).
     pub fn export_entries(&self) -> Vec<Vec<u8>> {
         let inner = self.lock_inner();
         let mut out = Vec::with_capacity(inner.map.len());
         let mut ix = inner.tail;
         while ix != NONE {
             let entry = &inner.slab[ix];
-            if let Some(bytes) = entry.value.encode(entry.key) {
-                out.push(bytes);
-            }
+            out.push(entry.value.encode(entry.key));
             ix = entry.prev;
         }
         out
@@ -671,18 +494,12 @@ impl Default for ScheduleCache {
 }
 
 impl BlockCache for ScheduleCache {
-    fn lookup(
-        &self,
-        block: usize,
-        insns: &[Instruction],
-        scope: &CacheScope<'_>,
-    ) -> Option<BlockOutcome> {
-        let key = scoped_key(insns, scope);
+    fn lookup(&self, block: usize, len: usize, key: Key) -> Option<BlockOutcome> {
         let mut inner = self.lock_inner();
         match inner.map.get(&key).copied() {
             Some(ix) => {
                 inner.touch(ix);
-                let replayed = inner.slab[ix].value.replay(block, insns);
+                let replayed = inner.slab[ix].value.replay(block, len);
                 if replayed.is_some() {
                     inner.hits += 1;
                 } else {
@@ -697,17 +514,16 @@ impl BlockCache for ScheduleCache {
         }
     }
 
-    fn store(&self, insns: &[Instruction], scope: &CacheScope<'_>, outcome: &BlockOutcome) {
-        let key = scoped_key(insns, scope);
-        let value = CachedBlock::capture(insns, outcome);
-        // Encode before inserting (insert moves the value), but only
-        // touch the sink when the entry was actually admitted — and do
-        // so *after* the cache lock is dropped, so the sink can safely
-        // re-enter the cache.
-        let encoded = value.encode(key);
+    fn store(&self, key: Key, outcome: &BlockOutcome) {
+        let value = CachedBlock::of(outcome);
+        // Build the record only for an attached writer, before insert
+        // moves the value, and hand it over only when the entry was
+        // admitted — *after* the cache lock is dropped, so the sink can
+        // safely re-enter the cache.
+        let record = self.lock_writer().is_some().then(|| value.encode(key));
         let admitted = self.lock_inner().insert(key, value, &self.config);
         if admitted {
-            if let (Some(bytes), Some(writer)) = (encoded, self.lock_writer().as_ref()) {
+            if let (Some(bytes), Some(writer)) = (record, self.lock_writer().as_ref()) {
                 writer(&bytes);
             }
         }
@@ -723,10 +539,11 @@ mod tests {
     use dagsched_core::PhaseStats;
     use dagsched_core::Scratch;
     use dagsched_driver::{
-        compile_block, schedule_program_batch_scratch, DegradePolicy, Limits, NoCache,
-        ScheduledProgram,
+        compile_block, schedule_program_batch_scratch, DegradePolicy, DriverConfig, Limits,
+        NoCache, ScheduledProgram,
     };
-    use dagsched_workloads::{generate, parse_asm, BenchmarkProfile, PAPER_SEED};
+    use dagsched_isa::{Instruction, MachineModel};
+    use dagsched_workloads::{generate, generate_canon, parse_asm, BenchmarkProfile, PAPER_SEED};
 
     fn block(text: &str) -> Vec<Instruction> {
         parse_asm(text).unwrap().insns
@@ -759,11 +576,11 @@ mod tests {
         let model = MachineModel::sparc2();
         let config = DriverConfig::default();
         let outcome = compile(&insns, &model, &config);
-        cache.store(&insns, &CacheScope::new(&model, &config), &outcome);
+        cache.store(block_key(&insns, &model, &config), &outcome);
         let hit = cache
-            .lookup(0, &insns, &CacheScope::new(&model, &config))
+            .lookup(0, insns.len(), block_key(&insns, &model, &config))
             .unwrap();
-        assert_eq!(hit.emitted, outcome.emitted);
+        assert_eq!(hit.order, outcome.order);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().hits, 1);
         assert!(!cache.export_entries().is_empty());
@@ -776,71 +593,17 @@ mod tests {
         let config = DriverConfig::default();
         let cache = ScheduleCache::default();
         let outcome = compile(&insns, &model, &config);
-        cache.store(&insns, &CacheScope::new(&model, &config), &outcome);
+        cache.store(block_key(&insns, &model, &config), &outcome);
         let hit = cache
-            .lookup(3, &insns, &CacheScope::new(&model, &config))
+            .lookup(3, insns.len(), block_key(&insns, &model, &config))
             .unwrap();
-        assert_eq!(hit.emitted, outcome.emitted);
+        assert_eq!(hit.order, outcome.order);
         assert_eq!(hit.report.block, 3, "block index is the requester's");
         assert_eq!(
             hit.report.scheduled_makespan,
             outcome.report.scheduled_makespan
         );
         assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn key_is_sensitive_to_model_config_and_expr_structure() {
-        let insns = block("ld [%o0], %l0\n faddd %f0, %f2, %f4");
-        let model = MachineModel::sparc2();
-        let config = DriverConfig::default();
-        let base = block_key(&insns, &model, &config);
-
-        assert_ne!(
-            base,
-            block_key(&insns, &MachineModel::deep_fpu(), &config),
-            "machine model must be part of the key"
-        );
-        let other_cfg = DriverConfig {
-            scheduler: dagsched_sched::Scheduler::new(dagsched_sched::SchedulerKind::Tiemann),
-            ..DriverConfig::default()
-        };
-        assert_ne!(
-            base,
-            block_key(&insns, &model, &other_cfg),
-            "scheduler must be part of the key"
-        );
-        let flagged = DriverConfig {
-            fill_delay_slots: true,
-            ..DriverConfig::default()
-        };
-        assert_ne!(base, block_key(&insns, &model, &flagged));
-
-        // Same rendered text, different expr sharing structure.
-        let shared = block("ld [%o0], %l0\n st %l0, [%o0]");
-        let a = block_key(&shared, &model, &config);
-        let mut unshared = shared.clone();
-        unshared[1].mem.as_mut().unwrap().expr = dagsched_isa::MemExprId::from_index(7);
-        assert_ne!(
-            a,
-            block_key(&unshared, &model, &config),
-            "expr-sharing structure must be part of the key"
-        );
-    }
-
-    #[test]
-    fn key_ignores_program_position() {
-        let model = MachineModel::sparc2();
-        let config = DriverConfig::default();
-        let a = block("add %o0, %o1, %o2\n sub %o2, %o3, %o4");
-        let mut b = a.clone();
-        for (i, insn) in b.iter_mut().enumerate() {
-            insn.orig_index = 1000 + i as u32; // same block later in a program
-        }
-        assert_eq!(
-            block_key(&a, &model, &config),
-            block_key(&b, &model, &config)
-        );
     }
 
     #[test]
@@ -856,30 +619,30 @@ mod tests {
         let b3 = block("xor %o0, %o1, %o2");
         for b in [&b1, &b2] {
             let o = compile(b, &model, &config);
-            cache.store(b, &CacheScope::new(&model, &config), &o);
+            cache.store(block_key(b, &model, &config), &o);
         }
         // Touch b1 so b2 becomes the LRU victim.
         assert!(cache
-            .lookup(0, &b1, &CacheScope::new(&model, &config))
+            .lookup(0, b1.len(), block_key(&b1, &model, &config))
             .is_some());
         let o3 = compile(&b3, &model, &config);
-        cache.store(&b3, &CacheScope::new(&model, &config), &o3);
+        cache.store(block_key(&b3, &model, &config), &o3);
         assert_eq!(cache.len(), 2);
         assert!(
             cache
-                .lookup(0, &b2, &CacheScope::new(&model, &config))
+                .lookup(0, b2.len(), block_key(&b2, &model, &config))
                 .is_none(),
             "b2 evicted"
         );
         assert!(
             cache
-                .lookup(0, &b1, &CacheScope::new(&model, &config))
+                .lookup(0, b1.len(), block_key(&b1, &model, &config))
                 .is_some(),
             "b1 kept"
         );
         assert!(
             cache
-                .lookup(0, &b3, &CacheScope::new(&model, &config))
+                .lookup(0, b3.len(), block_key(&b3, &model, &config))
                 .is_some(),
             "b3 kept"
         );
@@ -897,7 +660,7 @@ mod tests {
         let config = DriverConfig::default();
         let one = block("add %o0, %o1, %o2");
         let o = compile(&one, &model, &config);
-        let entry_cost = CachedBlock::capture(&one, &o).cost_bytes;
+        let entry_cost = CachedBlock::of(&o).cost_bytes;
 
         // Budget for exactly two single-instruction entries.
         let cache = ScheduleCache::new(CacheConfig {
@@ -911,7 +674,7 @@ mod tests {
         ];
         for b in &blocks {
             let o = compile(b, &model, &config);
-            cache.store(b, &CacheScope::new(&model, &config), &o);
+            cache.store(block_key(b, &model, &config), &o);
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2, "{stats:?}");
@@ -924,29 +687,174 @@ mod tests {
             max_entries: usize::MAX,
             max_bytes: entry_cost.saturating_sub(1),
         });
-        tiny.store(&one, &CacheScope::new(&model, &config), &o);
+        tiny.store(block_key(&one, &model, &config), &o);
         assert!(tiny.is_empty());
         assert_eq!(tiny.stats().evictions, 0);
     }
 
     #[test]
     fn duplicate_instructions_map_to_distinct_indices() {
-        // Two identical adds: multiset matching must keep both.
+        // Two identical adds: the stored order is the scheduler's own
+        // permutation of the block, so both keep their own index.
         let insns = block("add %o0, %o1, %o2\n add %o0, %o1, %o2\n smul %o2, %o3, %o4");
         let model = MachineModel::sparc2();
         let config = DriverConfig::default();
         let cache = ScheduleCache::default();
         let outcome = compile(&insns, &model, &config);
-        cache.store(&insns, &CacheScope::new(&model, &config), &outcome);
+        cache.store(block_key(&insns, &model, &config), &outcome);
         let hit = cache
-            .lookup(0, &insns, &CacheScope::new(&model, &config))
+            .lookup(0, insns.len(), block_key(&insns, &model, &config))
             .unwrap();
-        assert_eq!(hit.emitted.len(), insns.len());
-        assert_eq!(hit.emitted, outcome.emitted);
+        let mut slots = hit.order.clone();
+        slots.sort_unstable();
+        assert_eq!(slots, [0, 1, 2]);
+        assert_eq!(hit.order, outcome.order);
+    }
+
+    /// A hit replays only onto a block of the entry's length, and a
+    /// persisted record with a slot outside its block never decodes:
+    /// either would index past the requesting block.
+    #[test]
+    fn slots_outside_the_block_never_replay() {
+        let insns = block("ld [%o0], %l0\n add %l0, %o1, %o2\n st %o2, [%o3]");
+        let model = MachineModel::sparc2();
+        let config = DriverConfig::default();
+        let key = block_key(&insns, &model, &config);
+        let cache = ScheduleCache::default();
+        cache.store(key, &compile(&insns, &model, &config));
+        assert!(cache.lookup(0, insns.len() - 1, key).is_none());
+        assert_eq!(cache.stats().misses, 1);
+        assert!(cache.lookup(0, insns.len(), key).is_some());
+
+        let mut record = cache.export_entries().pop().expect("one entry");
+        let last = record.len() - 4;
+        record[last..].copy_from_slice(&(insns.len() as u32).to_le_bytes());
+        assert!(CachedBlock::decode(&record).is_none());
+        record[last..].copy_from_slice(&NOP_SLOT.to_le_bytes());
+        assert!(CachedBlock::decode(&record).is_some());
     }
 
     fn grep() -> dagsched_isa::Program {
         generate(BenchmarkProfile::by_name("grep").unwrap(), PAPER_SEED).program
+    }
+
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The blocks whose records are pinned below: the first two blocks
+    /// of three or more instructions of a Table 3 and a canon profile,
+    /// under the default configuration, then two blocks under
+    /// `fill_delay_slots`, one whose delay slot takes a moved
+    /// instruction and one whose slot takes a `nop`.
+    fn record_blocks() -> Vec<(Vec<Instruction>, DriverConfig)> {
+        let fill = DriverConfig {
+            fill_delay_slots: true,
+            ..DriverConfig::default()
+        };
+        let mut blocks = Vec::new();
+        for program in [grep(), generate_canon("canon-gnp-16", 7).unwrap().program] {
+            let firsts = program
+                .basic_blocks()
+                .iter()
+                .map(|b| program.block_insns(b).to_vec())
+                .filter(|insns| insns.len() >= 3)
+                .take(2)
+                .map(|insns| (insns, DriverConfig::default()))
+                .collect::<Vec<_>>();
+            blocks.extend(firsts);
+        }
+        blocks.push((
+            block("cmp %o0, %o1\nadd %o2, %o3, %o5\nbne L1"),
+            fill.clone(),
+        ));
+        blocks.push((block("cmp %o0, %o1\nbne L1"), fill));
+        blocks
+    }
+
+    /// Persisted records stay byte-identical: each block's record, built
+    /// from a fresh compile and handed to the writer by a store, equals
+    /// the bytes recorded when entries were captured by matching each
+    /// emitted instruction back to the block. Each pinned record decodes
+    /// and replays the emitted stream recorded with it.
+    #[test]
+    fn records_are_pinned() {
+        let pinned = [
+            (
+                concat!(
+                    "a0bf5e0a37f75c00ff73d6610272fd3807000000000000000800000000000000",
+                    "0700000000000000000000000007000000000000000400000001000000030000",
+                    "00020000000500000006000000",
+                ),
+                "ld [%i6], %i4\nadd %l0, %o2, %l5\nsub %i0, %i4, %i3\nld [%i3+8], %l2\nand %i3, %l1, %l6\nor %l2, %i5, %l3\nsave",
+            ),
+            (
+                concat!(
+                    "77b9b40544bd4c52a09d80bdd5bfed5e03000000000000000300000000000000",
+                    "0300000000000000000000000003000000000000000100000002000000",
+                ),
+                "add %g3, %i4, %o0\nsubcc %o0, %o0\nbicc",
+            ),
+            (
+                concat!(
+                    "a82c97650ea4ec494b33da70b0f2f38814000000000000001500000000000000",
+                    "1400000000000000000000000014000000020000000400000000000000050000",
+                    "00010000000300000006000000070000000b00000008000000090000000c0000",
+                    "000a0000000e000000100000000d00000011000000120000000f000000130000",
+                    "00",
+                ),
+                "mov 2, %l2\nmov 4, %l4\nmov 0, %l0\nadd %l2, %l4, %l5\nld [%l0], %l1\nadd %l0, %l2, %l3\nld [%l5+8], %l6\nadd %l3, %l4, %l7\nsub %l1, %l2, %o2\nst %l7, [%i6+16]\nadd %l6, %l7, %o0\nsub %l6, %o0, %o3\nadd %l7, %o0, %o1\nadd %l7, %o0, %o5\nld [%o3+24], %i1\nadd %l5, %o1, %o4\nst %i1, [%i6+32]\nsubcc %i1, %g0\nand %l4, %o4, %i0\nbicc",
+            ),
+            (
+                concat!(
+                    "9c573da60d5a2875195b4b1261a2da960b000000000000000b00000000000000",
+                    "0b0000000000000000000000000b000000000000000300000001000000020000",
+                    "000400000005000000060000000700000008000000090000000a000000",
+                ),
+                "mov 0, %l0\nmov 3, %l3\nmov 1, %l1\nld [%l0], %l2\nsub %l0, %l3, %l4\nadd %l3, 8, %l5\nsub %l1, %l2, %l6\nand %l4, %l5, %l7\nst %l7, [%i6+8]\nsubcc %l7, %g0\nbicc",
+            ),
+            (
+                concat!(
+                    "77b38ff18187160c12f43011b565d79203000000000000000300000000000000",
+                    "0300000000000000010100000003000000000000000200000001000000",
+                ),
+                "subcc %o0, %o1\nbicc\nadd %o2, %o3, %o5",
+            ),
+            (
+                concat!(
+                    "6de9306085ec7908848c48a00360364002000000000000000200000000000000",
+                    "02000000000000000200000000030000000000000001000000ffffffff",
+                ),
+                "subcc %o0, %o1\nbicc\nnop",
+            ),
+        ];
+        let model = MachineModel::sparc2();
+        let cache = ScheduleCache::default();
+        let written = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let sink = std::sync::Arc::clone(&written);
+        cache.set_writer(Box::new(move |bytes: &[u8]| {
+            sink.lock().unwrap().push(bytes.to_vec())
+        }));
+        let blocks = record_blocks();
+        assert_eq!(blocks.len(), pinned.len());
+        for ((insns, config), (hex, emitted)) in blocks.iter().zip(pinned) {
+            let bytes = from_hex(hex);
+            let key = block_key(insns, &model, config);
+            let outcome = compile(insns, &model, config);
+            assert_eq!(CachedBlock::of(&outcome).encode(key), bytes, "{emitted}");
+            cache.store(key, &outcome);
+            assert_eq!(written.lock().unwrap().last(), Some(&bytes), "{emitted}");
+
+            let (decoded_key, value) = CachedBlock::decode(&bytes).expect("a pinned record");
+            assert_eq!(decoded_key, key);
+            let replayed = value.replay(0, insns.len()).expect("the block's length");
+            let text: Vec<String> = replayed.emitted(insns).map(|i| i.to_string()).collect();
+            assert_eq!(text.join("\n"), emitted);
+        }
+        assert_eq!(written.lock().unwrap().len(), pinned.len());
     }
 
     fn batch(

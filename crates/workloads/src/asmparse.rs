@@ -107,6 +107,18 @@ fn parse_line(line: &str, prog: &mut Program) -> Result<Instruction, String> {
             let mem = parse_mem(ops[1], prog)?;
             Ok(Instruction::store(op, rs, mem))
         }
+        Opcode::RdY => {
+            // SPARC's `rd %y, reg`, or `rd reg` as `Display` prints it.
+            let rd = match (n, ops[0]) {
+                (1, _) => ops[0],
+                (2, "%y") => ops[1],
+                _ => return Err("rd expects `%y, reg` or `reg`".into()),
+            };
+            Ok(Instruction {
+                rd: Some(parse_reg(rd)?),
+                ..Instruction::new(op)
+            })
+        }
         Opcode::SubCc if n == 2 => {
             // `cmp a, b`
             Ok(Instruction::cmp(parse_reg(ops[0])?, parse_reg(ops[1])?))
@@ -324,7 +336,7 @@ fn parse_mem(s: &str, prog: &mut Program) -> Result<MemRef, String> {
         Some(pos) => (
             inner[..pos].trim(),
             if inner.as_bytes()[pos] == b'+' {
-                1i32
+                1i64
             } else {
                 -1
             },
@@ -343,8 +355,15 @@ fn parse_mem(s: &str, prog: &mut Program) -> Result<MemRef, String> {
         let index = parse_reg(rest)?;
         return Ok(MemRef::base_index(base, index, expr));
     }
-    let off: i32 = rest.parse().map_err(|_| format!("bad offset in `{s}`"))?;
-    Ok(MemRef::base_offset(base, sign * off, expr))
+    // The sign is applied before the range check, so `-2147483648`
+    // (`i32::MIN`, as `Display` prints it) parses.
+    let off = rest
+        .parse::<i64>()
+        .ok()
+        .and_then(|off| off.checked_mul(sign))
+        .and_then(|off| i32::try_from(off).ok())
+        .ok_or_else(|| format!("bad offset in `{s}`"))?;
+    Ok(MemRef::base_offset(base, off, expr))
 }
 
 #[cfg(test)]

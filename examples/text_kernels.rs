@@ -21,10 +21,11 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use dagsched::batch::{schedule_program_batch_scratch, BlockCache, CacheScope, Limits};
+use dagsched::batch::{schedule_program_batch_scratch, BlockCache, Limits};
 use dagsched::core::Scratch;
 use dagsched::driver::DriverConfig;
 use dagsched::isa::{MachineModel, Opcode, Program};
+use dagsched::key::CacheScope;
 use dagsched::service::{CacheConfig, ScheduleCache};
 use dagsched::workloads::{generate, parse_asm, BenchmarkProfile};
 
@@ -117,7 +118,8 @@ fn main() {
             "block",
             time(rounds, blocks.len(), || {
                 for (i, block) in blocks.iter().enumerate() {
-                    black_box(cache.lookup(i, block, &scope).expect("every block hits"));
+                    let key = scope.key_in(block, &mut scratch.key_ordinals);
+                    black_box(cache.lookup(i, block.len(), key).expect("every block hits"));
                 }
             }),
         ),

@@ -962,7 +962,10 @@ fn usage(err: &str) -> ! {
          \x20 --listen EP  tcp:HOST:PORT or unix:/path (default tcp:127.0.0.1:4591)\n\
          \x20 --workers N  compile worker threads (default 4)\n\
          \x20 --queue N    compile-queue depth before `busy` (default 64)\n\
-         \x20 --cache-mb N schedule-cache byte budget in MiB (default 64)\n\
+         \x20 --cache-mb N schedule-cache byte budget in MiB (default 64): 4 bytes\n\
+         \x20                    per cached instruction plus 136 per entry, so the\n\
+         \x20                    default holds about 16M instructions and the\n\
+         \x20                    4,096-entry cap binds first\n\
          \x20 --first-frame-timeout-ms N  typed idle-timeout close for connections\n\
          \x20                    that never complete a frame (default 2000)\n\
          \x20 --state-dir DIR    persist the cache + quarantine (snapshot + WAL) in DIR\n\

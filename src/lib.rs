@@ -57,7 +57,7 @@
 //! assert!(dag.arc_between(NodeId::new(0), NodeId::new(2)).is_some());
 //! ```
 
-pub use dagsched_driver::{batch, driver, parallel};
+pub use dagsched_driver::{batch, driver, key, parallel};
 
 pub use dagsched_core as core;
 pub use dagsched_isa as isa;
@@ -88,11 +88,10 @@ pub mod prelude {
 
     pub use dagsched_core::{default_jobs, PhaseStats, Scratch};
 
-    pub use crate::batch::{
-        schedule_program_batch, BlockCache, CacheScope, LimitError, Limits, NoCache,
-    };
+    pub use crate::batch::{schedule_program_batch, BlockCache, LimitError, Limits, NoCache};
     pub use crate::driver::{
         schedule_program, schedule_program_stats, BlockReport, DriverConfig, ScheduledProgram,
     };
+    pub use crate::key::{CacheScope, Key};
     pub use crate::parallel::schedule_program_jobs;
 }

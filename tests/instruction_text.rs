@@ -13,6 +13,8 @@
 //!   non-ASCII strings.
 //! * `block_key` of a fixed block set equals the values recorded before
 //!   the renderer changed.
+//! * Rendered text re-parses at its edges (the `i32` offsets, `rd`) and
+//!   renders to the same text again.
 
 use std::fmt;
 
@@ -226,6 +228,70 @@ fn integer_and_register_edges_render_as_the_reference() {
     }
     for reg in &regs {
         assert_renders_as_reference(reg);
+    }
+}
+
+/// Rendered text re-parses at its edges: memory offsets at the `i32`
+/// ends, and `rd` into every register bank in both its forms (`rd reg`
+/// as `Display` prints it, SPARC's `rd %y, reg`). Each parsed
+/// instruction renders to the same text again.
+#[test]
+fn edge_instructions_reparse_to_the_same_text() {
+    let mut pool = MemExprPool::new();
+    let expr = pool.intern("[%i6]");
+    let mut cases = Vec::new();
+    for offset in [i32::MIN, i32::MIN + 1, -1, 1, i32::MAX] {
+        let mem = MemRef::base_offset(Reg::fp(), offset, expr);
+        cases.push(Instruction::load(Opcode::Ld, mem, Reg::o(0)));
+        cases.push(Instruction::store(Opcode::St, Reg::o(1), mem));
+    }
+    let banks = [
+        Reg::g(1),
+        Reg::o(1),
+        Reg::l(7),
+        Reg::i(0),
+        Reg::f(31),
+        Reg::Y,
+    ];
+    for rd in banks {
+        cases.push(Instruction {
+            rd: Some(rd),
+            ..Instruction::new(Opcode::RdY)
+        });
+    }
+    for insn in &cases {
+        let text = insn.to_string();
+        let parsed = parse_asm(&text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+        assert_eq!(parsed.insns.len(), 1, "{text}");
+        let again = parsed.insns[0];
+        assert_eq!(
+            (again.opcode, again.rd, again.rs),
+            (insn.opcode, insn.rd, insn.rs)
+        );
+        assert_eq!(
+            again.mem.map(|m| m.offset),
+            insn.mem.map(|m| m.offset),
+            "{text}"
+        );
+        assert_eq!(again.to_string(), text);
+    }
+    for rd in banks {
+        let sparc = format!("rd %y, {rd}");
+        let parsed = parse_asm(&sparc).unwrap_or_else(|e| panic!("`{sparc}`: {e}"));
+        assert_eq!(parsed.insns[0].opcode, Opcode::RdY, "{sparc}");
+        assert_eq!(parsed.insns[0].rd, Some(rd), "{sparc}");
+        assert_eq!(parsed.insns[0].to_string(), format!("rd {rd}"));
+    }
+    // Past the `i32` ends, and `rd` with the wrong operands, still fail.
+    for bad in [
+        "ld [%i6-2147483649], %o0",
+        "ld [%i6+2147483648], %o0",
+        "ld [%i6--9223372036854775808], %o0",
+        "rd %o1, %o2",
+        "rd %y, %o1, %o2",
+        "rd",
+    ] {
+        assert!(parse_asm(bad).is_err(), "`{bad}` parsed");
     }
 }
 

@@ -202,7 +202,7 @@ fn rotation() -> Vec<DriverConfig> {
 }
 
 /// Compile `insns` through `scratch` and through a fresh arena, and
-/// require the same emitted stream, report and work counters.
+/// require the same emitted order, report and work counters.
 fn compile_like_fresh(
     what: &str,
     insns: &[Instruction],
@@ -214,7 +214,7 @@ fn compile_like_fresh(
     let reused = compile_block(0, insns, model, config, None, scratch).unwrap();
     let mut fresh_scratch = Scratch::new();
     let fresh = compile_block(0, insns, model, config, None, &mut fresh_scratch).unwrap();
-    assert_eq!(reused.emitted, fresh.emitted, "{what}");
+    assert_eq!(reused.order, fresh.order, "{what}");
     assert_eq!(reused.report, fresh.report, "{what}");
     let mut added = scratch.stats;
     added.blocks -= before.blocks;

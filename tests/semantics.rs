@@ -12,7 +12,8 @@ use dagsched::core::{build_dag, ConstructionAlgorithm, HeuristicSet, MemDepPolic
 use dagsched::isa::{Instruction, MachineModel, MemExprId, Reg, RegClass, Resource};
 use dagsched::pipesim::interp::{equivalent_observable, run, MachineState};
 use dagsched::sched::{
-    fill_branch_delay_slot, BranchAndBound, LinearScan, Scheduler, SchedulerKind, TwoPhase,
+    emit_order, fill_branch_delay_slot, BranchAndBound, LinearScan, Scheduler, SchedulerKind,
+    TwoPhase,
 };
 use proptest::prelude::*;
 
@@ -99,7 +100,8 @@ proptest! {
         let block = dagsched::core::PreparedBlock::new(&prog.insns);
         let dag = sched.construction.run(&block, &model, sched.policy);
         let schedule = sched.schedule_block(&prog.insns, &model);
-        let (stream, _fill) = fill_branch_delay_slot(&schedule, &dag, &prog.insns);
+        let (order, _fill) = fill_branch_delay_slot(&schedule, &dag, &prog.insns);
+        let stream: Vec<_> = emit_order(&order, &prog.insns).collect();
         let initial = MachineState::random(seed, mem_cells(&prog.insns));
         prop_assert_eq!(run(&prog.insns, &initial), run(&stream, &initial));
     }
